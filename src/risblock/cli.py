@@ -31,7 +31,8 @@ from risblock.svgchart import render_line_chart
 
 
 class ConfigError(Exception):
-    """Invalid configuration or arguments; maps to exit code 2."""
+    """Invalid configuration or arguments, or trained models that do not
+    match eval's dataset and seed; maps to exit code 2."""
 
 
 _GENERATOR_KEYS = {
@@ -276,7 +277,22 @@ def cmd_train(args):
     return 0
 
 
-def _load_scenario_model(models_dir, scenario):
+def _read_train_meta(models_dir, scenario, dataset_hash, seed):
+    """A scenario's train metadata ({} when absent). It must name the dataset
+    hash and the seed that eval was given, else the test split would overlap
+    the rows the model was trained on."""
+    meta_path = models_dir / f"train_meta_{scenario.value}.json"
+    meta = json.loads(meta_path.read_text("ascii")) if meta_path.exists() else {}
+    for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
+        if key in meta and meta[key] != given:
+            raise ConfigError(
+                f"{meta_path} records {key} {meta[key]!r}, but eval was "
+                f"given {key} {given!r}; evaluate with the dataset and seed "
+                f"the models were trained on")
+    return meta
+
+
+def _load_scenario_model(models_dir, scenario, meta):
     name = scenario.value
     model_path = models_dir / f"model_{name}.bin"
     if not model_path.exists():
@@ -284,8 +300,6 @@ def _load_scenario_model(models_dir, scenario):
     params, stats = load_model(model_path)
     history_path = models_dir / f"history_{name}.csv"
     history = _read_history_csv(history_path) if history_path.exists() else ()
-    meta_path = models_dir / f"train_meta_{name}.json"
-    meta = json.loads(meta_path.read_text("ascii")) if meta_path.exists() else {}
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats, history=history,
                          rate_threshold=meta.get("rate_threshold"),
@@ -296,14 +310,17 @@ def cmd_eval(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = training_from_config(config)
     seed = resolve_seed(args, config)
-    samples, _ = load_dataset(Path(args.dataset))
+    samples, manifest = load_dataset(Path(args.dataset))
     _, test_samples = split_dataset(samples, train_cfg.train_fraction, seed)
     models_dir = Path(args.models)
+    metas = {scenario: _read_train_meta(models_dir, scenario,
+                                        manifest["content_hash"], seed)
+             for scenario in Scenario}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
-    for scenario in Scenario:
-        model = _load_scenario_model(models_dir, scenario)
+    for scenario, meta in metas.items():
+        model = _load_scenario_model(models_dir, scenario, meta)
         report = evaluate_scenario(test_samples, scenario, model)
         write_report_files(out_dir, report, model)
         timings[scenario.value] = report.wall_time_s

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -191,6 +192,7 @@ def generate_dataset(cfg, seed, n_samples=None):
 
 def save_dataset(out_dir, samples, manifest):
     """Write manifest.json, images.bin and features.csv into out_dir."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / IMAGES_NAME).write_bytes(_images_bytes(samples))
     (out_dir / FEATURES_NAME).write_text(_features_csv(samples),
@@ -203,8 +205,11 @@ def load_dataset(dataset_dir, verify=True):
     """Read a dataset directory back into (samples, manifest).
 
     With verify=True (default) the sha256 content hash must match the
-    manifest; a corrupted or edited file raises ValueError.
+    manifest; a corrupted or edited file raises ValueError. The manifest's
+    sample table must list every sample with the label features.csv gives
+    it, whether or not the hash is checked.
     """
+    dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / MANIFEST_NAME).read_text("ascii"))
     image_bytes = (dataset_dir / IMAGES_NAME).read_bytes()
     features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
@@ -226,10 +231,16 @@ def load_dataset(dataset_dir, verify=True):
     rows = list(csv.DictReader(io.StringIO(features_text)))
     if len(rows) != n:
         raise ValueError(f"features.csv has {len(rows)} rows, manifest says {n}")
+    if len(manifest["samples"]) != n:
+        raise ValueError(f"manifest lists {len(manifest['samples'])} samples, "
+                         f"its n_samples says {n}")
     seed = manifest["seed"]
     tag = manifest.get("sample_stream_tag", SAMPLE_STREAM_TAG)
     samples = []
     for i, (row, meta) in enumerate(zip(rows, manifest["samples"])):
+        if int(meta["label"]) != int(row["label"]):
+            raise ValueError(f"sample {i}: manifest label {meta['label']} "
+                             f"differs from features.csv label {row['label']}")
         samples.append(Sample(
             image=images[i].copy(),
             direct_rate=float(row["direct_rate"]),

@@ -14,7 +14,7 @@ scale 0 so masked-out blocks stay exactly zero through the whole chain.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,7 +182,8 @@ def _split_features(params, features):
 def _forward_batch(params, features):
     """Probabilities plus the caches backprop needs: (probs, z_in, pre)."""
     x_img, rate = _split_features(params, features)
-    pre = x_img @ params.w1 + params.b1
+    pre = x_img @ params.w1
+    pre += params.b1  # in place: one N x hidden temporary fewer
     hidden = np.maximum(pre, 0.0)
     z_in = np.concatenate([hidden, rate[:, None]], axis=1)
     logits = z_in @ params.w2 + params.b2
@@ -227,7 +228,8 @@ def _batch_to_arrays(batch):
 
 
 def _gradients(params, features, label_indices, weight_decay):
-    """Gradient of mean cross-entropy (+ L2 pull on weights) over a batch."""
+    """Batch probabilities and the gradient of mean cross-entropy (+ L2 pull
+    on weights): (probs, gradient MlpParams)."""
     probs, z_in, pre = _forward_batch(params, features)
     n = features.shape[0]
     dz = probs.copy()
@@ -240,7 +242,7 @@ def _gradients(params, features, label_indices, weight_decay):
     x_img = features[:, :params.n_image_features]
     gw1 = x_img.T @ dhidden + weight_decay * params.w1
     gb1 = dhidden.sum(axis=0)
-    return MlpParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    return probs, MlpParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
 
 
 def backward(params, batch, weight_decay=0.0):
@@ -251,7 +253,7 @@ def backward(params, batch, weight_decay=0.0):
     undecayed).
     """
     features, labels = _batch_to_arrays(batch)
-    return _gradients(params, features, labels, weight_decay)
+    return _gradients(params, features, labels, weight_decay)[1]
 
 
 def lr_schedule(epoch, cfg):
@@ -270,6 +272,12 @@ def sgd_step(params, grads, lr):
                      b2=params.b2 - lr * grads.b2)
 
 
+def _without_image_block(params):
+    """The same network with a zero-width image block: its hidden layer sees
+    0.0 + b1, which is what an all-zero image block gives it."""
+    return replace(params, w1=params.w1[:0])
+
+
 def train(features, labels, cfg, params=None):
     """Minibatch SGD over an (N, d_img+1) feature matrix and {-1,0,1} labels.
 
@@ -279,6 +287,11 @@ def train(features, labels, cfg, params=None):
     training set after it. Fresh parameters are drawn from cfg.seed when none
     are passed in; the same seed also fixes the shuffling, so a run is
     bit-reproducible.
+
+    When the image block is all zeros (the scenarios without a camera), every
+    x_img @ w1 and x_img.T @ dhidden product is exactly 0.0. The passes then
+    run on the rate column with a zero-width w1 and w1 moves by its weight
+    decay alone: the same values without the image-block matmuls.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -291,6 +304,12 @@ def train(features, labels, cfg, params=None):
     if params is None:
         params = init_params(features.shape[1] - 1, rng)
 
+    x_img, _ = _split_features(params, features)
+    image_is_zero = not x_img.any()
+    if image_is_zero:
+        features = features[:, params.n_image_features:]
+    net = _without_image_block(params) if image_is_zero else params
+
     n = features.shape[0]
     history = []
     iteration = 0
@@ -299,16 +318,19 @@ def train(features, labels, cfg, params=None):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
-            probs, _, _ = _forward_batch(params, features[take])
+            batch_labels = label_indices[take]
+            probs, grads = _gradients(net, features[take], batch_labels,
+                                      cfg.weight_decay)
             batch_loss = float(np.mean([
-                cross_entropy(probs[i], int(label_indices[take][i]))
+                cross_entropy(probs[i], int(batch_labels[i]))
                 for i in range(take.shape[0])]))
-            grads = _gradients(params, features[take], label_indices[take],
-                               cfg.weight_decay)
+            if image_is_zero:
+                grads = replace(grads, w1=0.0 + cfg.weight_decay * params.w1)
             params = sgd_step(params, grads, lr)
+            net = _without_image_block(params) if image_is_zero else params
             iteration += 1
             history.append((iteration, epoch, lr, batch_loss,
-                            accuracy(params, features, label_indices)))
+                            accuracy(net, features, label_indices)))
     return params, history
 
 
@@ -385,23 +407,27 @@ def save_model(path, params, standardization):
 
 
 def load_model(path):
-    """Read a model file back into (MlpParams, Standardization)."""
+    """Read a model file back into (MlpParams, Standardization).
+
+    The payload must hold exactly the floats the header's shapes and feature
+    count call for; trailing or missing bytes raise ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii").strip()
         if magic != MODEL_MAGIC:
             raise ValueError(f"not a model file (magic {magic!r})")
         header = json.loads(fh.readline().decode("ascii"))
         payload = fh.read()
-    arrays = {}
-    offset = 0
-    for name in ("w1", "b1", "w2", "b2"):
-        shape = tuple(header["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
+    names = ("w1", "b1", "w2", "b2")
     d = int(header["n_features"])
-    mean = np.frombuffer(payload, dtype="<f8", count=d, offset=offset).copy()
-    offset += d * 8
-    std = np.frombuffer(payload, dtype="<f8", count=d, offset=offset).copy()
-    return MlpParams(**arrays), Standardization(mean=mean, std=std)
+    shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(
+            f"model payload is {len(payload)} bytes, its header calls for "
+            f"{8 * sum(sizes)}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    blocks = [block.reshape(shape).copy() for block, shape
+              in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    return (MlpParams(**dict(zip(names, blocks[:4]))),
+            Standardization(mean=blocks[4], std=blocks[5]))

@@ -1,12 +1,25 @@
 """Naive reference implementations used as independent test oracles.
 
-Everything here is written with scalar ``math``/``cmath`` loops — no numpy,
-no vectorization, no precomputation, no code shared with the package — so a
-disagreement with the production path cannot have a common cause.
+The physics oracles are written with scalar ``math``/``cmath`` loops — no
+numpy, no vectorization, no precomputation, no code shared with the package —
+so a disagreement with the production path cannot have a common cause.
+
+The training reference (``reference_train``) is the exception: it is the
+plain three-pass SGD loop, which runs the full forward pass for the batch
+loss, again for the gradient and over the whole training set for the
+accuracy curve, and always multiplies the image block. It keeps numpy and
+the package's operation order because ``train`` must match it byte for byte;
+it shares only the parameter container, the initialisation, the learning-rate
+schedule, softmax, the loss and the SGD step with the package.
 """
 
 import cmath
 import math
+
+import numpy as np
+
+from risblock.learn import (MlpParams, cross_entropy, init_params,
+                            label_to_index, lr_schedule, sgd_step, softmax)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,3 +87,62 @@ def naive_bs_ris(paths, departures, carrier_hz, n_elements, n_antennas, spacing)
 def naive_ris_ue(paths, carrier_hz, doppler_hz, n_elements, spacing):
     """Scalar evaluation of the surface->terminal gain vector."""
     return naive_bs_ue(paths, carrier_hz, doppler_hz, n_elements, spacing)
+
+
+def _reference_forward(params, features):
+    d = params.w1.shape[0]
+    x_img, rate = features[:, :d], features[:, d]
+    pre = x_img @ params.w1 + params.b1
+    hidden = np.maximum(pre, 0.0)
+    z_in = np.concatenate([hidden, rate[:, None]], axis=1)
+    logits = z_in @ params.w2 + params.b2
+    return softmax(logits), z_in, pre
+
+
+def _reference_gradients(params, features, label_indices, weight_decay):
+    probs, z_in, pre = _reference_forward(params, features)
+    n = features.shape[0]
+    dz = probs.copy()
+    dz[np.arange(n), label_indices] -= 1.0
+    dz /= n
+    gw2 = z_in.T @ dz + weight_decay * params.w2
+    gb2 = dz.sum(axis=0)
+    dhidden = dz @ params.w2[:-1].T
+    dhidden[pre <= 0.0] = 0.0
+    x_img = features[:, :params.w1.shape[0]]
+    gw1 = x_img.T @ dhidden + weight_decay * params.w1
+    gb1 = dhidden.sum(axis=0)
+    return MlpParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+
+
+def reference_accuracy(params, features, label_indices):
+    """Full-set accuracy through the full forward pass."""
+    probs, _, _ = _reference_forward(params, np.asarray(features, dtype=np.float64))
+    return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
+
+
+def reference_train(features, labels, cfg):
+    """(params, history) of the three-pass minibatch SGD loop."""
+    features = np.asarray(features, dtype=np.float64)
+    label_indices = np.array([label_to_index(l) for l in labels])
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(features.shape[1] - 1, rng)
+    n = features.shape[0]
+    history = []
+    iteration = 0
+    for epoch in range(1, cfg.epochs + 1):
+        lr = lr_schedule(epoch, cfg)
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            take = order[start:start + cfg.batch_size]
+            probs, _, _ = _reference_forward(params, features[take])
+            batch_loss = float(np.mean([
+                cross_entropy(probs[i], int(label_indices[take][i]))
+                for i in range(take.shape[0])]))
+            grads = _reference_gradients(params, features[take],
+                                         label_indices[take], cfg.weight_decay)
+            params = sgd_step(params, grads, lr)
+            iteration += 1
+            history.append((iteration, epoch, lr, batch_loss,
+                            reference_accuracy(params, features, label_indices)))
+    return params, history

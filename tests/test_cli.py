@@ -184,6 +184,36 @@ def test_eval_missing_model_fails(workspace, tmp_path, capsys):
     assert "missing model file" in capsys.readouterr().err
 
 
+def test_eval_refuses_models_trained_with_another_seed(workspace, tmp_path,
+                                                      capsys):
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(workspace / "models"),
+                 "--seed", "6", "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "records seed 5, but eval was given seed 6" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_refuses_models_trained_on_another_dataset(workspace, tmp_path,
+                                                        capsys):
+    config = str(workspace / "config.ini")
+    other = tmp_path / "other"
+    assert main(["generate", "--config", config, "--seed", "6",
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--config", config, "--dataset", str(other),
+                 "--models", str(workspace / "models"),
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    trained = json.loads((workspace / "dataset" / "manifest.json").read_text())
+    given = json.loads((other / "manifest.json").read_text())
+    assert f"records dataset_hash '{trained['content_hash']}'" in err
+    assert f"given dataset_hash '{given['content_hash']}'" in err
+
+
 # ---------------------------------------------------------------- gradcheck
 
 

@@ -157,3 +157,34 @@ def test_saved_manifest_is_stable_json(tmp_path, small_dataset):
     before = text
     save_dataset(tmp_path, samples, manifest)
     assert (tmp_path / "manifest.json").read_text("ascii") == before
+
+
+def test_str_paths_are_accepted(tmp_path, small_dataset):
+    samples, manifest = small_dataset
+    save_dataset(str(tmp_path / "ds"), samples, manifest)
+    loaded, loaded_manifest = load_dataset(str(tmp_path / "ds"))
+    assert loaded_manifest == manifest
+    assert len(loaded) == len(samples)
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text("ascii"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="ascii")
+
+
+def test_short_sample_table_is_refused(tmp_path, small_dataset):
+    samples, manifest = small_dataset
+    save_dataset(tmp_path, samples, manifest)
+    _edit_manifest(tmp_path, lambda m: m.update(samples=m["samples"][:4]))
+    with pytest.raises(ValueError, match="manifest lists 4 samples"):
+        load_dataset(tmp_path)
+
+
+def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
+    samples, manifest = small_dataset
+    save_dataset(tmp_path, samples, manifest)
+    _edit_manifest(tmp_path, lambda m: m["samples"][3].update(label=9))
+    with pytest.raises(ValueError, match="sample 3: manifest label 9"):
+        load_dataset(tmp_path)

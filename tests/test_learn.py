@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from conftest import SMALL_SEED
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
-                            argmax_index, backward, cross_entropy,
+                            accuracy, argmax_index, backward, cross_entropy,
                             fit_standardization, forward, grad_check,
                             index_to_label, init_params, label_to_index,
                             load_model, lr_schedule, save_model, sgd_step,
                             softmax, train)
+from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
+                               build_features, labels_of, split_dataset)
 
 
 def _zeros_params(d_img=2, hidden=2, classes=3):
@@ -342,6 +346,48 @@ def test_train_validates_inputs():
         train(features, np.array([5] * 9), TrainConfig())
     with pytest.raises(ValueError):
         train(features, labels[:-1], TrainConfig())
+    # a zero image block still has to fit the given parameters
+    features[:, :-1] = 0.0
+    with pytest.raises(ValueError, match="feature columns"):
+        train(features, labels, TrainConfig(),
+              params=init_params(4, np.random.default_rng(0)))
+
+
+# The scenarios without a camera give an all-zero image block, the others a
+# dense one; a ragged last batch and zero weight decay are covered too.
+ORACLE_CONFIGS = (
+    EXPERIMENT_TRAIN_CONFIG,
+    TrainConfig(learning_rate=0.05, weight_decay=0.0, batch_size=7, epochs=3,
+                seed=4),
+)
+
+
+def _scenario_training_set(small_dataset, scenario):
+    samples, _ = small_dataset
+    train_samples, _ = split_dataset(samples, 0.7, SMALL_SEED)
+    raw = build_features(train_samples, scenario)
+    return fit_standardization(raw).apply(raw), labels_of(train_samples)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=("experiment", "ragged"))
+@pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.CAMERA_ONLY),
+                         ids=("zero_image_block", "dense_image_block"))
+def test_train_matches_the_three_pass_reference(small_dataset, scenario, cfg):
+    features, labels = _scenario_training_set(small_dataset, scenario)
+    assert features[:, :-1].any() == (scenario is Scenario.CAMERA_ONLY)
+    params, history = train(features, labels, cfg)
+    want_params, want_history = oracles.reference_train(features, labels, cfg)
+    for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), f"{name} differs"
+    assert ([tuple(map(repr, row)) for row in history]
+            == [tuple(map(repr, row)) for row in want_history])
+
+    label_indices = np.array([label_to_index(l) for l in labels])
+    for p in (params, want_params, init_params(features.shape[1] - 1,
+                                               np.random.default_rng(1))):
+        assert (repr(accuracy(p, features, label_indices))
+                == repr(oracles.reference_accuracy(p, features, label_indices)))
 
 
 # ---------------------------------------------------------------- model file
@@ -380,3 +426,16 @@ def test_model_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         save_model(tmp_path / "x.bin", params,
                    Standardization(mean=np.zeros(3), std=np.ones(3)))
+
+
+@pytest.mark.parametrize("edit", (lambda blob: blob + b"\x00",
+                                  lambda blob: blob[:-8]),
+                         ids=("one_extra_byte", "one_missing_float"))
+def test_model_file_rejects_a_payload_of_the_wrong_length(tmp_path, edit):
+    rng = np.random.default_rng(12)
+    params = init_params(5, rng, n_hidden=3)
+    path = tmp_path / "model.bin"
+    save_model(path, params, Standardization(mean=np.zeros(6), std=np.ones(6)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match="payload"):
+        load_model(path)
