@@ -278,15 +278,22 @@ def cmd_train(args):
 
 
 def _read_train_meta(models_dir, scenario, dataset_hash, seed):
-    """A scenario's train metadata ({} when absent). It must name the dataset
-    hash and the seed that eval was given, else the test split would overlap
-    the rows the model was trained on."""
+    """A scenario's model file must exist, and its train metadata must exist
+    and name the dataset hash and the seed that eval was given, else the
+    test split would overlap the rows the model was trained on."""
+    model_path = models_dir / f"model_{scenario.value}.bin"
+    if not model_path.exists():
+        raise FileNotFoundError(f"missing model file {model_path}")
     meta_path = models_dir / f"train_meta_{scenario.value}.json"
-    meta = json.loads(meta_path.read_text("ascii")) if meta_path.exists() else {}
+    if not meta_path.exists():
+        raise ConfigError(
+            f"missing {meta_path}; eval needs the train metadata that "
+            f"`risblock train` writes next to each model")
+    meta = json.loads(meta_path.read_text("ascii"))
     for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
-        if key in meta and meta[key] != given:
+        if meta.get(key) != given:
             raise ConfigError(
-                f"{meta_path} records {key} {meta[key]!r}, but eval was "
+                f"{meta_path} records {key} {meta.get(key)!r}, but eval was "
                 f"given {key} {given!r}; evaluate with the dataset and seed "
                 f"the models were trained on")
     return meta
@@ -294,10 +301,7 @@ def _read_train_meta(models_dir, scenario, dataset_hash, seed):
 
 def _load_scenario_model(models_dir, scenario, meta):
     name = scenario.value
-    model_path = models_dir / f"model_{name}.bin"
-    if not model_path.exists():
-        raise FileNotFoundError(f"missing model file {model_path}")
-    params, stats = load_model(model_path)
+    params, stats = load_model(models_dir / f"model_{name}.bin")
     history_path = models_dir / f"history_{name}.csv"
     history = _read_history_csv(history_path) if history_path.exists() else ()
     return ScenarioModel(scenario=scenario, params=params,

@@ -11,13 +11,20 @@ accuracy curve, and always multiplies the image block. It keeps numpy and
 the package's operation order because ``train`` must match it byte for byte;
 it shares only the parameter container, the initialisation, the learning-rate
 schedule, softmax, the loss and the SGD step with the package.
+
+The dataset references (``reference_images_bytes``, ``reference_content_hash``)
+serialize every image at once through one stacked array, where the package
+hashes and writes one sample at a time. They share only the features.csv
+writer with the package.
 """
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
 
+from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
                             label_to_index, lr_schedule, sgd_step, softmax)
 
@@ -146,3 +153,17 @@ def reference_train(features, labels, cfg):
             history.append((iteration, epoch, lr, batch_loss,
                             reference_accuracy(params, features, label_indices)))
     return params, history
+
+
+def reference_images_bytes(samples):
+    """images.bin as one N x H x W x C little-endian float32 array."""
+    stacked = np.stack([s.image for s in samples]).astype("<f4", copy=False)
+    return np.ascontiguousarray(stacked).tobytes()
+
+
+def reference_content_hash(samples):
+    """The manifest's content hash over the stacked images and features.csv."""
+    digest = hashlib.sha256()
+    digest.update(reference_images_bytes(samples))
+    digest.update(_features_csv(samples).encode("ascii"))
+    return "sha256:" + digest.hexdigest()

@@ -214,6 +214,18 @@ def test_eval_refuses_models_trained_on_another_dataset(workspace, tmp_path,
     assert f"given dataset_hash '{given['content_hash']}'" in err
 
 
+def test_eval_requires_every_train_meta(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    (models / "train_meta_both.json").unlink()
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert f"missing {models / 'train_meta_both.json'}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 

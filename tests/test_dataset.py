@@ -1,15 +1,26 @@
 """Dataset generation: determinism, file formats, hash checking, invariants."""
 
 import json
+import multiprocessing
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SMALL_GEN, SMALL_SEED
-from risblock.dataset import (GeneratorConfig, build_manifest,
+from oracles import reference_content_hash, reference_images_bytes
+from risblock import dataset
+from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
+                              GeneratorConfig, build_manifest,
                               generate_dataset, generate_sample, load_dataset,
                               sample_rng, save_dataset)
 from risblock.scene import LinkStatus
+
+# 37 samples split into ranges of 3 on two CPUs, so the last range is ragged
+RANGED_GEN = GeneratorConfig(n_samples=37, n_ris_elements=16)
 
 
 def test_generator_config_validates():
@@ -188,3 +199,76 @@ def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
     _edit_manifest(tmp_path, lambda m: m["samples"][3].update(label=9))
     with pytest.raises(ValueError, match="sample 3: manifest label 9"):
         load_dataset(tmp_path)
+
+
+def _allow_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    caller = os.getpid()
+    serial = dataset.generate_sample
+
+    def in_a_worker(cfg, seed, index):
+        if os.getpid() == caller:
+            raise AssertionError(f"sample {index} made in the calling process")
+        return serial(cfg, seed, index)
+
+    written = {}
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        if cpus == 2:
+            monkeypatch.setattr(dataset, "generate_sample", in_a_worker)
+        samples, manifest = generate_dataset(RANGED_GEN, 9)
+        save_dataset(tmp_path / str(cpus), samples, manifest)
+        written[cpus] = {name: (tmp_path / str(cpus) / name).read_bytes()
+                         for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
+        assert written[cpus][IMAGES_NAME] == reference_images_bytes(samples)
+        assert manifest["content_hash"] == reference_content_hash(samples)
+    assert written[1] == written[2]
+    assert [s.seed_used[2] for s in samples] == list(range(37))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_sample_fails_the_dataset(monkeypatch, cpus):
+    _allow_cpus(monkeypatch, cpus)
+    serial = dataset.generate_sample
+
+    def failing(cfg, seed, index):
+        if index == 23:
+            raise ValueError("sample 23 could not be generated")
+        return serial(cfg, seed, index)
+
+    monkeypatch.setattr(dataset, "generate_sample", failing)
+    with pytest.raises(ValueError, match="sample 23 could not be generated"):
+        generate_dataset(RANGED_GEN, 9)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """name -> bytes of a saved 4-sample dataset with 8 x 8 images."""
+    cfg = GeneratorConfig(n_samples=4, n_ris_elements=16, image_dims=(8, 8, 3))
+    directory = tmp_path_factory.mktemp("tiny")
+    save_dataset(directory, *generate_dataset(cfg, 2))
+    return {name: (directory / name).read_bytes()
+            for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([IMAGES_NAME, FEATURES_NAME]),
+       truncate=st.booleans(), data=st.data())
+def test_any_flipped_byte_or_truncation_is_refused(tiny_files, name, truncate,
+                                                   data):
+    blob = bytearray(tiny_files[name])
+    if truncate:
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
+    else:
+        position = data.draw(st.integers(0, len(blob) - 1), label="position")
+        blob[position] ^= data.draw(st.integers(1, 255), label="mask")
+    with tempfile.TemporaryDirectory() as directory:
+        for file_name, content in tiny_files.items():
+            edited = bytes(blob) if file_name == name else content
+            (Path(directory) / file_name).write_bytes(edited)
+        with pytest.raises(ValueError):
+            load_dataset(directory, verify=True)
