@@ -1,0 +1,92 @@
+"""One process pool for every parallel stage: generation and training.
+
+`fork_map(function, items)` is `[function(item) for item in items]` run on
+one worker per CPU in the process's affinity mask, capped at len(items), with
+the results in input order. One worker runs inline; `taskset -c 0` gives a
+serial run. More fork a process pool. The function reaches the workers
+through the pool's initializer, which fork hands down without pickling it,
+so it may be a closure over large arrays or a rebound name; only the items
+and the results cross a pipe.
+
+Each worker also caps the OpenBLAS it inherited at its share of the CPUs.
+OpenBLAS starts one thread per CPU by default, so two training workers on
+two CPUs would otherwise run four BLAS threads, and the four scenarios then
+trained slower than one after another. The golden-record test trains
+serially with the default thread count and in one-thread workers, and
+requires the same bytes from both.
+"""
+
+import ctypes
+import os
+
+# the function a pool worker maps, set once when the worker starts
+_function = None
+
+# OpenBLAS's thread-count symbols: the name numpy's bundled build exports,
+# then the plain names of a system OpenBLAS
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_",
+                  "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _install(function, blas_threads):
+    global _function
+    _function = function
+    _cap_blas_threads(blas_threads)
+
+
+def _call(item):
+    return _function(item)
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of every loaded OpenBLAS.
+
+    Empty in a process with another BLAS, or without /proc.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return []
+    controls = []
+    for library in libraries:
+        for get_name, set_name in _BLAS_THREADS:
+            if hasattr(library, get_name) and hasattr(library, set_name):
+                get, set_ = getattr(library, get_name), getattr(library, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def _cap_blas_threads(count):
+    """Lower every loaded OpenBLAS to at most count threads; raise none."""
+    for get, set_ in _openblas_threads():
+        if get() > count:
+            set_(count)
+
+
+def fork_map(function, items):
+    """function applied to each item, in input order, on every allowed CPU."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus, len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    # imported here: about 15 ms that commands which never use a pool would
+    # pay at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers start with the caller's loaded modules, so a pool costs
+    # no imports. The executor, not multiprocessing.Pool: on an error
+    # Pool.terminate() can kill a worker that holds the result queue's lock,
+    # then hang. Executor.map cancels the items not yet started when a
+    # result raises, and leaving the block waits for the running ones.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_install,
+                             initargs=(function, cpus // workers)) as pool:
+        return list(pool.map(_call, items))

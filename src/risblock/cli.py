@@ -24,8 +24,9 @@ from risblock.dataset import (GeneratorConfig, generate_dataset, load_dataset,
                               save_dataset)
 from risblock.learn import TrainConfig, init_params, grad_check, load_model, save_model
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
-                               TRAIN_STREAM_TAG, _mixed_seed, evaluate_scenario,
-                               split_dataset, train_scenario, write_report_files)
+                               check_poolable, check_trainable,
+                               evaluate_scenario, split_dataset,
+                               train_scenarios, write_report_files)
 from risblock.scene import SceneLayout
 from risblock.svgchart import render_line_chart
 
@@ -165,6 +166,7 @@ def generator_from_config(config):
         cfg = GeneratorConfig(**overrides, **layout_cfg)
         cfg.propagation()  # surface bad physical parameters here, not mid-run
         cfg.geometry()
+        check_poolable(cfg.image_dims)  # else train fails on the dataset
         return cfg
     except ValueError as exc:
         raise ConfigError(f"invalid generator config: {exc}") from exc
@@ -251,26 +253,48 @@ def cmd_train(args):
     seed = resolve_seed(args, config)
     samples, manifest = load_dataset(Path(args.dataset))
     train_samples, _ = split_dataset(samples, train_cfg.train_fraction, seed)
+    scenarios = _scenario_list(args.scenario)
+    try:
+        check_trainable(train_samples, scenarios)
+    except ValueError as exc:
+        raise ConfigError(f"cannot train on {args.dataset}: {exc}") from exc
+    models = train_scenarios(train_samples, scenarios, train_cfg, seed)
+
+    # Every file is written under a temporary name first and renamed into
+    # place once all are written, so a failed run leaves no partial model set.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for scenario in _scenario_list(args.scenario):
-        k = list(Scenario).index(scenario)
-        cfg_k = replace(train_cfg, seed=_mixed_seed(seed, TRAIN_STREAM_TAG, k))
-        model = train_scenario(train_samples, scenario, cfg_k)
+    staged = []
+
+    def stage(name):
+        temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+        staged.append((temporary, out_dir / name))
+        return temporary
+
+    try:
+        for scenario, model in models.items():
+            name = scenario.value
+            save_model(stage(f"model_{name}.bin"), model.params,
+                       model.standardization)
+            stage(f"history_{name}.csv").write_text(
+                _history_csv_text(model.history), encoding="ascii")
+            meta = {
+                "scenario": name,
+                "dataset_hash": manifest["content_hash"],
+                "seed": seed,
+                "rate_threshold": model.rate_threshold,
+                "threshold_accuracy": model.threshold_accuracy,
+            }
+            stage(f"train_meta_{name}.json").write_text(
+                json.dumps(meta, sort_keys=True, indent=2) + "\n",
+                encoding="ascii")
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+    for scenario, model in models.items():
         name = scenario.value
-        save_model(out_dir / f"model_{name}.bin", model.params,
-                   model.standardization)
-        (out_dir / f"history_{name}.csv").write_text(
-            _history_csv_text(model.history), encoding="ascii")
-        meta = {
-            "scenario": name,
-            "dataset_hash": manifest["content_hash"],
-            "seed": seed,
-            "rate_threshold": model.rate_threshold,
-            "threshold_accuracy": model.threshold_accuracy,
-        }
-        (out_dir / f"train_meta_{name}.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="ascii")
         final_acc = model.history[-1][4] if model.history else float("nan")
         print(f"trained {name}: {len(model.history)} iterations, "
               f"final train accuracy {final_acc:.3f} -> {out_dir}/model_{name}.bin")

@@ -7,13 +7,12 @@ direct-link data rate, the surface-assisted data rate with co-phased
 elements, the ternary label, the trajectory step it was taken from, and the
 seed material.
 
-`generate_dataset` runs one worker per CPU in the process's affinity mask
-(capped at the sample count). One CPU generates inline; more fork a process
-pool that maps contiguous index ranges, about RANGES_PER_WORKER per worker,
-and joins the results in index order, so the files are the same bytes on any
-CPU count. `taskset -c 0` gives a serial run. The content hash and
-images.bin take each image's buffer in turn, so no stacked copy of the
-images is ever made.
+`generate_dataset` cuts the indices into contiguous ranges, about
+RANGES_PER_WORKER per CPU in the process's affinity mask, maps them with
+`fork_map` (inline on one CPU, a forked pool on more) and joins the results
+in index order, so the files are the same bytes on any CPU count.
+`taskset -c 0` gives a serial run. The content hash and images.bin take each
+image's buffer in turn, so no stacked copy of the images is ever made.
 
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from risblock._pool import fork_map
 from risblock.channel import (ArrayGeometry, PropagationConfig, channel_bs_ris,
                               channel_bs_ue, channel_ris_ue, co_phase_ris,
                               data_rate, effective_gain)
@@ -47,8 +47,8 @@ MANIFEST_NAME = "manifest.json"
 IMAGES_NAME = "images.bin"
 FEATURES_NAME = "features.csv"
 
-# index ranges handed to each pool worker: enough that a slow range leaves
-# little idle time at the end, few enough that task overhead stays small
+# index ranges per allowed CPU: enough that a slow range leaves little idle
+# time at the end, few enough that task overhead stays small
 RANGES_PER_WORKER = 8
 
 
@@ -201,33 +201,17 @@ def generate_dataset(cfg, seed, n_samples=None):
     n = cfg.n_samples if n_samples is None else int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
-    workers = min(len(os.sched_getaffinity(0)), n)
-    if workers == 1:
-        samples = _generate_range(cfg, seed, (0, n))
-    else:
-        size = -(-n // (RANGES_PER_WORKER * workers))
-        bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
-        # imported here: about 15 ms that commands which do not generate
-        # would pay at start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Forked workers start with the caller's loaded modules, so a pool
-        # costs no imports, and a rebound generate_sample is honoured. The
-        # executor, not multiprocessing.Pool: on an error Pool.terminate()
-        # can kill a worker that holds the result queue's lock, then hang.
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            samples = [sample
-                       for part in pool.map(partial(_generate_range, cfg, seed),
-                                            bounds)
-                       for sample in part]
+    size = -(-n // (RANGES_PER_WORKER * len(os.sched_getaffinity(0))))
+    bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
+    samples = [sample
+               for part in fork_map(partial(_generate_range, cfg, seed), bounds)
+               for sample in part]
     return samples, build_manifest(cfg, seed, samples)
 
 
 def _generate_range(cfg, seed, bounds):
-    # generate_sample is looked up as a module global, never pickled: a
-    # tracer's wrapper around it is a closure that pickle cannot send
+    # generate_sample is looked up as a module global when the range runs, so
+    # a rebound one (a test's patch, a tracer's wrapper) is the one called
     return [generate_sample(cfg, seed, i) for i in range(*bounds)]
 
 

@@ -17,6 +17,12 @@ scenario has a learning curve to report next to the others.
 
 Feature standardization is fit on the training split only and stored with
 each model; images enter as 16x16x3 average-pooled blocks, flattened.
+
+`train_scenarios` checks every scenario's preconditions, then fits the
+scenarios with `fork_map`, one per task on every CPU the process may use.
+Each scenario trains with its own seed derived from the root seed, so a
+model's bytes depend neither on the CPU count nor on which other scenarios
+are trained beside it.
 """
 
 import json
@@ -28,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from risblock import learn
+from risblock._pool import fork_map
 from risblock.dataset import generate_dataset, load_dataset, save_dataset
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
@@ -57,11 +64,18 @@ class Scenario(Enum):
 def pool_image(image, pooled_hw=POOLED_HW):
     """Average-pool an (H, W, C) image to (h, w, C); H, W must divide evenly."""
     image = np.asarray(image, dtype=np.float64)
+    check_poolable(image.shape, pooled_hw)
     h, w = pooled_hw
     height, width, channels = image.shape
-    if height % h or width % w:
-        raise ValueError(f"image {image.shape} not divisible into {pooled_hw}")
     return image.reshape(h, height // h, w, width // w, channels).mean(axis=(1, 3))
+
+
+def check_poolable(image_dims, pooled_hw=POOLED_HW):
+    """Raise ValueError unless (H, W, C) images pool evenly to pooled_hw."""
+    height, width = image_dims[:2]
+    if height % pooled_hw[0] or width % pooled_hw[1]:
+        raise ValueError(f"image {tuple(image_dims)} not divisible into "
+                         f"{pooled_hw}")
 
 
 def pooled_feature_count(image_dims, pooled_hw=POOLED_HW):
@@ -219,6 +233,42 @@ def train_scenario(train_samples, scenario, train_cfg):
                          train_time_s=time.perf_counter() - started)
 
 
+def check_trainable(train_samples, scenarios):
+    """Raise ValueError, naming the scenario, if one of them cannot be
+    trained on these rows: camera and both pool the images, and both's rate
+    threshold needs absent and blocked rows."""
+    for scenario in scenarios:
+        if scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH):
+            try:
+                check_poolable(train_samples[0].image.shape)
+            except ValueError as exc:
+                raise ValueError(f"scenario {scenario.value}: {exc}") from exc
+        if scenario is Scenario.BOTH:
+            present = {int(s.label) for s in train_samples}
+            if not {int(LinkStatus.ABSENT), int(LinkStatus.BLOCKED)} <= present:
+                raise ValueError(
+                    f"scenario both needs absent (-1) and blocked (1) rows in "
+                    f"the training split, got labels {sorted(present)}")
+
+
+def train_scenarios(train_samples, scenarios, train_cfg, seed):
+    """{scenario: model} in Scenario order, after check_trainable has passed
+    for every one of them. Scenario k of Scenario trains with the seed
+    _mixed_seed(seed, TRAIN_STREAM_TAG, k)."""
+    order = list(Scenario)
+    scenarios = [s for s in order if s in scenarios]
+    check_trainable(train_samples, scenarios)
+
+    def fit(scenario):
+        # train_scenario is looked up when the task runs, so a rebound one
+        # (a test's patch, a tracer's wrapper) is the one called
+        cfg = replace(train_cfg, seed=_mixed_seed(seed, TRAIN_STREAM_TAG,
+                                                  order.index(scenario)))
+        return train_scenario(train_samples, scenario, cfg)
+
+    return dict(zip(scenarios, fork_map(fit, scenarios)))
+
+
 def predict_scenario(samples, model):
     """Predicted labels ({-1, 0, 1}) for a batch of samples."""
     if model.scenario is Scenario.BOTH:
@@ -316,9 +366,8 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
     results = {}
     summary = {}
     timings = {}
-    for k, scenario in enumerate(Scenario):
-        cfg_k = replace(train_cfg, seed=_mixed_seed(seed, TRAIN_STREAM_TAG, k))
-        model = train_scenario(train_samples, scenario, cfg_k)
+    models = train_scenarios(train_samples, list(Scenario), train_cfg, seed)
+    for scenario, model in models.items():
         report = evaluate_scenario(test_samples, scenario, model)
         write_report_files(out_dir, report, model)
         results[scenario] = (model, report)

@@ -1,4 +1,7 @@
-"""Shared fixtures: one small generated dataset reused by pipeline/CLI tests."""
+"""Shared fixtures: one small generated dataset reused by pipeline/CLI tests,
+and a way to pretend the process may run on a given number of CPUs."""
+
+import os
 
 import pytest
 
@@ -16,3 +19,8 @@ def small_dataset():
     labels = {int(s.label) for s in samples}
     assert labels == {-1, 0, 1}, "fixture dataset must contain all three classes"
     return samples, manifest
+
+
+def allow_cpus(monkeypatch, count):
+    """Make the pools see `count` CPUs in the process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))

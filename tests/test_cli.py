@@ -4,6 +4,7 @@ validation, seed resolution, exit codes, and byte-level reproducibility."""
 import importlib.metadata
 import importlib.util
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -14,7 +15,11 @@ from pathlib import Path
 import pytest
 
 import risblock
+from conftest import allow_cpus
+from risblock import pipeline
 from risblock.cli import main
+from risblock.dataset import GeneratorConfig, generate_dataset, save_dataset
+from risblock.pipeline import EXPERIMENT_TRAIN_CONFIG, Scenario, run_experiment
 
 CONFIG_TEXT = """\
 [generator]
@@ -69,6 +74,18 @@ def test_generate_n_flag_overrides(tmp_path):
 def test_generate_rejects_bad_n(tmp_path, capsys):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "x")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_generate_rejects_images_the_pooled_grid_cannot_divide(tmp_path,
+                                                              capsys):
+    config = tmp_path / "tall.ini"
+    config.write_text("[generator]\nimage_height = 40\n", encoding="ascii")
+    code = main(["generate", "--config", str(config), "--n", "2",
+                 "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "image (40, 64, 3) not divisible into (16, 16)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------- config
@@ -148,6 +165,93 @@ def test_train_single_scenario_flag(workspace, tmp_path):
     produced = sorted(p.name for p in out.iterdir())
     assert produced == ["history_camera.csv", "model_camera.bin",
                         "train_meta_camera.json"]
+
+
+def _train(workspace, out, *flags):
+    return main(["train", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"), "--out", str(out),
+                 *flags])
+
+
+def test_models_do_not_depend_on_the_cpu_count(workspace, tmp_path,
+                                               monkeypatch):
+    caller = os.getpid()
+    serial = pipeline.train_scenario
+
+    def in_a_worker(train_samples, scenario, train_cfg):
+        if os.getpid() == caller:
+            raise AssertionError(f"{scenario.value} trained in the calling "
+                                 f"process")
+        return serial(train_samples, scenario, train_cfg)
+
+    written = {}
+    for cpus in (1, 2):
+        allow_cpus(monkeypatch, cpus)
+        if cpus == 2:
+            monkeypatch.setattr(pipeline, "train_scenario", in_a_worker)
+        assert _train(workspace, tmp_path / str(cpus)) == 0
+        written[cpus] = {path.name: path.read_bytes()
+                         for path in (tmp_path / str(cpus)).iterdir()}
+    assert sorted(written[1]) == sorted(
+        f"{kind}_{name}.{ext}" for name in SCENARIOS
+        for kind, ext in (("model", "bin"), ("history", "csv"),
+                          ("train_meta", "json")))
+    assert written[1] == written[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       cpus):
+    allow_cpus(monkeypatch, cpus)
+    serial = pipeline.train_scenario
+
+    def failing(train_samples, scenario, train_cfg):
+        if scenario is Scenario.RIS_ONLY:
+            raise ValueError("ris could not be trained")
+        return serial(train_samples, scenario, train_cfg)
+
+    monkeypatch.setattr(pipeline, "train_scenario", failing)
+    assert _train(workspace, tmp_path / "models") == 1
+    assert "ris could not be trained" in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
+    with pytest.raises(ValueError, match="ris could not be trained"):
+        run_experiment(GeneratorConfig(), EXPERIMENT_TRAIN_CONFIG, 5,
+                       tmp_path / "experiment",
+                       dataset_dir=workspace / "dataset")
+    assert not any((tmp_path / "experiment").iterdir())
+    assert multiprocessing.active_children() == []
+
+
+def test_train_checks_the_pooled_grid_before_training(tmp_path, capsys):
+    dataset = tmp_path / "dataset"
+    cfg = GeneratorConfig(n_samples=20, n_ris_elements=16,
+                          image_dims=(40, 64, 3))
+    save_dataset(dataset, *generate_dataset(cfg, 5))
+    code = main(["train", "--dataset", str(dataset), "--seed", "5",
+                 "--out", str(tmp_path / "models")])
+    assert code == 2
+    assert ("scenario camera: image (40, 64, 3) not divisible into (16, 16)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "models").exists()
+    # the rate-only scenarios never pool the images
+    assert main(["train", "--dataset", str(dataset), "--seed", "5",
+                 "--out", str(tmp_path / "none"), "--scenario", "none"]) == 0
+
+
+def test_train_checks_that_both_has_absent_and_blocked_rows(tmp_path, capsys):
+    config = tmp_path / "always_present.ini"
+    config.write_text("[generator]\nn_samples = 30\nn_ris_elements = 16\n"
+                      "absent_probability = 0\n", encoding="ascii")
+    assert main(["generate", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "dataset")]) == 0
+    code = main(["train", "--config", str(config), "--seed", "5",
+                 "--dataset", str(tmp_path / "dataset"),
+                 "--out", str(tmp_path / "models")])
+    assert code == 2
+    assert ("scenario both needs absent (-1) and blocked (1) rows"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "models").exists()
 
 
 def test_train_on_corrupted_dataset_fails(workspace, tmp_path, capsys):

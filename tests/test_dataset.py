@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SMALL_GEN, SMALL_SEED
+from conftest import SMALL_GEN, SMALL_SEED, allow_cpus
 from oracles import reference_content_hash, reference_images_bytes
 from risblock import dataset
 from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
@@ -201,10 +201,6 @@ def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
         load_dataset(tmp_path)
 
 
-def _allow_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     caller = os.getpid()
     serial = dataset.generate_sample
@@ -216,7 +212,7 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 
     written = {}
     for cpus in (1, 2):
-        _allow_cpus(monkeypatch, cpus)
+        allow_cpus(monkeypatch, cpus)
         if cpus == 2:
             monkeypatch.setattr(dataset, "generate_sample", in_a_worker)
         samples, manifest = generate_dataset(RANGED_GEN, 9)
@@ -231,7 +227,7 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_sample_fails_the_dataset(monkeypatch, cpus):
-    _allow_cpus(monkeypatch, cpus)
+    allow_cpus(monkeypatch, cpus)
     serial = dataset.generate_sample
 
     def failing(cfg, seed, index):

@@ -1,0 +1,23 @@
+"""The process pool that generation and training share."""
+
+import pytest
+
+from conftest import allow_cpus
+from risblock._pool import _openblas_threads, fork_map
+
+
+def _blas_threads():
+    return [get() for get, _ in _openblas_threads()]
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_workers_take_their_share_of_blas_threads(monkeypatch, cpus):
+    before = _blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    allow_cpus(monkeypatch, cpus)
+    # two items, so two workers: each may use cpus // 2 threads, and never
+    # more than the caller had
+    share = [min(count, cpus // 2) for count in before]
+    assert fork_map(lambda _: _blas_threads(), range(2)) == [share, share]
+    assert _blas_threads() == before
