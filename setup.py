@@ -1,28 +1,7 @@
-"""Build script: compiles the optional accelerator extension.
-
-The package works without the extension (a numpy fallback is selected at
-import time), so any build failure here downgrades to a pure-Python install
-instead of aborting.
-"""
+"""Build script. The project is declared in pyproject.toml; this file lets
+setuptools without wheel support install the checkout with
+``setup.py develop``."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        "src/risblock/kernels/_accel.pyx",
-        compiler_directives={"language_level": 3},
-    )
-    include_dirs = [numpy.get_include()]
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    print(f"skipping compiled kernels ({exc}); numpy fallback will be used")
-    include_dirs = []
-
-for ext in ext_modules:
-    ext.include_dirs = include_dirs
-    ext.define_macros = [("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")]
-
-setup(ext_modules=ext_modules)
+setup()

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from risblock.kernels import accumulate_steering_outer
-
 SPEED_OF_LIGHT_MPS = 299792458.0
 
 TWO_PI = 2.0 * math.pi
@@ -191,6 +189,40 @@ def _path_coefficients(paths, carrier_hz, doppler_hz, pulse):
                      * cmath.exp(-1j * ((i + 1) / n) * phi_k)
                      * pulse_sum)
     return coeffs
+
+
+def accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols):
+    """Sum of per-path coefficient times outer(row ramp, column ramp).
+
+    out[r, c] = sum_k coeffs[k] * exp(1j*row_rates[k]*r) * exp(1j*col_rates[k]*c)
+
+    The three channel builders below reduce to this one operation: the row
+    and column ramps are the two arrays' steering responses.
+
+    Parameters
+    ----------
+    coeffs : complex array, shape (K,) — per-path scalar coefficients
+    row_rates, col_rates : float arrays, shape (K,) — phase advance per
+        element index along rows/columns
+    n_rows, n_cols : output dimensions
+
+    Returns complex128 array of shape (n_rows, n_cols). K = 0 yields zeros.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    row_rates = np.asarray(row_rates, dtype=np.float64)
+    col_rates = np.asarray(col_rates, dtype=np.float64)
+    if not (coeffs.shape == row_rates.shape == col_rates.shape) or coeffs.ndim != 1:
+        raise ValueError("coeffs, row_rates and col_rates must be equal-length 1-D")
+
+    out = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    rows = np.arange(n_rows)
+    cols = np.arange(n_cols)
+    # Path-by-path accumulation: this order fixes the output bytes.
+    for k in range(coeffs.shape[0]):
+        row_ramp = np.exp(1j * row_rates[k] * rows)
+        col_ramp = np.exp(1j * col_rates[k] * cols)
+        out += coeffs[k] * np.outer(row_ramp, col_ramp)
+    return out
 
 
 def channel_bs_ue(paths, cfg, geom, pulse=None):

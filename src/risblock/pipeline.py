@@ -160,25 +160,13 @@ def detect_visible_ue(image):
     return bool(np.any(np.asarray(image)[:, :, 2] > 0.5))
 
 
-def cascade_predict(sample, camera_model, rate_threshold):
+def cascade_predict(sample, rate_threshold):
     """Two-stage prediction: camera first, then the rate cut.
 
-    camera_model may be None (the channel-2 pixel rule), a callable
-    image -> bool, or an (MlpParams, Standardization) pair whose argmax on
-    (pooled image, rate 0) declares visibility. Stage 2 maps rate >=
-    threshold to blocked, below to absent.
+    Stage 1 declares the link clear when detect_visible_ue sees the
+    terminal. Stage 2 maps rate >= threshold to blocked, below to absent.
     """
-    if camera_model is None:
-        visible = detect_visible_ue(sample.image)
-    elif callable(camera_model):
-        visible = bool(camera_model(sample.image))
-    else:
-        params, stats = camera_model
-        row = np.concatenate([pool_image(sample.image).ravel(), [0.0]])
-        std_row = stats.apply(row[None, :])[0]
-        probs = learn.forward(params, std_row[:-1], std_row[-1])
-        visible = learn.argmax_index(probs) == label_to_index(LinkStatus.UNBLOCKED)
-    if visible:
+    if detect_visible_ue(sample.image):
         return LinkStatus.UNBLOCKED
     if sample.ris_rate >= rate_threshold:
         return LinkStatus.BLOCKED
@@ -272,7 +260,7 @@ def train_scenarios(train_samples, scenarios, train_cfg, seed):
 def predict_scenario(samples, model):
     """Predicted labels ({-1, 0, 1}) for a batch of samples."""
     if model.scenario is Scenario.BOTH:
-        return np.array([int(cascade_predict(s, None, model.rate_threshold))
+        return np.array([int(cascade_predict(s, model.rate_threshold))
                          for s in samples])
     raw = build_features(samples, model.scenario)
     features = model.standardization.apply(raw)
@@ -351,14 +339,15 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
     are all derived from it.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else out_dir / "dataset"
 
     if (dataset_dir / "manifest.json").exists():
         samples, manifest = load_dataset(dataset_dir)
     else:
+        check_poolable(gen_cfg.image_dims)  # fail before generating, not after
         samples, manifest = generate_dataset(gen_cfg, seed, n_samples)
         save_dataset(dataset_dir, samples, manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     train_samples, test_samples = split_dataset(
         samples, train_fraction=train_cfg.train_fraction, seed=seed)

@@ -1,4 +1,5 @@
-"""Channel model: hand-computed values, reductions, and a scalar-loop oracle."""
+"""Channel model and its steering kernel: hand-computed values, reductions,
+and scalar-loop oracles."""
 
 import cmath
 import math
@@ -10,10 +11,11 @@ import pytest
 import oracles
 from risblock.channel import (ArrayGeometry, MultipathComponent,
                               PropagationConfig, RisConfig, SPEED_OF_LIGHT_MPS,
-                              channel_bs_ris, channel_bs_ue, channel_ris_ue,
-                              co_phase_ris, data_rate, doppler_spread,
-                              effective_gain, phase_term, ris_matrix,
-                              sinc_pulse, steering_vector)
+                              accumulate_steering_outer, channel_bs_ris,
+                              channel_bs_ue, channel_ris_ue, co_phase_ris,
+                              data_rate, doppler_spread, effective_gain,
+                              phase_term, ris_matrix, sinc_pulse,
+                              steering_vector)
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,6 +155,58 @@ def test_steering_half_wavelength_endfire():
 def test_steering_entries_have_unit_modulus():
     vec = steering_vector(16, 0.5, 1.2, -0.4)
     np.testing.assert_allclose(np.abs(vec), 1.0, rtol=1e-15)
+
+
+# ---------------------------------------------------------------- steering kernel
+
+
+def _random_kernel_instance(rng):
+    k = int(rng.integers(1, 9))
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    row_rates = rng.uniform(-8.0, 8.0, size=k)
+    col_rates = rng.uniform(-8.0, 8.0, size=k)
+    n_rows = int(rng.integers(1, 41))
+    n_cols = int(rng.integers(1, 7))
+    return coeffs, row_rates, col_rates, n_rows, n_cols
+
+
+def _rel_err(got, want):
+    want = np.asarray(want, dtype=np.complex128)
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(np.asarray(got) - want))) / scale
+
+
+def test_kernel_matches_triple_loop_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        coeffs, row_rates, col_rates, n_rows, n_cols = _random_kernel_instance(rng)
+        want = oracles.naive_accumulate(coeffs, row_rates, col_rates, n_rows,
+                                        n_cols)
+        got = accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows,
+                                        n_cols)
+        assert got.shape == (n_rows, n_cols)
+        assert _rel_err(got, want) < 1e-12
+
+
+def test_zero_paths_give_zeros():
+    out = accumulate_steering_outer(np.zeros(0, dtype=complex), np.zeros(0),
+                                    np.zeros(0), 3, 4)
+    np.testing.assert_array_equal(out, np.zeros((3, 4), dtype=np.complex128))
+
+
+def test_mismatched_lengths_rejected():
+    with pytest.raises(ValueError):
+        accumulate_steering_outer(np.ones(3, dtype=complex), np.zeros(2),
+                                  np.zeros(3), 2, 2)
+
+
+def test_single_path_is_an_outer_product():
+    coeffs = np.array([2.0 - 1.0j])
+    out = accumulate_steering_outer(coeffs, np.array([0.5]), np.array([-0.25]),
+                                    6, 3)
+    want = coeffs[0] * np.outer(np.exp(1j * 0.5 * np.arange(6)),
+                                np.exp(1j * -0.25 * np.arange(3)))
+    np.testing.assert_allclose(out, want, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------- channels

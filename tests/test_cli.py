@@ -412,7 +412,7 @@ def _install_checkout(tmp_path, env):
     source = tmp_path / "checkout"
     shutil.copytree(CHECKOUT / "src", source / "src",
                     ignore=shutil.ignore_patterns(
-                        "__pycache__", "*.egg-info", "*.so", "_accel.c"))
+                        "__pycache__", "*.egg-info", "*.so"))
     for name in ("pyproject.toml", "setup.py", "README.md"):
         shutil.copy2(CHECKOUT / name, source)
     venv.create(tmp_path / "venv", system_site_packages=True)
@@ -464,6 +464,18 @@ def test_console_entry_point_is_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: risblock")
     assert "generate" in proc.stdout and "curves" in proc.stdout
+
+
+def test_no_tracked_file_is_ignored():
+    """A file that .gitignore excludes must not be tracked: it is a build
+    output, and a tracked copy goes stale without anyone noticing."""
+    if not (CHECKOUT / ".git").exists() or shutil.which("git") is None:
+        pytest.skip("not a git checkout, or git is not installed")
+    proc = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"],
+                          cwd=CHECKOUT, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"tracked but ignored:\n{proc.stdout}"
 
 
 def test_module_runs_without_entry_point():

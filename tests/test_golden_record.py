@@ -5,8 +5,8 @@ The hashes were recorded with the four scenarios trained one after another
 in the calling process; the test runs the chain on one and on two allowed
 CPUs. A change that alters any hash changes output bytes: it must say why
 and record the new hashes here. The bytes come from floating-point sums, so
-they hold for the stack they were recorded on: the numpy kernel backend,
-numpy 2.4, OpenBLAS 0.3.31, x86-64.
+they hold for the stack they were recorded on: numpy 2.4, OpenBLAS 0.3.31,
+x86-64.
 """
 
 import hashlib

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_GEN
-from risblock.learn import MlpParams, Standardization, TrainConfig
+from risblock.dataset import GeneratorConfig
+from risblock.learn import TrainConfig
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
                                build_features, calibrate_rate_threshold,
                                cascade_predict, detect_visible_ue,
@@ -175,31 +176,15 @@ def test_cascade_routes_through_both_stages():
     marked = clear.copy()
     marked[5, 5, 2] = 1.0
     threshold = 1.0
-    assert cascade_predict(_fake_sample(marked, ris_rate=0.0), None,
+    assert cascade_predict(_fake_sample(marked, ris_rate=0.0),
                            threshold) is LinkStatus.UNBLOCKED
-    assert cascade_predict(_fake_sample(clear, ris_rate=2.0), None,
+    assert cascade_predict(_fake_sample(clear, ris_rate=2.0),
                            threshold) is LinkStatus.BLOCKED
-    assert cascade_predict(_fake_sample(clear, ris_rate=0.5), None,
+    assert cascade_predict(_fake_sample(clear, ris_rate=0.5),
                            threshold) is LinkStatus.ABSENT
     # ties go to blocked: the cut is a >= comparison
-    assert cascade_predict(_fake_sample(clear, ris_rate=1.0), None,
+    assert cascade_predict(_fake_sample(clear, ris_rate=1.0),
                            threshold) is LinkStatus.BLOCKED
-
-
-def test_cascade_accepts_callable_camera():
-    clear = np.zeros((64, 64, 3), dtype=np.float32)
-    assert cascade_predict(_fake_sample(clear), lambda image: True,
-                           1e9) is LinkStatus.UNBLOCKED
-
-
-def test_cascade_accepts_perceptron_camera():
-    # zero weights with a dominant unblocked bias: always declares visible
-    params = MlpParams(w1=np.zeros((768, 2)), b1=np.zeros(2),
-                       w2=np.zeros((3, 3)), b2=np.array([0.0, 10.0, 0.0]))
-    stats = Standardization(mean=np.zeros(769), std=np.ones(769))
-    clear = np.zeros((64, 64, 3), dtype=np.float32)
-    assert cascade_predict(_fake_sample(clear, ris_rate=0.0), (params, stats),
-                           1e9) is LinkStatus.UNBLOCKED
 
 
 def test_cascade_never_sees_ue_in_empty_channel():
@@ -208,7 +193,7 @@ def test_cascade_never_sees_ue_in_empty_channel():
         image = rng.random((64, 64, 3)).astype(np.float32)
         image[:, :, 2] = 0.5 * rng.random((64, 64))  # never above the cut
         sample = _fake_sample(image, ris_rate=float(rng.random() * 5))
-        assert cascade_predict(sample, None, 2.5) is not LinkStatus.UNBLOCKED
+        assert cascade_predict(sample, 2.5) is not LinkStatus.UNBLOCKED
 
 
 # ---------------------------------------------------------------- scenarios
@@ -352,3 +337,12 @@ def test_run_experiment_reuses_saved_dataset(experiment_run, tmp_path):
         if path.name == "timings.json":
             continue
         assert (rerun / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_run_experiment_checks_the_pooled_grid_before_generating(tmp_path):
+    gen_cfg = GeneratorConfig(n_samples=300, n_ris_elements=64,
+                              image_dims=(40, 64, 3))
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="not divisible"):
+        run_experiment(gen_cfg, FAST_TRAIN, seed=1, out_dir=out)
+    assert not out.exists()
