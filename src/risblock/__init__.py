@@ -12,8 +12,9 @@ from risblock.channel import (ArrayGeometry, MultipathComponent,
                               co_phase_ris, data_rate, doppler_spread,
                               effective_gain, phase_term, ris_matrix,
                               sinc_pulse, steering_vector)
-from risblock.dataset import (GeneratorConfig, Sample, generate_dataset,
-                              generate_sample, load_dataset, save_dataset)
+from risblock.dataset import (FeatureTable, GeneratorConfig, Sample,
+                              generate_dataset, generate_sample, load_dataset,
+                              save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             argmax_index, backward, cross_entropy,
                             fit_standardization, forward, grad_check,

@@ -1,12 +1,14 @@
 """One process pool for every parallel stage: generation and training.
 
-`fork_map(function, items)` is `[function(item) for item in items]` run on
-one worker per CPU in the process's affinity mask, capped at len(items), with
-the results in input order. One worker runs inline; `taskset -c 0` gives a
-serial run. More fork a process pool. The function reaches the workers
-through the pool's initializer, which fork hands down without pickling it,
-so it may be a closure over large arrays or a rebound name; only the items
-and the results cross a pipe.
+`fork_map(function, items)` yields function(item) for each item, in input
+order, computed on one worker per CPU in the process's affinity mask, capped
+at len(items). One worker runs inline, one item at a time as the results are
+asked for; `taskset -c 0` gives a serial run. More fork a process pool. The
+function reaches the workers through the pool's initializer, which fork
+hands down without pickling it, so it may be a closure over large arrays or
+a rebound name; only the items and the results cross a pipe. A caller that
+stops early closes the iterator, which cancels the items not yet started and
+waits for the running ones.
 
 Each worker also caps the OpenBLAS it inherited at its share of the CPUs.
 OpenBLAS starts one thread per CPU by default, so two training workers on
@@ -70,12 +72,15 @@ def _cap_blas_threads(count):
 
 
 def fork_map(function, items):
-    """function applied to each item, in input order, on every allowed CPU."""
+    """Iterator over function(item) for each item, in input order, computed
+    on every allowed CPU. Run it to its end or close it."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0))
     workers = min(cpus, len(items))
     if workers <= 1:
-        return [function(item) for item in items]
+        for item in items:
+            yield function(item)
+        return
     # imported here: about 15 ms that commands which never use a pool would
     # pay at start-up
     import multiprocessing
@@ -85,8 +90,9 @@ def fork_map(function, items):
     # no imports. The executor, not multiprocessing.Pool: on an error
     # Pool.terminate() can kill a worker that holds the result queue's lock,
     # then hang. Executor.map cancels the items not yet started when a
-    # result raises, and leaving the block waits for the running ones.
+    # result raises or the iterator is closed, and leaving the block waits
+    # for the running ones. Each result is let go once it is yielded.
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_install,
                              initargs=(function, cpus // workers)) as pool:
-        return list(pool.map(_call, items))
+        yield from pool.map(_call, items)

@@ -14,19 +14,20 @@ import json
 import os
 import re
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from risblock import learn
-from risblock.dataset import (GeneratorConfig, generate_dataset, load_dataset,
-                              save_dataset)
+from risblock.dataset import (GeneratorConfig, check_poolable, generate_dataset,
+                              load_dataset, save_dataset)
 from risblock.learn import TrainConfig, init_params, grad_check, load_model, save_model
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
-                               check_poolable, check_trainable,
-                               evaluate_scenario, split_dataset,
-                               train_scenarios, write_report_files)
+                               check_trainable, evaluate_scenario,
+                               split_dataset, train_scenarios,
+                               write_report_files)
 from risblock.scene import SceneLayout
 from risblock.svgchart import render_line_chart
 
@@ -230,6 +231,17 @@ def _read_history_csv(path):
     return tuple(rows)
 
 
+def _reporting_progress(ranges, n):
+    """The ranges, unchanged, with a `k/n samples written` line on stderr
+    each time the consumer has written one and asks for the next."""
+    written = 0
+    for part in ranges:
+        written += len(part)
+        yield part
+        del part  # written: let its images go before the next range is made
+        print(f"{written}/{n} samples written", file=sys.stderr, flush=True)
+
+
 def cmd_generate(args):
     config = load_config(args.config) if args.config else {}
     gen_cfg = generator_from_config(config)
@@ -238,8 +250,9 @@ def cmd_generate(args):
     if n < 1:
         raise ConfigError("--n must be >= 1")
     out_dir = Path(args.out)
-    samples, manifest = generate_dataset(gen_cfg, seed, n)
-    save_dataset(out_dir, samples, manifest)
+    with closing(generate_dataset(gen_cfg, seed, n)) as ranges:
+        manifest = save_dataset(out_dir, _reporting_progress(ranges, n),
+                                gen_cfg, seed)
     counts = manifest["class_counts"]
     print(f"wrote {n} samples to {out_dir} (seed {seed}, "
           f"absent/clear/blocked = {counts['-1']}/{counts['0']}/{counts['1']})")
@@ -251,14 +264,14 @@ def cmd_train(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = training_from_config(config)
     seed = resolve_seed(args, config)
-    samples, manifest = load_dataset(Path(args.dataset))
-    train_samples, _ = split_dataset(samples, train_cfg.train_fraction, seed)
+    table, manifest = load_dataset(Path(args.dataset))
+    train_table, _ = split_dataset(table, train_cfg.train_fraction, seed)
     scenarios = _scenario_list(args.scenario)
     try:
-        check_trainable(train_samples, scenarios)
+        check_trainable(train_table, scenarios)
     except ValueError as exc:
         raise ConfigError(f"cannot train on {args.dataset}: {exc}") from exc
-    models = train_scenarios(train_samples, scenarios, train_cfg, seed)
+    models = train_scenarios(train_table, scenarios, train_cfg, seed)
 
     # Every file is written under a temporary name first and renamed into
     # place once all are written, so a failed run leaves no partial model set.
@@ -338,8 +351,8 @@ def cmd_eval(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = training_from_config(config)
     seed = resolve_seed(args, config)
-    samples, manifest = load_dataset(Path(args.dataset))
-    _, test_samples = split_dataset(samples, train_cfg.train_fraction, seed)
+    table, manifest = load_dataset(Path(args.dataset))
+    _, test_table = split_dataset(table, train_cfg.train_fraction, seed)
     models_dir = Path(args.models)
     metas = {scenario: _read_train_meta(models_dir, scenario,
                                         manifest["content_hash"], seed)
@@ -349,7 +362,7 @@ def cmd_eval(args):
     timings = {}
     for scenario, meta in metas.items():
         model = _load_scenario_model(models_dir, scenario, meta)
-        report = evaluate_scenario(test_samples, scenario, model)
+        report = evaluate_scenario(test_table, scenario, model)
         write_report_files(out_dir, report, model)
         timings[scenario.value] = report.wall_time_s
         print(f"{scenario.value}: accuracy {report.accuracy:.3f} "

@@ -1,4 +1,5 @@
-"""Labeled dataset generation: scenes -> channels -> (image, rates, label).
+"""Labeled dataset generation: scenes -> channels -> (image, rates, label),
+and the feature table that training and evaluation read back.
 
 Every sample is generated from its own RNG stream derived as
 SeedSequence([root_seed, stream_tag, index]), so the output is independent
@@ -8,24 +9,35 @@ elements, the ternary label, the trajectory step it was taken from, and the
 seed material.
 
 `generate_dataset` cuts the indices into contiguous ranges, about
-RANGES_PER_WORKER per CPU in the process's affinity mask, maps them with
-`fork_map` (inline on one CPU, a forked pool on more) and joins the results
-in index order, so the files are the same bytes on any CPU count.
-`taskset -c 0` gives a serial run. The content hash and images.bin take each
-image's buffer in turn, so no stacked copy of the images is ever made.
+RANGES_PER_WORKER per CPU in the process's affinity mask, and maps them with
+`fork_map` (inline on one CPU, a forked pool on more), which yields each
+range's samples in index order. `save_dataset` writes and hashes each range
+as it arrives and then drops its images, so the files are the same bytes on
+any CPU count and no more than a range of images is held at once. It writes
+all three files under temporary names and renames them into place after the
+last range, so a failed run leaves no dataset. `taskset -c 0` gives a serial
+run.
 
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
 (raw little-endian float32, N x H x W x C, C order) and `features.csv`
 (columns index, direct_rate, ris_rate, label; floats as repr round-trips).
+
+`load_dataset` never holds the images either. It reads images.bin
+LOAD_CHUNK_IMAGES images at a time; each chunk updates the content hash, is
+reduced to its rows of a `FeatureTable` (the image pooled to a 16 x 16 x C
+block, and whether the camera sees the terminal) and is dropped.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
-from dataclasses import dataclass, field, asdict
+from collections import namedtuple
+from dataclasses import dataclass, field, asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -50,6 +62,14 @@ FEATURES_NAME = "features.csv"
 # index ranges per allowed CPU: enough that a slow range leaves little idle
 # time at the end, few enough that task overhead stays small
 RANGES_PER_WORKER = 8
+
+# images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
+# the table being filled. Loading 2000 such images took 0.23-0.24 s with 8,
+# 16, 32 or 125 per read, most of it in sha256.
+LOAD_CHUNK_IMAGES = 8
+
+# the grid every image is average-pooled to before it reaches the classifier
+POOLED_HW = (16, 16)
 
 
 @dataclass(frozen=True)
@@ -153,21 +173,26 @@ def _image_buffer(sample):
     return np.ascontiguousarray(sample.image, dtype="<f4")
 
 
+# what the writer keeps of a sample once its image is written
+_Record = namedtuple("_Record", "direct_rate ris_rate label location_index")
+
+_FEATURES_HEADER = ("index", "direct_rate", "ris_rate", "label")
+
+
 def _features_csv(samples):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "direct_rate", "ris_rate", "label"])
+    writer.writerow(_FEATURES_HEADER)
     for i, s in enumerate(samples):
         writer.writerow([i, repr(float(s.direct_rate)), repr(float(s.ris_rate)),
                          int(s.label)])
     return buf.getvalue()
 
 
-def _content_hash(samples):
-    digest = hashlib.sha256()
-    for s in samples:
-        digest.update(_image_buffer(s))
-    digest.update(_features_csv(samples).encode("ascii"))
+def _content_hash(digest, features_text):
+    """The manifest's content hash: sha256 over images.bin, then features.csv.
+    `digest` has already taken the bytes of images.bin."""
+    digest.update(features_text.encode("ascii"))
     return "sha256:" + digest.hexdigest()
 
 
@@ -178,7 +203,8 @@ def _config_record(cfg):
     return json.loads(json.dumps(record))
 
 
-def build_manifest(cfg, seed, samples):
+def build_manifest(cfg, seed, samples, content_hash):
+    """The manifest of samples (anything with label and location_index)."""
     labels = [int(s.label) for s in samples]
     return {
         "format": "risblock-dataset",
@@ -189,7 +215,7 @@ def build_manifest(cfg, seed, samples):
         "image_dims": list(cfg.image_dims),
         "config": _config_record(cfg),
         "class_counts": {str(v): labels.count(v) for v in (-1, 0, 1)},
-        "content_hash": _content_hash(samples),
+        "content_hash": content_hash,
         "samples": [{"index": i, "label": int(s.label),
                      "location_index": s.location_index}
                     for i, s in enumerate(samples)],
@@ -197,16 +223,17 @@ def build_manifest(cfg, seed, samples):
 
 
 def generate_dataset(cfg, seed, n_samples=None):
-    """All samples for a root seed, plus the manifest describing them."""
+    """Iterator over the samples of each index range, in index order.
+
+    The ranges are made on every allowed CPU. Run the iterator to its end or
+    close it: until then a forked pool may still be running.
+    """
     n = cfg.n_samples if n_samples is None else int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
     size = -(-n // (RANGES_PER_WORKER * len(os.sched_getaffinity(0))))
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
-    samples = [sample
-               for part in fork_map(partial(_generate_range, cfg, seed), bounds)
-               for sample in part]
-    return samples, build_manifest(cfg, seed, samples)
+    return fork_map(partial(_generate_range, cfg, seed), bounds)
 
 
 def _generate_range(cfg, seed, bounds):
@@ -215,65 +242,226 @@ def _generate_range(cfg, seed, bounds):
     return [generate_sample(cfg, seed, i) for i in range(*bounds)]
 
 
-def save_dataset(out_dir, samples, manifest):
-    """Write manifest.json, images.bin and features.csv into out_dir."""
+def save_dataset(out_dir, ranges, cfg, seed):
+    """Write the samples of `ranges`, an iterable of sample lists in index
+    order, as a dataset made by `cfg` from `seed`; returns its manifest.
+
+    Each range is written and hashed as it arrives, then dropped. The three
+    files are written under temporary names in out_dir and renamed into
+    place after the last range; on an error none is left, nor any directory
+    this call made.
+    """
     out_dir = Path(out_dir)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / IMAGES_NAME, "wb") as images:
-        for s in samples:
-            images.write(_image_buffer(s))
-    (out_dir / FEATURES_NAME).write_text(_features_csv(samples),
-                                         encoding="ascii")
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp"
+              for name in (IMAGES_NAME, FEATURES_NAME, MANIFEST_NAME)}
+    try:
+        digest = hashlib.sha256()
+        records = []
+        with open(staged[IMAGES_NAME], "wb") as images:
+            for part in ranges:
+                for s in part:
+                    buffer = _image_buffer(s)
+                    images.write(buffer)
+                    digest.update(buffer)
+                    records.append(_Record(s.direct_rate, s.ris_rate, s.label,
+                                           s.location_index))
+                # drop this range's images before the next range is made
+                del part
+        features_text = _features_csv(records)
+        manifest = build_manifest(cfg, seed, records,
+                                  _content_hash(digest, features_text))
+        staged[FEATURES_NAME].write_text(features_text, encoding="ascii")
+        staged[MANIFEST_NAME].write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+            encoding="ascii")
+        # the manifest last: a directory with one holds a finished dataset
+        for name, temporary in staged.items():
+            os.replace(temporary, out_dir / name)
+    except BaseException:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    return manifest
+
+
+def check_poolable(image_dims, pooled_hw=POOLED_HW):
+    """Raise ValueError unless (H, W, C) images pool evenly to pooled_hw."""
+    if not _poolable(image_dims, pooled_hw):
+        raise ValueError(f"image {tuple(image_dims)} not divisible into "
+                         f"{pooled_hw}")
+
+
+def _poolable(image_dims, pooled_hw=POOLED_HW):
+    return image_dims[0] % pooled_hw[0] == 0 and image_dims[1] % pooled_hw[1] == 0
+
+
+def pooled_feature_count(image_dims, pooled_hw=POOLED_HW):
+    return pooled_hw[0] * pooled_hw[1] * image_dims[2]
+
+
+def pool_image(images, pooled_hw=POOLED_HW):
+    """Average-pool (..., H, W, C) images to (..., h, w, C) float64 blocks.
+
+    H and W must divide evenly. Each block is the float64 sum of its pixels
+    in row-major order divided by their count, as numpy's mean over the
+    block axes of a float64 copy computes it, without making that copy.
+    """
+    images = np.asarray(images)
+    check_poolable(images.shape[-3:], pooled_hw)
+    h, w = pooled_hw
+    *lead, height, width, channels = images.shape
+    rows, cols = height // h, width // w
+    blocks = images.reshape(*lead, h, rows, w, cols, channels)
+    pooled = blocks[..., 0, :, 0, :].astype(np.float64)
+    for i in range(rows):
+        for j in range(cols):
+            if i or j:
+                pooled += blocks[..., i, :, j, :]
+    pooled /= rows * cols
+    return pooled
+
+
+def detect_visible_ue(images):
+    """Camera-stage rule on (..., H, W, C) images: whether any channel-2
+    pixel is above 0.5, one bool per image."""
+    return np.any(np.asarray(images)[..., 2] > 0.5, axis=(-2, -1))
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Everything the scenarios read of a dataset, one row per sample.
+
+    pooled       (N, h * w * C) float64: each image average-pooled to
+                 POOLED_HW and flattened, or None when that grid does not
+                 divide the images
+    visible      (N,) bool: detect_visible_ue of each image
+    direct_rate  (N,) float64
+    ris_rate     (N,) float64
+    label        (N,) int64 in {-1, 0, 1}
+    image_dims   (H, W, C) of the images the rows came from
+    """
+
+    pooled: np.ndarray
+    visible: np.ndarray
+    direct_rate: np.ndarray
+    ris_rate: np.ndarray
+    label: np.ndarray
+    image_dims: tuple
+
+    def __len__(self):
+        return len(self.label)
+
+    def take(self, rows):
+        """The table of the given row indices, in their order."""
+        return replace(self,
+                       pooled=None if self.pooled is None else self.pooled[rows],
+                       visible=self.visible[rows],
+                       direct_rate=self.direct_rate[rows],
+                       ris_rate=self.ris_rate[rows], label=self.label[rows])
+
+
+def image_columns(image_chunks, n, image_dims):
+    """The table's (pooled, visible) columns for n images of image_dims,
+    given as consecutive (k, H, W, C) stacks."""
+    pooled = (np.empty((n, pooled_feature_count(image_dims)))
+              if _poolable(image_dims) else None)
+    visible = np.empty(n, dtype=bool)
+    start = 0
+    for images in image_chunks:
+        stop = start + len(images)
+        if pooled is not None:
+            pooled[start:stop] = pool_image(images).reshape(len(images), -1)
+        visible[start:stop] = detect_visible_ue(images)
+        start = stop
+    return pooled, visible
+
+
+def _read_images(images_file, n, image_dims, digest):
+    """images.bin as consecutive (k, H, W, C) float32 stacks of at most
+    LOAD_CHUNK_IMAGES images, each added to digest (if any) as it is read."""
+    image_bytes = 4 * math.prod(image_dims)
+    size = os.fstat(images_file.fileno()).st_size
+    if size != n * image_bytes:
+        raise ValueError(f"{IMAGES_NAME} holds {size} bytes, but {n} float32 "
+                         f"images of {tuple(image_dims)} take "
+                         f"{n * image_bytes}")
+    for start in range(0, n, LOAD_CHUNK_IMAGES):
+        chunk = images_file.read(min(LOAD_CHUNK_IMAGES, n - start) * image_bytes)
+        if digest is not None:
+            digest.update(chunk)
+        yield np.frombuffer(chunk, dtype="<f4").reshape(-1, *image_dims)
+
+
+def _parse_features(text, n):
+    """(direct_rate, ris_rate, label) columns of features.csv text, which
+    must be exactly what _features_csv writes for n samples."""
+    lines = text.split("\n")
+    if lines[0] != ",".join(_FEATURES_HEADER):
+        raise ValueError(f"{FEATURES_NAME} header is {lines[0]!r}")
+    if lines[-1]:
+        raise ValueError(f"{FEATURES_NAME} does not end with a newline")
+    rows = lines[1:-1]
+    if len(rows) != n:
+        raise ValueError(f"features.csv has {len(rows)} rows, manifest says {n}")
+    direct_rate, ris_rate = np.empty(n), np.empty(n)
+    label = np.empty(n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        try:
+            index, direct, ris, status = row.split(",")
+            if int(index) != i:
+                raise ValueError
+            direct_rate[i], ris_rate[i] = float(direct), float(ris)
+            if not (direct_rate[i] >= 0 and ris_rate[i] >= 0):
+                raise ValueError
+            label[i] = LinkStatus(int(status))
+        except ValueError:
+            raise ValueError(f"{FEATURES_NAME} row {i} is not "
+                             f"'{i},<rate >= 0>,<rate >= 0>,<-1|0|1>': "
+                             f"{row!r}") from None
+    return direct_rate, ris_rate, label
 
 
 def load_dataset(dataset_dir, verify=True):
-    """Read a dataset directory back into (samples, manifest).
+    """Read a dataset directory into (FeatureTable, manifest).
 
-    With verify=True (default) the sha256 content hash must match the
-    manifest; a corrupted or edited file raises ValueError. The manifest's
-    sample table must list every sample with the label features.csv gives
-    it, whether or not the hash is checked.
+    images.bin must hold exactly the manifest's N x H x W x C float32 values
+    and features.csv exactly one well-formed row per sample. With
+    verify=True (default) the sha256 content hash must match the manifest;
+    a corrupted or edited file raises ValueError. The manifest's sample
+    table must list every sample with the label features.csv gives it,
+    whether or not the hash is checked.
     """
     dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / MANIFEST_NAME).read_text("ascii"))
-    image_bytes = (dataset_dir / IMAGES_NAME).read_bytes()
     features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
+    n = manifest["n_samples"]
+    image_dims = tuple(manifest["image_dims"])
 
+    digest = hashlib.sha256() if verify else None
+    with open(dataset_dir / IMAGES_NAME, "rb") as images_file:
+        pooled, visible = image_columns(
+            _read_images(images_file, n, image_dims, digest), n, image_dims)
     if verify:
-        digest = hashlib.sha256()
-        digest.update(image_bytes)
-        digest.update(features_text.encode("ascii"))
-        actual = "sha256:" + digest.hexdigest()
+        actual = _content_hash(digest, features_text)
         if actual != manifest["content_hash"]:
             raise ValueError(
                 f"dataset content hash mismatch: manifest says "
                 f"{manifest['content_hash']}, files give {actual}")
 
-    n = manifest["n_samples"]
-    h, w, c = manifest["image_dims"]
-    images = np.frombuffer(image_bytes, dtype="<f4").reshape(n, h, w, c)
-
-    rows = list(csv.DictReader(io.StringIO(features_text)))
-    if len(rows) != n:
-        raise ValueError(f"features.csv has {len(rows)} rows, manifest says {n}")
+    direct_rate, ris_rate, label = _parse_features(features_text, n)
     if len(manifest["samples"]) != n:
         raise ValueError(f"manifest lists {len(manifest['samples'])} samples, "
                          f"its n_samples says {n}")
-    seed = manifest["seed"]
-    tag = manifest.get("sample_stream_tag", SAMPLE_STREAM_TAG)
-    samples = []
-    for i, (row, meta) in enumerate(zip(rows, manifest["samples"])):
-        if int(meta["label"]) != int(row["label"]):
+    for i, meta in enumerate(manifest["samples"]):
+        if int(meta["label"]) != label[i]:
             raise ValueError(f"sample {i}: manifest label {meta['label']} "
-                             f"differs from features.csv label {row['label']}")
-        samples.append(Sample(
-            image=images[i].copy(),
-            direct_rate=float(row["direct_rate"]),
-            ris_rate=float(row["ris_rate"]),
-            label=LinkStatus(int(row["label"])),
-            location_index=int(meta["location_index"]),
-            seed_used=(seed, tag, i),
-        ))
-    return samples, manifest
+                             f"differs from features.csv label {label[i]}")
+    table = FeatureTable(pooled=pooled, visible=visible,
+                         direct_rate=direct_rate, ris_rate=ris_rate,
+                         label=label, image_dims=image_dims)
+    return table, manifest

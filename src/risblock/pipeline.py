@@ -1,6 +1,10 @@
 """End-to-end experiment: split, per-scenario feature masking, the two-stage
 cascade predictor, and the four-scenario evaluation.
 
+Every stage reads a dataset's `FeatureTable` (see risblock.dataset), never
+its images: `load_dataset` pools each image once into the table's 16x16x3
+block and records whether the camera sees the terminal.
+
 The four scenarios differ only in which features reach the classifier:
 
     none    direct-link rate only (image block zeroed)
@@ -16,7 +20,7 @@ training split. A perceptron is still trained on the full features so the
 scenario has a learning curve to report next to the others.
 
 Feature standardization is fit on the training split only and stored with
-each model; images enter as 16x16x3 average-pooled blocks, flattened.
+each model; images enter as the table's pooled blocks.
 
 `train_scenarios` checks every scenario's preconditions, then fits the
 scenarios with `fork_map`, one per task on every CPU the process may use.
@@ -27,6 +31,7 @@ are trained beside it.
 
 import json
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -35,15 +40,14 @@ import numpy as np
 
 from risblock import learn
 from risblock._pool import fork_map
-from risblock.dataset import generate_dataset, load_dataset, save_dataset
+from risblock.dataset import (MANIFEST_NAME, check_poolable, generate_dataset,
+                              load_dataset, pooled_feature_count, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
 from risblock.scene import LinkStatus
 
 SPLIT_STREAM_TAG = 202
 TRAIN_STREAM_TAG = 303
-
-POOLED_HW = (16, 16)
 
 # Training recipe used by experiments. The schedule shape comes from
 # TrainConfig; the base rate is raised because this small network is trained
@@ -61,59 +65,37 @@ class Scenario(Enum):
     BOTH = "both"
 
 
-def pool_image(image, pooled_hw=POOLED_HW):
-    """Average-pool an (H, W, C) image to (h, w, C); H, W must divide evenly."""
-    image = np.asarray(image, dtype=np.float64)
-    check_poolable(image.shape, pooled_hw)
-    h, w = pooled_hw
-    height, width, channels = image.shape
-    return image.reshape(h, height // h, w, width // w, channels).mean(axis=(1, 3))
+def build_features(table, scenario):
+    """Masked raw feature matrix (N, d_img + 1) of a FeatureTable.
 
-
-def check_poolable(image_dims, pooled_hw=POOLED_HW):
-    """Raise ValueError unless (H, W, C) images pool evenly to pooled_hw."""
-    height, width = image_dims[:2]
-    if height % pooled_hw[0] or width % pooled_hw[1]:
-        raise ValueError(f"image {tuple(image_dims)} not divisible into "
-                         f"{pooled_hw}")
-
-
-def pooled_feature_count(image_dims, pooled_hw=POOLED_HW):
-    return pooled_hw[0] * pooled_hw[1] * image_dims[2]
-
-
-def build_features(samples, scenario, pooled_hw=POOLED_HW):
-    """Masked raw feature matrix (N, d_img + 1) for a scenario.
-
-    The image block is pooled and flattened, or zeroed when the scenario has
-    no camera; the final column is the scenario's rate feature (direct for
+    The image block is the pooled block, or zeros when the scenario has no
+    camera; the final column is the scenario's rate feature (direct for
     "none", surface-assisted for "ris"/"both", zero for "camera").
     """
-    n = len(samples)
+    n = len(table)
     if n == 0:
-        raise ValueError("samples must be non-empty")
-    d_img = pooled_feature_count(samples[0].image.shape, pooled_hw)
+        raise ValueError("table must be non-empty")
     if scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH):
-        image_block = np.stack([pool_image(s.image, pooled_hw).ravel()
-                                for s in samples])
+        check_poolable(table.image_dims)
+        image_block = table.pooled
     else:
-        image_block = np.zeros((n, d_img))
+        image_block = np.zeros((n, pooled_feature_count(table.image_dims)))
     if scenario is Scenario.NONE:
-        rates = np.array([s.direct_rate for s in samples])
+        rates = table.direct_rate
     elif scenario is Scenario.CAMERA_ONLY:
         rates = np.zeros(n)
     else:
-        rates = np.array([s.ris_rate for s in samples])
+        rates = table.ris_rate
     return np.concatenate([image_block, rates[:, None]], axis=1)
 
 
-def labels_of(samples):
-    return np.array([int(s.label) for s in samples])
+def split_dataset(table, train_fraction=0.7, seed=0):
+    """Seeded shuffle, then cut: floor(fraction * n) train, the rest test.
 
-
-def split_dataset(samples, train_fraction=0.7, seed=0):
-    """Seeded shuffle, then cut: floor(fraction * n) train, the rest test."""
-    n = len(samples)
+    `table` is a FeatureTable, or anything else with len() and take(); each
+    side keeps the permutation's row order.
+    """
+    n = len(table)
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     if not 0 < train_fraction < 1:
@@ -122,9 +104,7 @@ def split_dataset(samples, train_fraction=0.7, seed=0):
                                                         SPLIT_STREAM_TAG]))
     order = rng.permutation(n)
     n_train = min(max(int(train_fraction * n), 1), n - 1)
-    train = [samples[i] for i in order[:n_train]]
-    test = [samples[i] for i in order[n_train:]]
-    return train, test
+    return table.take(order[:n_train]), table.take(order[n_train:])
 
 
 def calibrate_rate_threshold(ris_rates, labels):
@@ -155,22 +135,17 @@ def calibrate_rate_threshold(ris_rates, labels):
     return best_threshold, best_accuracy
 
 
-def detect_visible_ue(image):
-    """Default camera-stage rule: any channel-2 pixel above 0.5."""
-    return bool(np.any(np.asarray(image)[:, :, 2] > 0.5))
+def cascade_predict(table, rate_threshold):
+    """Two-stage prediction for every row of a FeatureTable: camera first,
+    then the rate cut.
 
-
-def cascade_predict(sample, rate_threshold):
-    """Two-stage prediction: camera first, then the rate cut.
-
-    Stage 1 declares the link clear when detect_visible_ue sees the
-    terminal. Stage 2 maps rate >= threshold to blocked, below to absent.
+    Stage 1 declares the link clear where the camera sees the terminal (the
+    table's visible column). Stage 2 maps rate >= threshold to blocked,
+    below to absent. Returns the labels as an int array.
     """
-    if detect_visible_ue(sample.image):
-        return LinkStatus.UNBLOCKED
-    if sample.ris_rate >= rate_threshold:
-        return LinkStatus.BLOCKED
-    return LinkStatus.ABSENT
+    stage2 = np.where(table.ris_rate >= rate_threshold,
+                      int(LinkStatus.BLOCKED), int(LinkStatus.ABSENT))
+    return np.where(table.visible, int(LinkStatus.UNBLOCKED), stage2)
 
 
 @dataclass(frozen=True)
@@ -197,23 +172,22 @@ class EvalReport:
     wall_time_s: float
 
 
-def train_scenario(train_samples, scenario, train_cfg):
+def train_scenario(train_table, scenario, train_cfg):
     """Fit one scenario: standardization, perceptron, and (for the cascade)
     the absent-vs-blocked rate threshold."""
     started = time.perf_counter()
-    raw = build_features(train_samples, scenario)
+    raw = build_features(train_table, scenario)
     stats = fit_standardization(raw)
     features = stats.apply(raw)
-    labels = labels_of(train_samples)
+    labels = train_table.label
     params, history = learn.train(features, labels, train_cfg)
 
     rate_threshold = None
     threshold_accuracy = None
     if scenario is Scenario.BOTH:
         keep = labels != int(LinkStatus.UNBLOCKED)
-        rates = np.array([s.ris_rate for s in train_samples])[keep]
         rate_threshold, threshold_accuracy = calibrate_rate_threshold(
-            rates, labels[keep])
+            train_table.ris_rate[keep], labels[keep])
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats, history=tuple(history),
                          rate_threshold=rate_threshold,
@@ -221,63 +195,62 @@ def train_scenario(train_samples, scenario, train_cfg):
                          train_time_s=time.perf_counter() - started)
 
 
-def check_trainable(train_samples, scenarios):
+def check_trainable(train_table, scenarios):
     """Raise ValueError, naming the scenario, if one of them cannot be
     trained on these rows: camera and both pool the images, and both's rate
     threshold needs absent and blocked rows."""
     for scenario in scenarios:
         if scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH):
             try:
-                check_poolable(train_samples[0].image.shape)
+                check_poolable(train_table.image_dims)
             except ValueError as exc:
                 raise ValueError(f"scenario {scenario.value}: {exc}") from exc
         if scenario is Scenario.BOTH:
-            present = {int(s.label) for s in train_samples}
+            present = set(np.unique(train_table.label).tolist())
             if not {int(LinkStatus.ABSENT), int(LinkStatus.BLOCKED)} <= present:
                 raise ValueError(
                     f"scenario both needs absent (-1) and blocked (1) rows in "
                     f"the training split, got labels {sorted(present)}")
 
 
-def train_scenarios(train_samples, scenarios, train_cfg, seed):
+def train_scenarios(train_table, scenarios, train_cfg, seed):
     """{scenario: model} in Scenario order, after check_trainable has passed
     for every one of them. Scenario k of Scenario trains with the seed
     _mixed_seed(seed, TRAIN_STREAM_TAG, k)."""
     order = list(Scenario)
     scenarios = [s for s in order if s in scenarios]
-    check_trainable(train_samples, scenarios)
+    check_trainable(train_table, scenarios)
 
     def fit(scenario):
         # train_scenario is looked up when the task runs, so a rebound one
         # (a test's patch, a tracer's wrapper) is the one called
         cfg = replace(train_cfg, seed=_mixed_seed(seed, TRAIN_STREAM_TAG,
                                                   order.index(scenario)))
-        return train_scenario(train_samples, scenario, cfg)
+        return train_scenario(train_table, scenario, cfg)
 
-    return dict(zip(scenarios, fork_map(fit, scenarios)))
+    return dict(zip(scenarios, list(fork_map(fit, scenarios))))
 
 
-def predict_scenario(samples, model):
-    """Predicted labels ({-1, 0, 1}) for a batch of samples."""
+def predict_scenario(table, model):
+    """Predicted labels ({-1, 0, 1}) for every row of a FeatureTable."""
     if model.scenario is Scenario.BOTH:
-        return np.array([int(cascade_predict(s, model.rate_threshold))
-                         for s in samples])
-    raw = build_features(samples, model.scenario)
+        return cascade_predict(table, model.rate_threshold)
+    raw = build_features(table, model.scenario)
     features = model.standardization.apply(raw)
     probs, _, _ = learn._forward_batch(model.params, features)
     indices = np.argmax(probs, axis=1)
     return np.array([learn.index_to_label(int(i)) for i in indices])
 
 
-def evaluate_scenario(test_samples, scenario, model):
+def evaluate_scenario(test_table, scenario, model):
     """Accuracy, confusion matrix, and curve for one scenario's test run."""
-    if len(test_samples) == 0:
+    if len(test_table) == 0:
         raise ValueError("test set must be non-empty")
     if model.scenario is not scenario:
         raise ValueError(f"model was trained for {model.scenario}, not {scenario}")
     started = time.perf_counter()
-    predicted = predict_scenario(test_samples, model)
-    true = labels_of(test_samples)
+    predicted = predict_scenario(test_table, model)
+    true = test_table.label
     confusion = np.zeros((3, 3), dtype=np.int64)
     for t, p in zip(true, predicted):
         confusion[label_to_index(t), label_to_index(p)] += 1
@@ -341,23 +314,23 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
     out_dir = Path(out_dir)
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else out_dir / "dataset"
 
-    if (dataset_dir / "manifest.json").exists():
-        samples, manifest = load_dataset(dataset_dir)
-    else:
+    if not (dataset_dir / MANIFEST_NAME).exists():
         check_poolable(gen_cfg.image_dims)  # fail before generating, not after
-        samples, manifest = generate_dataset(gen_cfg, seed, n_samples)
-        save_dataset(dataset_dir, samples, manifest)
+        with closing(generate_dataset(gen_cfg, seed, n_samples)) as ranges:
+            save_dataset(dataset_dir, ranges, gen_cfg, seed)
+    # the loader is the one place that turns images into table rows
+    table, manifest = load_dataset(dataset_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_samples, test_samples = split_dataset(
-        samples, train_fraction=train_cfg.train_fraction, seed=seed)
+    train_table, test_table = split_dataset(
+        table, train_fraction=train_cfg.train_fraction, seed=seed)
 
     results = {}
     summary = {}
     timings = {}
-    models = train_scenarios(train_samples, list(Scenario), train_cfg, seed)
+    models = train_scenarios(train_table, list(Scenario), train_cfg, seed)
     for scenario, model in models.items():
-        report = evaluate_scenario(test_samples, scenario, model)
+        report = evaluate_scenario(test_table, scenario, model)
         write_report_files(out_dir, report, model)
         results[scenario] = (model, report)
         summary[scenario.value] = report.accuracy
@@ -369,8 +342,8 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
         "seed": int(seed),
         "dataset_hash": manifest["content_hash"],
         "n_samples": manifest["n_samples"],
-        "n_train": len(train_samples),
-        "n_test": len(test_samples),
+        "n_train": len(train_table),
+        "n_test": len(test_table),
         "train_config": {
             "batch_size": train_cfg.batch_size,
             "learning_rate": train_cfg.learning_rate,

@@ -1,11 +1,14 @@
 """Shared fixtures: one small generated dataset reused by pipeline/CLI tests,
-and a way to pretend the process may run on a given number of CPUs."""
+ways to hold generated samples and their feature table in memory, and a way
+to pretend the process may run on a given number of CPUs."""
 
 import os
 
+import numpy as np
 import pytest
 
-from risblock.dataset import GeneratorConfig, generate_dataset
+from risblock.dataset import (FeatureTable, GeneratorConfig, generate_dataset,
+                              image_columns, save_dataset)
 
 # A small surface and sample count keep the shared dataset cheap to build
 # while preserving all three classes and the rate separations tests rely on.
@@ -13,12 +16,41 @@ SMALL_GEN = GeneratorConfig(n_samples=140, n_ris_elements=64)
 SMALL_SEED = 11
 
 
+def generated(cfg, seed, n_samples=None):
+    """Every sample generate_dataset makes, as one list."""
+    return [s for part in generate_dataset(cfg, seed, n_samples) for s in part]
+
+
+def table_of(samples):
+    """The FeatureTable of in-memory samples, built by the loader's row
+    builder from their images."""
+    dims = samples[0].image.shape
+    pooled, visible = image_columns((s.image[None] for s in samples),
+                                    len(samples), dims)
+    return FeatureTable(pooled=pooled, visible=visible,
+                        direct_rate=np.array([s.direct_rate for s in samples],
+                                             dtype=np.float64),
+                        ris_rate=np.array([s.ris_rate for s in samples],
+                                          dtype=np.float64),
+                        label=np.array([int(s.label) for s in samples]),
+                        image_dims=dims)
+
+
 @pytest.fixture(scope="session")
-def small_dataset():
-    samples, manifest = generate_dataset(SMALL_GEN, SMALL_SEED)
+def small_dataset(tmp_path_factory):
+    """(samples, manifest) of SMALL_GEN at SMALL_SEED; the manifest is the
+    one save_dataset wrote for them."""
+    samples = generated(SMALL_GEN, SMALL_SEED)
     labels = {int(s.label) for s in samples}
     assert labels == {-1, 0, 1}, "fixture dataset must contain all three classes"
+    manifest = save_dataset(tmp_path_factory.mktemp("small_dataset"),
+                            [samples], SMALL_GEN, SMALL_SEED)
     return samples, manifest
+
+
+@pytest.fixture(scope="session")
+def small_table(small_dataset):
+    return table_of(small_dataset[0])
 
 
 def allow_cpus(monkeypatch, count):

@@ -19,11 +19,12 @@ from risblock.channel import (ArrayGeometry, MultipathComponent,
                               co_phase_ris, data_rate, doppler_spread,
                               effective_gain)
 from risblock.cli import main
-from risblock.dataset import GeneratorConfig, generate_dataset
+from conftest import generated, table_of
+from risblock.dataset import GeneratorConfig
 from risblock.learn import (TrainConfig, cross_entropy, grad_check,
                             init_params, lr_schedule, softmax, train)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
-                               build_features, labels_of, run_experiment)
+                               build_features, run_experiment)
 from risblock.scene import Blocker, LinkStatus, Scene, render_image
 
 
@@ -260,10 +261,10 @@ def test_determinism(tmp_path):
 
 
 def test_overfit_sanity():
-    samples, _ = generate_dataset(GeneratorConfig(n_samples=1,
-                                                  n_ris_elements=32), seed=2)
-    features = build_features(samples, Scenario.BOTH)
-    labels = labels_of(samples)
+    table = table_of(generated(GeneratorConfig(n_samples=1, n_ris_elements=32),
+                               seed=2))
+    features = build_features(table, Scenario.BOTH)
+    labels = table.label
     cfg = TrainConfig(learning_rate=0.5, weight_decay=0.0, batch_size=1)
     _, history = train(features, labels, cfg)
     final_loss = history[-1][3]

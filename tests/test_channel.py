@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from risblock.channel import (ArrayGeometry, MultipathComponent,
@@ -523,3 +525,69 @@ def test_data_rate_rejects_bad_inputs():
         data_rate(np.array([1.0 + 0j]), -1.0)
     with pytest.raises(ValueError):
         data_rate(np.array([np.inf + 0j]), 1.0)
+
+
+# ---------------------------------------------------------------- properties
+#
+# Single-antenna links (M = 1) with 1 to 64 surface elements. Each channel
+# entry is a magnitude, zero or within six decades, at any phase.
+
+_MAGNITUDE = st.just(0.0) | st.floats(1e-3, 1e3)
+_PHASE = st.floats(-math.pi, math.pi)
+
+
+def _entries(count):
+    return st.builds(lambda m, p: np.asarray(m) * np.exp(1j * np.asarray(p)),
+                     arrays(np.float64, count, elements=_MAGNITUDE),
+                     arrays(np.float64, count, elements=_PHASE))
+
+
+@st.composite
+def _single_antenna_link(draw):
+    r = draw(st.integers(1, 64))
+    return (draw(_entries(1)), draw(_entries(r)), draw(_entries(r))[:, None])
+
+
+def _rate(link, phases, snr):
+    h_b, h_u, h_r = link
+    surface = RisConfig(amplitudes=np.ones(h_u.shape[0]), phases=phases)
+    return data_rate(effective_gain(h_b, h_u, surface, h_r), snr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(link=_single_antenna_link(), snr=st.floats(1e-3, 1e10),
+       phase_seed=st.integers(0, 2 ** 32 - 1))
+def test_co_phased_rate_beats_random_and_quantized_phases(link, snr,
+                                                          phase_seed):
+    h_b, h_u, h_r = link
+    aligned = co_phase_ris(h_b, h_r, h_u).phases
+    best = _rate(link, aligned, snr)
+    rng = np.random.default_rng(phase_seed)
+    rivals = {"random": rng.uniform(0.0, TWO_PI, h_u.shape[0])}
+    for bits in (1, 2):
+        levels = 2 ** bits
+        nearest = np.mod(np.round(aligned * levels / TWO_PI), levels)
+        rivals[f"{bits}-bit"] = nearest * TWO_PI / levels
+    for name, phases in rivals.items():
+        rival = _rate(link, phases, snr)
+        assert best >= rival * (1 - 1e-12), f"{name} phases won: {rival} > {best}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(link=_single_antenna_link())
+def test_co_phased_gain_is_the_sum_of_magnitudes(link):
+    h_b, h_u, h_r = link
+    gain = effective_gain(h_b, h_u, co_phase_ris(h_b, h_r, h_u), h_r)
+    want = abs(h_b[0]) + math.fsum(abs(u) * abs(r)
+                                   for u, r in zip(h_u, h_r[:, 0]))
+    assert math.isclose(abs(gain[0]), want, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(link=_single_antenna_link(),
+       snrs=st.lists(st.floats(0.0, 1e12), min_size=2, max_size=8))
+def test_data_rate_does_not_fall_as_snr_grows(link, snrs):
+    h_b, h_u, _ = link
+    for h in (h_b, h_u):
+        rates = [data_rate(h, snr) for snr in sorted(snrs)]
+        assert rates == sorted(rates)

@@ -16,7 +16,7 @@ import pytest
 
 import risblock
 from conftest import allow_cpus
-from risblock import pipeline
+from risblock import dataset, pipeline
 from risblock.cli import main
 from risblock.dataset import GeneratorConfig, generate_dataset, save_dataset
 from risblock.pipeline import EXPERIMENT_TRAIN_CONFIG, Scenario, run_experiment
@@ -86,6 +86,72 @@ def test_generate_rejects_images_the_pooled_grid_cannot_divide(tmp_path,
     assert "image (40, 64, 3) not divisible into (16, 16)" in \
         capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_reports_each_written_range(tmp_path, monkeypatch, capsys,
+                                             cpus):
+    allow_cpus(monkeypatch, cpus)
+    out = tmp_path / "d"
+    assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
+                 "--config", str(_small_surface(tmp_path))]) == 0
+    captured = capsys.readouterr()
+    # 8 ranges a CPU: ranges of 5 samples on one CPU, of 3 on two
+    size = 5 if cpus == 1 else 3
+    counts = list(range(size, 37, size)) + [37]
+    assert captured.err.splitlines() == [f"{k}/37 samples written"
+                                         for k in counts]
+    files = {name: (out / name).read_bytes() for name in
+             ("manifest.json", "images.bin", "features.csv")}
+    # progress goes to stderr only: stdout and the files are those of a
+    # run on the other CPU count
+    allow_cpus(monkeypatch, 3 - cpus)
+    other = tmp_path / "other"
+    assert main(["generate", "--n", "37", "--seed", "4", "--out", str(other),
+                 "--config", str(_small_surface(tmp_path))]) == 0
+    assert capsys.readouterr().out == captured.out.replace(str(out),
+                                                           str(other))
+    assert files == {name: (other / name).read_bytes() for name in files}
+
+
+def _small_surface(directory):
+    config = directory / "small_surface.ini"
+    config.write_text("[generator]\nn_ris_elements = 16\n", encoding="ascii")
+    return config
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
+                                                        capsys, cpus):
+    allow_cpus(monkeypatch, cpus)
+    serial = dataset.generate_sample
+
+    def failing(cfg, seed, index):
+        if index == 23:
+            raise ValueError("sample 23 could not be generated")
+        return serial(cfg, seed, index)
+
+    monkeypatch.setattr(dataset, "generate_sample", failing)
+    out = tmp_path / "d"
+    assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
+                 "--config", str(_small_surface(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert "sample 23 could not be generated" in captured.err
+    assert "samples written" in captured.err  # ranges before 23 were written
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+    # an existing output directory stays, without a file left in it
+    out.mkdir()
+    assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
+                 "--config", str(_small_surface(tmp_path))]) == 1
+    assert list(out.iterdir()) == []
+
+    with pytest.raises(ValueError, match="sample 23 could not be generated"):
+        run_experiment(GeneratorConfig(n_samples=37, n_ris_elements=16),
+                       EXPERIMENT_TRAIN_CONFIG, 4, tmp_path / "experiment")
+    assert not (tmp_path / "experiment").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- config
@@ -227,7 +293,7 @@ def test_train_checks_the_pooled_grid_before_training(tmp_path, capsys):
     dataset = tmp_path / "dataset"
     cfg = GeneratorConfig(n_samples=20, n_ris_elements=16,
                           image_dims=(40, 64, 3))
-    save_dataset(dataset, *generate_dataset(cfg, 5))
+    save_dataset(dataset, generate_dataset(cfg, 5), cfg, 5)
     code = main(["train", "--dataset", str(dataset), "--seed", "5",
                  "--out", str(tmp_path / "models")])
     assert code == 2

@@ -1,21 +1,27 @@
-"""Dataset generation: determinism, file formats, hash checking, invariants."""
+"""Dataset generation: determinism, file formats, hash checking, invariants,
+the feature table the loader builds, and the memory that generating and
+loading take."""
 
 import json
 import multiprocessing
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SMALL_GEN, SMALL_SEED, allow_cpus
+from conftest import (SMALL_GEN, SMALL_SEED, allow_cpus, generated,
+                      table_of)
 from oracles import reference_content_hash, reference_images_bytes
 from risblock import dataset
+from risblock.cli import main
 from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
                               GeneratorConfig, build_manifest,
-                              generate_dataset, generate_sample, load_dataset,
+                              detect_visible_ue, generate_dataset,
+                              generate_sample, load_dataset, pool_image,
                               sample_rng, save_dataset)
 from risblock.scene import LinkStatus
 
@@ -94,12 +100,17 @@ def test_class_frequencies_are_balanced(small_dataset):
         assert 0.15 <= count / n <= 0.55, f"class {key} frequency off"
 
 
-def test_manifest_is_reproducible():
+def test_manifest_is_reproducible(tmp_path):
     cfg = GeneratorConfig(n_samples=6, n_ris_elements=16)
-    _, first = generate_dataset(cfg, 123)
-    _, second = generate_dataset(cfg, 123)
+
+    def manifest(seed, name):
+        return save_dataset(tmp_path / name, generate_dataset(cfg, seed), cfg,
+                            seed)
+
+    first = manifest(123, "first")
+    second = manifest(123, "second")
     assert first == second
-    _, other_seed = generate_dataset(cfg, 124)
+    other_seed = manifest(124, "other")
     assert other_seed["content_hash"] != first["content_hash"]
 
 
@@ -120,26 +131,38 @@ def test_manifest_records_the_generation(small_dataset):
 
 def test_save_load_roundtrip(tmp_path, small_dataset):
     samples, manifest = small_dataset
-    save_dataset(tmp_path, samples, manifest)
+    assert save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED) == manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME])
     h, w, c = SMALL_GEN.image_dims
     expected = len(samples) * h * w * c * 4
     assert (tmp_path / "images.bin").stat().st_size == expected
+    assert (tmp_path / "images.bin").read_bytes() == \
+        reference_images_bytes(samples)
     header = (tmp_path / "features.csv").read_text("ascii").splitlines()[0]
     assert header == "index,direct_rate,ris_rate,label"
 
+    # the manifest carries each sample's label and location index
     loaded, loaded_manifest = load_dataset(tmp_path)
     assert loaded_manifest == manifest
-    for a, b in zip(samples, loaded):
-        assert a.image.tobytes() == b.image.tobytes()
-        assert a.direct_rate == b.direct_rate  # repr() round-trips exactly
-        assert a.ris_rate == b.ris_rate
-        assert a.label == b.label
-        assert a.location_index == b.location_index
+    assert len(loaded) == len(samples)
+    assert loaded.image_dims == SMALL_GEN.image_dims
+    for i, s in enumerate(samples):
+        assert loaded.pooled[i].tobytes() == pool_image(s.image).tobytes()
+        assert loaded.visible[i] == detect_visible_ue(s.image)
+        assert loaded.direct_rate[i] == s.direct_rate  # repr() round-trips
+        assert loaded.ris_rate[i] == s.ris_rate
+        assert loaded.label[i] == int(s.label)
+    # the loader reads images.bin in chunks; the rows do not depend on it
+    in_memory = table_of(samples)
+    for column in ("pooled", "visible", "direct_rate", "ris_rate", "label"):
+        assert getattr(loaded, column).tobytes() == \
+            getattr(in_memory, column).tobytes(), column
 
 
 def test_corrupted_files_are_refused(tmp_path, small_dataset):
-    samples, manifest = small_dataset
-    save_dataset(tmp_path, samples, manifest)
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
     blob = bytearray((tmp_path / "images.bin").read_bytes())
     blob[100] ^= 0xFF
     (tmp_path / "images.bin").write_bytes(bytes(blob))
@@ -152,8 +175,8 @@ def test_corrupted_files_are_refused(tmp_path, small_dataset):
 
 def test_build_manifest_counts_labels():
     cfg = GeneratorConfig(n_samples=4, n_ris_elements=16)
-    samples, _ = generate_dataset(cfg, 3)
-    manifest = build_manifest(cfg, 3, samples)
+    samples = generated(cfg, 3)
+    manifest = build_manifest(cfg, 3, samples, "sha256:0")
     want = {str(v): sum(1 for s in samples if int(s.label) == v)
             for v in (-1, 0, 1)}
     assert manifest["class_counts"] == want
@@ -161,18 +184,18 @@ def test_build_manifest_counts_labels():
 
 def test_saved_manifest_is_stable_json(tmp_path, small_dataset):
     samples, manifest = small_dataset
-    save_dataset(tmp_path, samples, manifest)
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
     text = (tmp_path / "manifest.json").read_text("ascii")
     assert text.endswith("\n")
     assert json.loads(text) == manifest
     before = text
-    save_dataset(tmp_path, samples, manifest)
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
     assert (tmp_path / "manifest.json").read_text("ascii") == before
 
 
 def test_str_paths_are_accepted(tmp_path, small_dataset):
     samples, manifest = small_dataset
-    save_dataset(str(tmp_path / "ds"), samples, manifest)
+    save_dataset(str(tmp_path / "ds"), [samples], SMALL_GEN, SMALL_SEED)
     loaded, loaded_manifest = load_dataset(str(tmp_path / "ds"))
     assert loaded_manifest == manifest
     assert len(loaded) == len(samples)
@@ -186,16 +209,16 @@ def _edit_manifest(directory, edit):
 
 
 def test_short_sample_table_is_refused(tmp_path, small_dataset):
-    samples, manifest = small_dataset
-    save_dataset(tmp_path, samples, manifest)
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m.update(samples=m["samples"][:4]))
     with pytest.raises(ValueError, match="manifest lists 4 samples"):
         load_dataset(tmp_path)
 
 
 def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
-    samples, manifest = small_dataset
-    save_dataset(tmp_path, samples, manifest)
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m["samples"][3].update(label=9))
     with pytest.raises(ValueError, match="sample 3: manifest label 9"):
         load_dataset(tmp_path)
@@ -215,8 +238,10 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
         allow_cpus(monkeypatch, cpus)
         if cpus == 2:
             monkeypatch.setattr(dataset, "generate_sample", in_a_worker)
-        samples, manifest = generate_dataset(RANGED_GEN, 9)
-        save_dataset(tmp_path / str(cpus), samples, manifest)
+        ranges = list(generate_dataset(RANGED_GEN, 9))
+        assert len(ranges) > 1
+        samples = [s for part in ranges for s in part]
+        manifest = save_dataset(tmp_path / str(cpus), ranges, RANGED_GEN, 9)
         written[cpus] = {name: (tmp_path / str(cpus) / name).read_bytes()
                          for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
         assert written[cpus][IMAGES_NAME] == reference_images_bytes(samples)
@@ -226,7 +251,7 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_failing_sample_fails_the_dataset(monkeypatch, cpus):
+def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
     allow_cpus(monkeypatch, cpus)
     serial = dataset.generate_sample
 
@@ -237,7 +262,13 @@ def test_a_failing_sample_fails_the_dataset(monkeypatch, cpus):
 
     monkeypatch.setattr(dataset, "generate_sample", failing)
     with pytest.raises(ValueError, match="sample 23 could not be generated"):
-        generate_dataset(RANGED_GEN, 9)
+        list(generate_dataset(RANGED_GEN, 9))
+    assert multiprocessing.active_children() == []
+    # the ranges before sample 23 were written, but no file is left
+    with pytest.raises(ValueError, match="sample 23 could not be generated"):
+        save_dataset(tmp_path / "d", generate_dataset(RANGED_GEN, 9),
+                     RANGED_GEN, 9)
+    assert not (tmp_path / "d").exists()
     assert multiprocessing.active_children() == []
 
 
@@ -246,9 +277,14 @@ def tiny_files(tmp_path_factory):
     """name -> bytes of a saved 4-sample dataset with 8 x 8 images."""
     cfg = GeneratorConfig(n_samples=4, n_ris_elements=16, image_dims=(8, 8, 3))
     directory = tmp_path_factory.mktemp("tiny")
-    save_dataset(directory, *generate_dataset(cfg, 2))
+    save_dataset(directory, generate_dataset(cfg, 2), cfg, 2)
     return {name: (directory / name).read_bytes()
             for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
+
+
+def _write_files(directory, files):
+    for name, content in files.items():
+        (directory / name).write_bytes(content)
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,8 +299,86 @@ def test_any_flipped_byte_or_truncation_is_refused(tiny_files, name, truncate,
         position = data.draw(st.integers(0, len(blob) - 1), label="position")
         blob[position] ^= data.draw(st.integers(1, 255), label="mask")
     with tempfile.TemporaryDirectory() as directory:
-        for file_name, content in tiny_files.items():
-            edited = bytes(blob) if file_name == name else content
-            (Path(directory) / file_name).write_bytes(edited)
+        _write_files(Path(directory), dict(tiny_files, **{name: bytes(blob)}))
         with pytest.raises(ValueError):
             load_dataset(directory, verify=True)
+        if truncate:  # the files' lengths are checked without the hash
+            with pytest.raises(ValueError):
+                load_dataset(directory, verify=False)
+
+
+def test_a_dataset_the_grid_cannot_divide_loads_without_a_pooled_block(
+        tmp_path, tiny_files):
+    _write_files(tmp_path, tiny_files)
+    table, manifest = load_dataset(tmp_path)
+    assert len(table) == manifest["n_samples"] == 4
+    assert table.image_dims == (8, 8, 3)
+    assert table.pooled is None
+    assert table.visible.shape == (4,)
+    assert table.take(np.array([2, 0])).pooled is None
+
+
+# a whole extra image, one byte short, and an extra features.csv row; none
+# changes the manifest, so the hash is not what catches them
+@pytest.mark.parametrize("name, edit, message", [
+    (IMAGES_NAME, lambda blob: blob + blob[:192 * 4], "holds 3840 bytes"),
+    (IMAGES_NAME, lambda blob: blob[:-1], "holds 3071 bytes"),
+    (FEATURES_NAME, lambda blob: blob + b"4,1.0,2.0,0\n",
+     "features.csv has 5 rows, manifest says 4"),
+], ids=("long_images", "short_images", "extra_row"))
+def test_file_sizes_are_checked_without_verify(tmp_path, tiny_files, name,
+                                               edit, message):
+    _write_files(tmp_path, dict(tiny_files, **{name: edit(tiny_files[name])}))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(tmp_path, verify=False)
+
+
+# ---------------------------------------------------------------- memory
+#
+# Neither generating nor loading may hold a dataset's images: tracemalloc,
+# which numpy reports its buffers to, must see a peak under a quarter of
+# images.bin.
+
+MEMORY_GEN = GeneratorConfig(n_samples=400, n_ris_elements=64)
+
+
+def _traced_peak(function, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_dataset(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("memory")
+    save_dataset(directory, generate_dataset(MEMORY_GEN, 1), MEMORY_GEN, 1)
+    return directory
+
+
+def test_load_dataset_holds_no_dataset_of_images(memory_dataset):
+    size = (memory_dataset / IMAGES_NAME).stat().st_size
+    assert size == 400 * 64 * 64 * 3 * 4
+    (table, _), peak = _traced_peak(load_dataset, memory_dataset)
+    assert len(table) == 400
+    assert peak < size / 4, f"load traced {peak} bytes for {size} of images"
+
+
+def test_generate_holds_no_dataset_of_images(memory_dataset, tmp_path,
+                                             monkeypatch, capsys):
+    allow_cpus(monkeypatch, 1)
+    config = tmp_path / "memory.ini"
+    config.write_text("[generator]\nn_ris_elements = 64\n", encoding="ascii")
+    out = tmp_path / "dataset"
+    code, peak = _traced_peak(main, ["generate", "--config", str(config),
+                                     "--n", "400", "--seed", "1",
+                                     "--out", str(out)])
+    assert code == 0
+    size = (out / IMAGES_NAME).stat().st_size
+    assert peak < size / 4, f"generate traced {peak} bytes for {size} of images"
+    # the manifests differ only in the config's n_samples, which --n overrides
+    for name in (IMAGES_NAME, FEATURES_NAME):
+        assert (out / name).read_bytes() == (memory_dataset / name).read_bytes()

@@ -15,7 +15,7 @@ from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             load_model, lr_schedule, save_model, sgd_step,
                             softmax, train)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
-                               build_features, labels_of, split_dataset)
+                               build_features, split_dataset)
 
 
 def _zeros_params(d_img=2, hidden=2, classes=3):
@@ -362,18 +362,17 @@ ORACLE_CONFIGS = (
 )
 
 
-def _scenario_training_set(small_dataset, scenario):
-    samples, _ = small_dataset
-    train_samples, _ = split_dataset(samples, 0.7, SMALL_SEED)
-    raw = build_features(train_samples, scenario)
-    return fit_standardization(raw).apply(raw), labels_of(train_samples)
+def _scenario_training_set(small_table, scenario):
+    train_table, _ = split_dataset(small_table, 0.7, SMALL_SEED)
+    raw = build_features(train_table, scenario)
+    return fit_standardization(raw).apply(raw), train_table.label
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=("experiment", "ragged"))
 @pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.CAMERA_ONLY),
                          ids=("zero_image_block", "dense_image_block"))
-def test_train_matches_the_three_pass_reference(small_dataset, scenario, cfg):
-    features, labels = _scenario_training_set(small_dataset, scenario)
+def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
+    features, labels = _scenario_training_set(small_table, scenario)
     assert features[:, :-1].any() == (scenario is Scenario.CAMERA_ONLY)
     params, history = train(features, labels, cfg)
     want_params, want_history = oracles.reference_train(features, labels, cfg)

@@ -8,19 +8,20 @@ import types
 import numpy as np
 import pytest
 
-from conftest import SMALL_GEN
-from risblock.dataset import GeneratorConfig
+from conftest import SMALL_GEN, table_of
+from risblock.dataset import (GeneratorConfig, detect_visible_ue, pool_image,
+                              pooled_feature_count)
 from risblock.learn import TrainConfig
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
                                build_features, calibrate_rate_threshold,
-                               cascade_predict, detect_visible_ue,
-                               evaluate_scenario, labels_of, pool_image,
-                               pooled_feature_count, predict_scenario,
-                               report_to_dict, run_experiment, split_dataset,
-                               train_scenario, write_report_files)
+                               cascade_predict, evaluate_scenario,
+                               predict_scenario, report_to_dict,
+                               run_experiment, split_dataset, train_scenario,
+                               write_report_files)
 from risblock.scene import LinkStatus
 
 FAST_TRAIN = TrainConfig(learning_rate=0.2, epochs=2)
+NO_ROWS = np.array([], dtype=np.int64)
 
 
 def _fake_sample(image, direct_rate=1.0, ris_rate=2.0, label=0):
@@ -44,6 +45,17 @@ def test_pool_image_averages_each_block():
     np.testing.assert_allclose(pooled, 1.0 / 16.0, rtol=1e-12)
 
 
+def test_pool_image_pools_a_stack_like_each_image():
+    rng = np.random.default_rng(5)
+    stack = rng.random((5, 64, 32, 3)).astype(np.float32)
+    pooled = pool_image(stack)
+    assert pooled.shape == (5, 16, 16, 3) and pooled.dtype == np.float64
+    for image, block in zip(stack, pooled):
+        assert block.tobytes() == pool_image(image).tobytes()
+        want = image.astype(np.float64).reshape(16, 4, 16, 2, 3).mean(axis=(1, 3))
+        assert block.tobytes() == want.tobytes()
+
+
 def test_pool_image_rejects_indivisible_shapes():
     with pytest.raises(ValueError):
         pool_image(np.zeros((20, 64, 3)))
@@ -60,58 +72,75 @@ def test_pooled_feature_count():
 def test_build_features_masks_per_scenario():
     image = np.zeros((64, 64, 3), dtype=np.float32)
     image[0, 0, 0] = 16.0  # pools to 1.0 in the first feature
-    samples = [_fake_sample(image, direct_rate=3.0, ris_rate=7.0)]
+    table = table_of([_fake_sample(image, direct_rate=3.0, ris_rate=7.0)])
 
-    none = build_features(samples, Scenario.NONE)
+    none = build_features(table, Scenario.NONE)
     assert none.shape == (1, 769)
     np.testing.assert_array_equal(none[0, :-1], np.zeros(768))
     assert none[0, -1] == 3.0
 
-    camera = build_features(samples, Scenario.CAMERA_ONLY)
+    camera = build_features(table, Scenario.CAMERA_ONLY)
     assert camera[0, 0] == 1.0
     assert camera[0, -1] == 0.0
 
-    ris = build_features(samples, Scenario.RIS_ONLY)
+    ris = build_features(table, Scenario.RIS_ONLY)
     np.testing.assert_array_equal(ris[0, :-1], np.zeros(768))
     assert ris[0, -1] == 7.0
 
-    both = build_features(samples, Scenario.BOTH)
+    both = build_features(table, Scenario.BOTH)
     assert both[0, 0] == 1.0
     assert both[0, -1] == 7.0
 
     with pytest.raises(ValueError):
-        build_features([], Scenario.NONE)
+        build_features(table.take(NO_ROWS), Scenario.NONE)
 
 
-def test_labels_of_extracts_ints():
-    samples = [_fake_sample(np.zeros((64, 64, 3)), label=LinkStatus.ABSENT),
-               _fake_sample(np.zeros((64, 64, 3)), label=LinkStatus.BLOCKED)]
-    np.testing.assert_array_equal(labels_of(samples), [-1, 1])
+def test_table_labels_are_ints():
+    table = table_of(
+        [_fake_sample(np.zeros((64, 64, 3)), label=LinkStatus.ABSENT),
+         _fake_sample(np.zeros((64, 64, 3)), label=LinkStatus.BLOCKED)])
+    assert table.label.dtype.kind == "i"
+    np.testing.assert_array_equal(table.label, [-1, 1])
 
 
 # ---------------------------------------------------------------- split
 
 
+# split_dataset takes rows with take(); a row-number array stands in for a
+# table, so each side shows which rows it holds and in what order
+
+
 def test_split_sizes_and_partition():
-    samples = list(range(10))
-    train, test = split_dataset(samples, train_fraction=0.7, seed=3)
+    rows = np.arange(10)
+    train, test = split_dataset(rows, train_fraction=0.7, seed=3)
     assert len(train) == 7 and len(test) == 3
-    assert sorted(train + test) == samples
+    assert sorted(np.concatenate([train, test]).tolist()) == rows.tolist()
 
 
 def test_split_is_deterministic_and_shuffled():
-    samples = list(range(50))
-    first = split_dataset(samples, seed=9)
-    second = split_dataset(samples, seed=9)
+    rows = np.arange(50)
+    first = [side.tolist() for side in split_dataset(rows, seed=9)]
+    second = [side.tolist() for side in split_dataset(rows, seed=9)]
     assert first == second
-    other = split_dataset(samples, seed=10)
+    other = [side.tolist() for side in split_dataset(rows, seed=10)]
     assert other != first
-    assert first[0] != samples[:35]  # the cut is over a shuffle, not the prefix
+    assert first[0] != rows[:35].tolist()  # the cut is over a shuffle
 
 
 def test_split_keeps_both_sides_non_empty():
-    train, test = split_dataset(list(range(5)), train_fraction=0.1, seed=0)
+    train, test = split_dataset(np.arange(5), train_fraction=0.1, seed=0)
     assert len(train) == 1 and len(test) == 4
+
+
+def test_split_takes_table_rows_in_permutation_order(small_table):
+    rows = np.arange(len(small_table))
+    train_rows, test_rows = split_dataset(rows, seed=4)
+    train, test = split_dataset(small_table, seed=4)
+    for side, taken in ((train, train_rows), (test, test_rows)):
+        assert side.pooled.tobytes() == small_table.pooled[taken].tobytes()
+        for column in ("visible", "direct_rate", "ris_rate", "label"):
+            np.testing.assert_array_equal(getattr(side, column),
+                                          getattr(small_table, column)[taken])
 
 
 def test_split_validates_arguments():
@@ -176,33 +205,35 @@ def test_cascade_routes_through_both_stages():
     marked = clear.copy()
     marked[5, 5, 2] = 1.0
     threshold = 1.0
-    assert cascade_predict(_fake_sample(marked, ris_rate=0.0),
-                           threshold) is LinkStatus.UNBLOCKED
-    assert cascade_predict(_fake_sample(clear, ris_rate=2.0),
-                           threshold) is LinkStatus.BLOCKED
-    assert cascade_predict(_fake_sample(clear, ris_rate=0.5),
-                           threshold) is LinkStatus.ABSENT
-    # ties go to blocked: the cut is a >= comparison
-    assert cascade_predict(_fake_sample(clear, ris_rate=1.0),
-                           threshold) is LinkStatus.BLOCKED
+    table = table_of([_fake_sample(marked, ris_rate=0.0),
+                      _fake_sample(clear, ris_rate=2.0),
+                      _fake_sample(clear, ris_rate=0.5),
+                      # ties go to blocked: the cut is a >= comparison
+                      _fake_sample(clear, ris_rate=1.0)])
+    np.testing.assert_array_equal(
+        cascade_predict(table, threshold),
+        [LinkStatus.UNBLOCKED, LinkStatus.BLOCKED, LinkStatus.ABSENT,
+         LinkStatus.BLOCKED])
 
 
 def test_cascade_never_sees_ue_in_empty_channel():
     rng = np.random.default_rng(13)
+    samples = []
     for _ in range(50):
         image = rng.random((64, 64, 3)).astype(np.float32)
         image[:, :, 2] = 0.5 * rng.random((64, 64))  # never above the cut
-        sample = _fake_sample(image, ris_rate=float(rng.random() * 5))
-        assert cascade_predict(sample, 2.5) is not LinkStatus.UNBLOCKED
+        samples.append(_fake_sample(image, ris_rate=float(rng.random() * 5)))
+    predicted = cascade_predict(table_of(samples), 2.5)
+    assert predicted.shape == (50,)
+    assert not np.any(predicted == LinkStatus.UNBLOCKED)
 
 
 # ---------------------------------------------------------------- scenarios
 
 
 @pytest.fixture(scope="module")
-def trained_both(small_dataset):
-    samples, _ = small_dataset
-    train, test = split_dataset(samples, seed=1)
+def trained_both(small_table):
+    train, test = split_dataset(small_table, seed=1)
     model = train_scenario(train, Scenario.BOTH, FAST_TRAIN)
     return train, test, model
 
@@ -225,7 +256,7 @@ def test_evaluate_scenario_counts_consistently(trained_both):
     assert confusion.shape == (3, 3)
     assert confusion.sum() == len(test)
     assert report.accuracy == float(np.trace(confusion) / confusion.sum())
-    true = labels_of(test)
+    true = test.label
     row_totals = [int(np.sum(true == label)) for label in (-1, 0, 1)]
     np.testing.assert_array_equal(confusion.sum(axis=1), row_totals)
     assert report.curve == tuple((it, acc)
@@ -235,15 +266,15 @@ def test_evaluate_scenario_counts_consistently(trained_both):
 def test_evaluate_scenario_validates(trained_both):
     _, test, model = trained_both
     with pytest.raises(ValueError):
-        evaluate_scenario([], Scenario.BOTH, model)
+        evaluate_scenario(test.take(NO_ROWS), Scenario.BOTH, model)
     with pytest.raises(ValueError):
         evaluate_scenario(test, Scenario.NONE, model)
 
 
 def test_cascade_is_exact_on_absent_only_test(trained_both):
     _, test, model = trained_both
-    absent = [s for s in test if s.label == LinkStatus.ABSENT]
-    assert absent, "fixture split left no absent samples in the test set"
+    absent = test.take(np.flatnonzero(test.label == LinkStatus.ABSENT))
+    assert len(absent), "fixture split left no absent samples in the test set"
     report = evaluate_scenario(absent, Scenario.BOTH, model)
     assert report.accuracy == 1.0
 

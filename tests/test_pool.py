@@ -1,5 +1,7 @@
 """The process pool that generation and training share."""
 
+import multiprocessing
+
 import pytest
 
 from conftest import allow_cpus
@@ -19,5 +21,15 @@ def test_workers_take_their_share_of_blas_threads(monkeypatch, cpus):
     # two items, so two workers: each may use cpus // 2 threads, and never
     # more than the caller had
     share = [min(count, cpus // 2) for count in before]
-    assert fork_map(lambda _: _blas_threads(), range(2)) == [share, share]
+    assert list(fork_map(lambda _: _blas_threads(), range(2))) == [share, share]
     assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_results_come_in_order_and_closing_stops_the_pool(monkeypatch, cpus):
+    allow_cpus(monkeypatch, cpus)
+    assert list(fork_map(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+    results = fork_map(lambda x: x + 1, range(40))
+    assert next(results) == 1
+    results.close()
+    assert multiprocessing.active_children() == []
