@@ -217,7 +217,9 @@ def accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols):
     out = np.zeros((n_rows, n_cols), dtype=np.complex128)
     rows = np.arange(n_rows)
     cols = np.arange(n_cols)
-    # Path-by-path accumulation: this order fixes the output bytes.
+    # Path-by-path accumulation: this order fixes the output bytes, and so
+    # does the operand order coeffs[k] * ramps (in numpy 2.4, c * b and
+    # b * c differ in their bytes for a complex scalar c).
     for k in range(coeffs.shape[0]):
         row_ramp = np.exp(1j * row_rates[k] * rows)
         col_ramp = np.exp(1j * col_rates[k] * cols)

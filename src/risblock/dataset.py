@@ -150,17 +150,24 @@ def generate_sample(cfg, seed, index):
 
     prop = cfg.propagation()
     geom = cfg.geometry()
-    paths = synthesize_mpcs(scene, ue, status, prop, cfg.n_paths_direct,
-                            cfg.n_paths_hop, cfg.n_paths_surface, rng)
-    h_direct = channel_bs_ue(paths.bs_ue, prop, geom)
-    h_hop = channel_bs_ris(paths.bs_ris, prop, geom,
-                           departures=paths.bs_ris_departures)
-    h_surface = channel_ris_ue(paths.ris_ue, prop, geom)
+    if status == LinkStatus.ABSENT:
+        # No terminal: both channels to it are zero vectors, so the direct and
+        # the co-phased gain are 0 for any station->surface channel and both
+        # rates are log1p(0) = 0.0. Nothing below draws from rng, so skipping
+        # the paths leaves the image unchanged.
+        direct_rate = ris_rate = 0.0
+    else:
+        paths = synthesize_mpcs(scene, ue, status, prop, cfg.n_paths_direct,
+                                cfg.n_paths_hop, cfg.n_paths_surface, rng)
+        h_direct = channel_bs_ue(paths.bs_ue, prop, geom)
+        h_hop = channel_bs_ris(paths.bs_ris, prop, geom,
+                               departures=paths.bs_ris_departures)
+        h_surface = channel_ris_ue(paths.ris_ue, prop, geom)
 
-    direct_rate = data_rate(h_direct, prop.snr_linear)
-    surface = co_phase_ris(h_direct, h_hop, h_surface)
-    gain = effective_gain(h_direct, h_surface, surface, h_hop)
-    ris_rate = data_rate(gain, prop.snr_linear)
+        direct_rate = data_rate(h_direct, prop.snr_linear)
+        surface = co_phase_ris(h_direct, h_hop, h_surface)
+        gain = effective_gain(h_direct, h_surface, surface, h_hop)
+        ris_rate = data_rate(gain, prop.snr_linear)
 
     image = render_image(scene, ue, status, cfg.image_dims)
     return Sample(image=image, direct_rate=direct_rate, ris_rate=ris_rate,

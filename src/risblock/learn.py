@@ -292,6 +292,12 @@ def train(features, labels, cfg, params=None):
     x_img @ w1 and x_img.T @ dhidden product is exactly 0.0. The passes then
     run on the rate column with a zero-width w1 and w1 moves by its weight
     decay alone: the same values without the image-block matmuls.
+
+    The accuracy pass reads only the live image columns, those with a nonzero
+    value, and their rows of w1. Its logits may differ from the full-width
+    pass in the last bits, since BLAS sums fewer terms in another order, but
+    only their argmax is recorded. The SGD passes stay full width: they fix
+    the model bytes.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -305,9 +311,11 @@ def train(features, labels, cfg, params=None):
         params = init_params(features.shape[1] - 1, rng)
 
     x_img, _ = _split_features(params, features)
-    image_is_zero = not x_img.any()
+    live = x_img.any(axis=0)
+    live_features = features[:, np.append(live, True)]
+    image_is_zero = not live.any()
     if image_is_zero:
-        features = features[:, params.n_image_features:]
+        features = live_features
     net = _without_image_block(params) if image_is_zero else params
 
     n = features.shape[0]
@@ -330,7 +338,8 @@ def train(features, labels, cfg, params=None):
             net = _without_image_block(params) if image_is_zero else params
             iteration += 1
             history.append((iteration, epoch, lr, batch_loss,
-                            accuracy(net, features, label_indices)))
+                            accuracy(replace(params, w1=params.w1[live]),
+                                     live_features, label_indices)))
     return params, history
 
 

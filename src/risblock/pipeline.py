@@ -23,7 +23,8 @@ Feature standardization is fit on the training split only and stored with
 each model; images enter as the table's pooled blocks.
 
 `train_scenarios` checks every scenario's preconditions, then fits the
-scenarios with `fork_map`, one per task on every CPU the process may use.
+scenarios with `fork_map`, one per task on every CPU the process may use,
+the image scenarios first.
 Each scenario trains with its own seed derived from the root seed, so a
 model's bytes depend neither on the CPU count nor on which other scenarios
 are trained beside it.
@@ -65,6 +66,10 @@ class Scenario(Enum):
     BOTH = "both"
 
 
+# the scenarios whose classifier reads the pooled image
+IMAGE_SCENARIOS = (Scenario.CAMERA_ONLY, Scenario.BOTH)
+
+
 def build_features(table, scenario):
     """Masked raw feature matrix (N, d_img + 1) of a FeatureTable.
 
@@ -75,18 +80,21 @@ def build_features(table, scenario):
     n = len(table)
     if n == 0:
         raise ValueError("table must be non-empty")
-    if scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH):
+    if scenario in IMAGE_SCENARIOS:
         check_poolable(table.image_dims)
         image_block = table.pooled
     else:
         image_block = np.zeros((n, pooled_feature_count(table.image_dims)))
+    return np.concatenate([image_block, _rate_column(table, scenario)[:, None]],
+                          axis=1)
+
+
+def _rate_column(table, scenario):
     if scenario is Scenario.NONE:
-        rates = table.direct_rate
-    elif scenario is Scenario.CAMERA_ONLY:
-        rates = np.zeros(n)
-    else:
-        rates = table.ris_rate
-    return np.concatenate([image_block, rates[:, None]], axis=1)
+        return table.direct_rate
+    if scenario is Scenario.CAMERA_ONLY:
+        return np.zeros(len(table))
+    return table.ris_rate
 
 
 def split_dataset(table, train_fraction=0.7, seed=0):
@@ -200,7 +208,7 @@ def check_trainable(train_table, scenarios):
     trained on these rows: camera and both pool the images, and both's rate
     threshold needs absent and blocked rows."""
     for scenario in scenarios:
-        if scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH):
+        if scenario in IMAGE_SCENARIOS:
             try:
                 check_poolable(train_table.image_dims)
             except ValueError as exc:
@@ -228,16 +236,27 @@ def train_scenarios(train_table, scenarios, train_cfg, seed):
                                                   order.index(scenario)))
         return train_scenario(train_table, scenario, cfg)
 
-    return dict(zip(scenarios, list(fork_map(fit, scenarios))))
+    # The image scenarios take several times longer to fit than the rate-only
+    # ones; submitted first, the longest fit no longer starts last.
+    longest_first = sorted(scenarios, key=lambda s: s not in IMAGE_SCENARIOS)
+    models = dict(zip(longest_first, list(fork_map(fit, longest_first))))
+    return {scenario: models[scenario] for scenario in scenarios}
 
 
 def predict_scenario(table, model):
     """Predicted labels ({-1, 0, 1}) for every row of a FeatureTable."""
     if model.scenario is Scenario.BOTH:
         return cascade_predict(table, model.rate_threshold)
-    raw = build_features(table, model.scenario)
-    features = model.standardization.apply(raw)
-    probs, _, _ = learn._forward_batch(model.params, features)
+    params, stats = model.params, model.standardization
+    if model.scenario is Scenario.CAMERA_ONLY:
+        features = stats.apply(build_features(table, model.scenario))
+    else:
+        # No camera: the image block is all zeros, so it adds exactly 0.0 to
+        # the hidden layer. Predict from the rate column alone, as train does.
+        params = learn._without_image_block(params)
+        rate_stats = Standardization(mean=stats.mean[-1:], std=stats.std[-1:])
+        features = rate_stats.apply(_rate_column(table, model.scenario)[:, None])
+    probs, _, _ = learn._forward_batch(params, features)
     indices = np.argmax(probs, axis=1)
     return np.array([learn.index_to_label(int(i)) for i in indices])
 

@@ -6,11 +6,12 @@ so a disagreement with the production path cannot have a common cause.
 
 The training reference (``reference_train``) is the exception: it is the
 plain three-pass SGD loop, which runs the full forward pass for the batch
-loss, again for the gradient and over the whole training set for the
-accuracy curve, and always multiplies the image block. It keeps numpy and
-the package's operation order because ``train`` must match it byte for byte;
-it shares only the parameter container, the initialisation, the learning-rate
-schedule, softmax, the loss and the SGD step with the package.
+loss, again for the gradient and over the whole training set, every column
+of it, for the accuracy curve, and always multiplies the image block. It
+keeps numpy and the package's operation order because ``train`` must match
+it byte for byte; it shares only the parameter container, the
+initialisation, the learning-rate schedule, softmax, the loss and the SGD
+step with the package.
 
 The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package

@@ -2,6 +2,7 @@
 the feature table the loader builds, and the memory that generating and
 loading take."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -78,6 +79,46 @@ def test_sample_fields_are_consistent(small_dataset):
         else:
             assert s.direct_rate > 0.0
             assert np.any(s.image[:, :, 2] > 0.0)
+
+
+# Absent samples of GeneratorConfig() at seed 11, recorded from the
+# generator that still synthesized their paths and co-phased the surface:
+# index -> (location_index, repr(direct_rate), repr(ris_rate), image sha256)
+ABSENT_SAMPLES = {
+    1: (5, "0.0", "0.0",
+        "5bd7d5f35b552dd5ed3bc9e0787edfdde61e6c3c5144bcd30f7c96137881dc6a"),
+    2: (3, "0.0", "0.0",
+        "2e54b5765bf4999ff0fc9b084ff47350e6766975823babf365138fd7613914a9"),
+    3: (6, "0.0", "0.0",
+        "c1e8e0a5db9d2c5b3019f63738752ee364a770b84638f13f42c302f2716beab3"),
+    6: (3, "0.0", "0.0",
+        "1e69169e726a567eb954d2b39da0fcf19d03b0622eb847dd085c0517d98c5f88"),
+}
+
+
+def _recorded_fields(sample):
+    return (sample.location_index, repr(sample.direct_rate),
+            repr(sample.ris_rate),
+            hashlib.sha256(sample.image.tobytes()).hexdigest())
+
+
+def test_absent_samples_never_reach_the_channel_code(monkeypatch):
+    cfg = GeneratorConfig(n_samples=10)
+    made = {i: generate_sample(cfg, 11, i) for i in ABSENT_SAMPLES}
+    assert {i: _recorded_fields(s) for i, s in made.items()} == ABSENT_SAMPLES
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an absent sample reached the channel code")
+
+    for name in ("channel_bs_ris", "co_phase_ris", "effective_gain"):
+        monkeypatch.setattr(dataset, name, unreachable)
+    for i, sample in made.items():
+        again = generate_sample(cfg, 11, i)
+        assert again.label is LinkStatus.ABSENT
+        assert again.direct_rate == again.ris_rate == 0.0
+        assert _recorded_fields(again) == _recorded_fields(sample)
+    with pytest.raises(AssertionError, match="channel code"):
+        generate_sample(cfg, 11, 0)  # a present terminal still needs them
 
 
 def test_rate_separations_by_label(small_dataset):

@@ -389,6 +389,22 @@ def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
                 == repr(oracles.reference_accuracy(p, features, label_indices)))
 
 
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+def test_live_column_accuracy_keeps_the_history(seed):
+    # train's accuracy pass skips the all-zero columns; the reference's
+    # multiplies every column
+    features, labels = _blob_problem(n=45, d_img=6, seed=seed)
+    features = np.insert(features, [0, 2, 2, 5, 6], 0.0, axis=1)
+    assert (~features.any(axis=0)).sum() == 5
+    cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=4, seed=seed)
+    params, history = train(features, labels, cfg)
+    want_params, want_history = oracles.reference_train(features, labels, cfg)
+    for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
+        assert got.tobytes() == want.tobytes(), f"{name} differs"
+    assert ([tuple(map(repr, row)) for row in history]
+            == [tuple(map(repr, row)) for row in want_history])
+
+
 # ---------------------------------------------------------------- model file
 
 

@@ -8,7 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from conftest import SMALL_GEN, table_of
+from conftest import SMALL_GEN, allow_cpus, table_of
+from risblock import learn, pipeline
 from risblock.dataset import (GeneratorConfig, detect_visible_ue, pool_image,
                               pooled_feature_count)
 from risblock.learn import TrainConfig
@@ -17,7 +18,7 @@ from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
                                cascade_predict, evaluate_scenario,
                                predict_scenario, report_to_dict,
                                run_experiment, split_dataset, train_scenario,
-                               write_report_files)
+                               train_scenarios, write_report_files)
 from risblock.scene import LinkStatus
 
 FAST_TRAIN = TrainConfig(learning_rate=0.2, epochs=2)
@@ -286,6 +287,24 @@ def test_predict_scenario_returns_valid_labels(trained_both):
     assert predicted.shape == (len(test),)
 
 
+@pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.RIS_ONLY))
+def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
+                                                         monkeypatch, scenario):
+    train, test, _ = trained_both
+    model = train_scenario(train, scenario, FAST_TRAIN)
+    features = model.standardization.apply(build_features(test, scenario))
+    assert not features[:, :-1].any()
+    probs, _, _ = learn._forward_batch(model.params, features)
+    full_width = np.array([learn.index_to_label(int(i))
+                           for i in np.argmax(probs, axis=1)])
+
+    def no_image_block(table, scenario):
+        raise AssertionError("predict_scenario built an image block")
+
+    monkeypatch.setattr(pipeline, "build_features", no_image_block)
+    assert predict_scenario(test, model).tolist() == full_width.tolist()
+
+
 # ---------------------------------------------------------------- reports
 
 
@@ -319,6 +338,34 @@ def test_mixed_seed_is_deterministic_and_spread():
     assert _mixed_seed(3, 303, 0) == _mixed_seed(3, 303, 0)
     values = {_mixed_seed(3, 303, k) for k in range(4)}
     assert len(values) == 4
+
+
+# the training seed of each scenario at root seed 5, in Scenario order
+SCENARIO_SEEDS_AT_5 = (3670489745392224173, 5373724333969084782,
+                       13915327714058451812, 4154151921571924423)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_submission_order_keeps_each_scenario_seed(small_table, monkeypatch,
+                                                   cpus):
+    allow_cpus(monkeypatch, cpus)
+    calls = []
+
+    def recording(train_table, scenario, train_cfg):
+        calls.append(scenario)  # seen only when the fits run inline
+        return train_cfg.seed
+
+    monkeypatch.setattr(pipeline, "train_scenario", recording)
+    seeds = dict(zip(Scenario, SCENARIO_SEEDS_AT_5))
+    for chosen in (list(Scenario), [Scenario.RIS_ONLY, Scenario.CAMERA_ONLY]):
+        got = train_scenarios(small_table, chosen, FAST_TRAIN, 5)
+        assert list(got) == [s for s in Scenario if s in chosen]
+        assert got == {s: seeds[s] for s in chosen}
+    if cpus == 1:
+        # the image scenarios, the longest fits, go first
+        assert calls == [Scenario.CAMERA_ONLY, Scenario.BOTH, Scenario.NONE,
+                         Scenario.RIS_ONLY, Scenario.CAMERA_ONLY,
+                         Scenario.RIS_ONLY]
 
 
 def test_experiment_training_recipe():
