@@ -15,10 +15,10 @@ arrival angles (theta, phi) contributes
     alpha * exp(-1j * (k/K) * Phi) * sum_{d=0}^{D-1} p(d*t - tau) * steering,
 
 where Phi = 2*pi*f*tau - 2*pi*f_s*t*cos(theta) - phi is the phase term,
-f_s = f*v/c is the Doppler spread (zero on the static BS -> RIS hop), p is a
-configurable pulse (normalized sinc by default), and the steering factor is
-a uniform-linear-array response. The spectral k/K weighting is part of the
-model definition; paths are indexed from 1.
+f_s = f*v/c is the Doppler spread (zero on the static BS -> RIS hop), p is
+the normalized sinc pulse, and the steering factor is a uniform-linear-array
+response. The spectral k/K weighting is part of the model definition; paths
+are indexed from 1.
 
 The RIS applies a diagonal matrix diag(alpha_i * exp(1j*delta_i)); the
 effective end-to-end gain is h_b + h_u @ Delta @ h_r, and the scalar link
@@ -163,7 +163,7 @@ def steering_vector(n_elements, spacing_wavelengths, azimuth_rad, elevation_rad)
     """Uniform-linear-array response: entry m = exp(1j*2*pi*s*m*sin(theta)*cos(phi))."""
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    rate = TWO_PI * spacing_wavelengths * math.sin(azimuth_rad) * math.cos(elevation_rad)
+    rate = _steering_rate(spacing_wavelengths, azimuth_rad, elevation_rad)
     return np.exp(1j * rate * np.arange(n_elements))
 
 
@@ -171,10 +171,8 @@ def _steering_rate(spacing_wavelengths, azimuth_rad, elevation_rad):
     return TWO_PI * spacing_wavelengths * math.sin(azimuth_rad) * math.cos(elevation_rad)
 
 
-def _path_coefficients(paths, carrier_hz, doppler_hz, pulse):
+def _path_coefficients(paths, carrier_hz, doppler_hz):
     """Per-path scalars alpha * exp(-1j*(k/K)*Phi) * sum_d p(d*t - tau)."""
-    if pulse is None:
-        pulse = sinc_pulse
     n = len(paths)
     coeffs = np.empty(n, dtype=np.complex128)
     for i, path in enumerate(paths):
@@ -183,7 +181,7 @@ def _path_coefficients(paths, carrier_hz, doppler_hz, pulse):
                            path.elevation_rad)
         pulse_sum = 0.0
         for d in range(path.cyclic_prefix_count):
-            pulse_sum += pulse(d * path.sampling_time_s - path.delay_s)
+            pulse_sum += sinc_pulse(d * path.sampling_time_s - path.delay_s)
         # paths are indexed from 1 in the spectral weighting
         coeffs[i] = (path.amplitude
                      * cmath.exp(-1j * ((i + 1) / n) * phi_k)
@@ -227,36 +225,39 @@ def accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols):
     return out
 
 
-def channel_bs_ue(paths, cfg, geom, pulse=None):
-    """Direct BS -> UE gain vector, shape (M,). Empty path list -> zeros."""
-    m = geom.n_bs_antennas
+def _terminal_channel(paths, cfg, geom, n_elements):
+    """Gain vector, shape (n_elements,), of a link to the moving terminal,
+    steered with the paths' arrival angles. Empty path list -> zeros."""
     if not paths:
-        return np.zeros(m, dtype=np.complex128)
+        return np.zeros(n_elements, dtype=np.complex128)
     coeffs = _path_coefficients(paths, cfg.carrier_frequency_hz,
-                                doppler_spread(cfg), pulse)
+                                doppler_spread(cfg))
     col_rates = np.array([_steering_rate(geom.element_spacing_wavelengths,
                                          p.azimuth_rad, p.elevation_rad)
                           for p in paths])
-    out = accumulate_steering_outer(coeffs, np.zeros(len(paths)), col_rates, 1, m)
+    out = accumulate_steering_outer(coeffs, np.zeros(len(paths)), col_rates, 1,
+                                    n_elements)
     return out[0]
 
 
-def channel_bs_ris(paths, cfg, geom, departures=None, pulse=None):
+def channel_bs_ue(paths, cfg, geom):
+    """Direct BS -> UE gain vector, shape (M,). Empty path list -> zeros."""
+    return _terminal_channel(paths, cfg, geom, geom.n_bs_antennas)
+
+
+def channel_bs_ris(paths, cfg, geom, departures):
     """BS -> RIS gain matrix, shape (R, M).
 
     The static hop carries no Doppler (f_s = 0). Rows steer across the RIS
     elements with the paths' arrival angles; columns steer across the BS
-    antennas with ``departures``, a sequence of (azimuth, elevation) pairs
-    per path (arrival angles are reused when omitted).
+    antennas with ``departures``, one (azimuth, elevation) pair per path.
     """
     r, m = geom.n_ris_elements, geom.n_bs_antennas
     if not paths:
         return np.zeros((r, m), dtype=np.complex128)
-    if departures is None:
-        departures = [(p.azimuth_rad, p.elevation_rad) for p in paths]
     if len(departures) != len(paths):
         raise ValueError("departures must supply one (azimuth, elevation) per path")
-    coeffs = _path_coefficients(paths, cfg.carrier_frequency_hz, 0.0, pulse)
+    coeffs = _path_coefficients(paths, cfg.carrier_frequency_hz, 0.0)
     row_rates = np.array([_steering_rate(geom.element_spacing_wavelengths,
                                          p.azimuth_rad, p.elevation_rad)
                           for p in paths])
@@ -265,18 +266,9 @@ def channel_bs_ris(paths, cfg, geom, departures=None, pulse=None):
     return accumulate_steering_outer(coeffs, row_rates, col_rates, r, m)
 
 
-def channel_ris_ue(paths, cfg, geom, pulse=None):
+def channel_ris_ue(paths, cfg, geom):
     """RIS -> UE gain vector, shape (R,). Empty path list -> zeros."""
-    r = geom.n_ris_elements
-    if not paths:
-        return np.zeros(r, dtype=np.complex128)
-    coeffs = _path_coefficients(paths, cfg.carrier_frequency_hz,
-                                doppler_spread(cfg), pulse)
-    col_rates = np.array([_steering_rate(geom.element_spacing_wavelengths,
-                                         p.azimuth_rad, p.elevation_rad)
-                          for p in paths])
-    out = accumulate_steering_outer(coeffs, np.zeros(len(paths)), col_rates, 1, r)
-    return out[0]
+    return _terminal_channel(paths, cfg, geom, geom.n_ris_elements)
 
 
 def ris_matrix(ris):
@@ -313,20 +305,20 @@ def effective_gain(h_b, h_u, delta, h_r):
     return h_b + h_u @ delta @ h_r
 
 
-def co_phase_ris(h_b, h_r, h_u, combiner=None):
+def co_phase_ris(h_b, h_r, h_u):
     """Phase configuration aligning every cascaded element with the direct term.
 
-    With combiner w (default: normalized conjugate of h_b), element i gets
+    With combiner w, the normalized conjugate of h_b, element i gets
 
         delta_i = arg(h_b @ w) - arg(h_u[i]) - arg((h_r @ w)[i])
 
     so all contributions to the combined scalar share one phase and
     |H @ w| = |h_b @ w| + sum_i |h_u[i]| * |(h_r @ w)[i]|.
 
-    Fallbacks: when h_b is zero the default combiner is the normalized
-    conjugate of the cascade direction h_u @ h_r (first basis vector if that
-    is zero too); when the combined direct term is below 1e-15 the phases
-    align every contribution with element 0's. Amplitudes are all 1.
+    Fallbacks: when h_b is zero the combiner is the normalized conjugate of
+    the cascade direction h_u @ h_r (first basis vector if that is zero
+    too); when the combined direct term is below 1e-15 the phases align
+    every contribution with element 0's. Amplitudes are all 1.
     """
     h_b = np.asarray(h_b, dtype=np.complex128)
     h_u = np.asarray(h_u, dtype=np.complex128)
@@ -336,24 +328,17 @@ def co_phase_ris(h_b, h_r, h_u, combiner=None):
     if h_r.shape != (h_u.shape[0], h_b.shape[0]):
         raise ValueError(f"h_r must be {(h_u.shape[0], h_b.shape[0])}, got {h_r.shape}")
 
-    if combiner is None:
-        norm_b = np.linalg.norm(h_b)
-        if norm_b > 0.0:
-            w = np.conj(h_b) / norm_b
-        else:
-            cascade = h_u @ h_r
-            norm_c = np.linalg.norm(cascade)
-            if norm_c > 0.0:
-                w = np.conj(cascade) / norm_c
-            else:
-                w = np.zeros(h_b.shape[0], dtype=np.complex128)
-                w[0] = 1.0
+    norm_b = np.linalg.norm(h_b)
+    if norm_b > 0.0:
+        w = np.conj(h_b) / norm_b
     else:
-        w = np.asarray(combiner, dtype=np.complex128)
-        if w.shape != h_b.shape:
-            raise ValueError("combiner must match h_b's shape")
-        if not math.isclose(np.linalg.norm(w), 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("combiner must have unit norm")
+        cascade = h_u @ h_r
+        norm_c = np.linalg.norm(cascade)
+        if norm_c > 0.0:
+            w = np.conj(cascade) / norm_c
+        else:
+            w = np.zeros(h_b.shape[0], dtype=np.complex128)
+            w[0] = 1.0
 
     direct = h_b @ w
     cascaded = h_r @ w

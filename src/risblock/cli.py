@@ -20,14 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from risblock import learn
 from risblock.dataset import (GeneratorConfig, check_poolable, generate_dataset,
                               load_dataset, save_dataset)
-from risblock.learn import TrainConfig, init_params, grad_check, load_model, save_model
+from risblock.learn import init_params, grad_check, load_model, save_model
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
-                               check_trainable, evaluate_scenario,
-                               split_dataset, train_scenarios,
-                               write_report_files)
+                               check_trainable, evaluate_scenarios,
+                               split_dataset, train_scenarios)
 from risblock.scene import SceneLayout
 from risblock.svgchart import render_line_chart
 
@@ -173,8 +171,7 @@ def generator_from_config(config):
         raise ConfigError(f"invalid generator config: {exc}") from exc
 
 
-def training_from_config(config, base=None):
-    base = base if base is not None else EXPERIMENT_TRAIN_CONFIG
+def training_from_config(config):
     overrides = {}
     for key, raw in config.get("training", {}).items():
         if key == "schedule_epochs":
@@ -187,7 +184,7 @@ def training_from_config(config, base=None):
         else:
             overrides[key] = _coerce("training", key, raw, _TRAINING_KEYS[key])
     try:
-        return replace(base, **overrides)
+        return replace(EXPERIMENT_TRAIN_CONFIG, **overrides)
     except ValueError as exc:
         raise ConfigError(f"invalid training config: {exc}") from exc
 
@@ -357,18 +354,13 @@ def cmd_eval(args):
     metas = {scenario: _read_train_meta(models_dir, scenario,
                                         manifest["content_hash"], seed)
              for scenario in Scenario}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    for scenario, meta in metas.items():
-        model = _load_scenario_model(models_dir, scenario, meta)
-        report = evaluate_scenario(test_table, scenario, model)
-        write_report_files(out_dir, report, model)
-        timings[scenario.value] = report.wall_time_s
+    # every model loads before any report is written
+    models = {scenario: _load_scenario_model(models_dir, scenario, meta)
+              for scenario, meta in metas.items()}
+    reports = evaluate_scenarios(test_table, models, Path(args.out))
+    for scenario, report in reports.items():
         print(f"{scenario.value}: accuracy {report.accuracy:.3f} "
               f"({int(report.confusion.sum())} test samples)")
-    (out_dir / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="ascii")
     return 0
 
 

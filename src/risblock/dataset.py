@@ -160,8 +160,7 @@ def generate_sample(cfg, seed, index):
         paths = synthesize_mpcs(scene, ue, status, prop, cfg.n_paths_direct,
                                 cfg.n_paths_hop, cfg.n_paths_surface, rng)
         h_direct = channel_bs_ue(paths.bs_ue, prop, geom)
-        h_hop = channel_bs_ris(paths.bs_ris, prop, geom,
-                               departures=paths.bs_ris_departures)
+        h_hop = channel_bs_ris(paths.bs_ris, prop, geom, paths.bs_ris_departures)
         h_surface = channel_ris_ue(paths.ris_ue, prop, geom)
 
         direct_rate = data_rate(h_direct, prop.snr_linear)
@@ -296,31 +295,32 @@ def save_dataset(out_dir, ranges, cfg, seed):
     return manifest
 
 
-def check_poolable(image_dims, pooled_hw=POOLED_HW):
-    """Raise ValueError unless (H, W, C) images pool evenly to pooled_hw."""
-    if not _poolable(image_dims, pooled_hw):
+def check_poolable(image_dims):
+    """Raise ValueError unless (H, W, C) images pool evenly to POOLED_HW."""
+    if not _poolable(image_dims):
         raise ValueError(f"image {tuple(image_dims)} not divisible into "
-                         f"{pooled_hw}")
+                         f"{POOLED_HW}")
 
 
-def _poolable(image_dims, pooled_hw=POOLED_HW):
-    return image_dims[0] % pooled_hw[0] == 0 and image_dims[1] % pooled_hw[1] == 0
+def _poolable(image_dims):
+    return image_dims[0] % POOLED_HW[0] == 0 and image_dims[1] % POOLED_HW[1] == 0
 
 
-def pooled_feature_count(image_dims, pooled_hw=POOLED_HW):
-    return pooled_hw[0] * pooled_hw[1] * image_dims[2]
+def pooled_feature_count(image_dims):
+    return POOLED_HW[0] * POOLED_HW[1] * image_dims[2]
 
 
-def pool_image(images, pooled_hw=POOLED_HW):
-    """Average-pool (..., H, W, C) images to (..., h, w, C) float64 blocks.
+def pool_image(images):
+    """Average-pool (..., H, W, C) images to (..., h, w, C) float64 blocks,
+    (h, w) = POOLED_HW.
 
-    H and W must divide evenly. Each block is the float64 sum of its pixels
-    in row-major order divided by their count, as numpy's mean over the
-    block axes of a float64 copy computes it, without making that copy.
+    h and w must divide H and W evenly. Each block is the float64 sum of its
+    pixels in row-major order divided by their count, as numpy's mean over
+    the block axes of a float64 copy computes it, without making that copy.
     """
     images = np.asarray(images)
-    check_poolable(images.shape[-3:], pooled_hw)
-    h, w = pooled_hw
+    check_poolable(images.shape[-3:])
+    h, w = POOLED_HW
     *lead, height, width, channels = images.shape
     rows, cols = height // h, width // w
     blocks = images.reshape(*lead, h, rows, w, cols, channels)

@@ -116,14 +116,13 @@ class MlpParams:
         return (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2))
 
 
-def init_params(n_image_features, rng, n_hidden=DEFAULT_HIDDEN_UNITS,
-                n_classes=N_CLASSES):
+def init_params(n_image_features, rng, n_hidden=DEFAULT_HIDDEN_UNITS):
     """Seeded zero-mean normal init with std 1/sqrt(fan_in); zero biases."""
     w1 = rng.normal(0.0, 1.0 / math.sqrt(max(n_image_features, 1)),
                     size=(n_image_features, n_hidden))
     w2 = rng.normal(0.0, 1.0 / math.sqrt(n_hidden + 1),
-                    size=(n_hidden + 1, n_classes))
-    return MlpParams(w1=w1, b1=np.zeros(n_hidden), w2=w2, b2=np.zeros(n_classes))
+                    size=(n_hidden + 1, N_CLASSES))
+    return MlpParams(w1=w1, b1=np.zeros(n_hidden), w2=w2, b2=np.zeros(N_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,10 @@ class Standardization:
         features = np.asarray(features, dtype=np.float64)
         scale = np.divide(1.0, self.std, out=np.zeros_like(self.std),
                           where=self.std > 0)
-        return (features - self.mean) * scale
+        # one full-size temporary: the difference, scaled in place
+        centered = features - self.mean
+        centered *= scale
+        return centered
 
 
 def fit_standardization(features):
@@ -278,15 +280,14 @@ def _without_image_block(params):
     return replace(params, w1=params.w1[:0])
 
 
-def train(features, labels, cfg, params=None):
+def train(features, labels, cfg):
     """Minibatch SGD over an (N, d_img+1) feature matrix and {-1,0,1} labels.
 
     Returns (params, history) where history holds one row per iteration:
     (iteration, epoch, lr, batch_loss, train_accuracy). The batch loss is the
     mean cross-entropy before the step; the accuracy is measured on the full
-    training set after it. Fresh parameters are drawn from cfg.seed when none
-    are passed in; the same seed also fixes the shuffling, so a run is
-    bit-reproducible.
+    training set after it. The parameters are drawn from cfg.seed, and the
+    same seed also fixes the shuffling, so a run is bit-reproducible.
 
     When the image block is all zeros (the scenarios without a camera), every
     x_img @ w1 and x_img.T @ dhidden product is exactly 0.0. The passes then
@@ -307,8 +308,7 @@ def train(features, labels, cfg, params=None):
         raise ValueError("labels and features must have equal length")
 
     rng = np.random.default_rng(cfg.seed)
-    if params is None:
-        params = init_params(features.shape[1] - 1, rng)
+    params = init_params(features.shape[1] - 1, rng)
 
     x_img, _ = _split_features(params, features)
     live = x_img.any(axis=0)

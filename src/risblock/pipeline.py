@@ -33,7 +33,7 @@ are trained beside it.
 import json
 import time
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -321,8 +321,22 @@ def write_report_files(out_dir, report, model):
                                                    encoding="ascii")
 
 
-def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
-                   n_samples=None):
+def evaluate_scenarios(test_table, models, out_dir):
+    """Evaluate each {scenario: model} on the test rows and write its report
+    files, then timings.json. Returns {scenario: report} in the models'
+    order."""
+    out_dir = Path(out_dir)
+    reports = {}
+    for scenario, model in models.items():
+        reports[scenario] = evaluate_scenario(test_table, scenario, model)
+        write_report_files(out_dir, reports[scenario], model)
+    timings = {s.value: report.wall_time_s for s, report in reports.items()}
+    (out_dir / "timings.json").write_text(
+        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    return reports
+
+
+def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     """Generate (or load) a dataset, train all four scenarios, evaluate, and
     write reports, curves, confusions, and an experiment manifest.
 
@@ -335,7 +349,7 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
 
     if not (dataset_dir / MANIFEST_NAME).exists():
         check_poolable(gen_cfg.image_dims)  # fail before generating, not after
-        with closing(generate_dataset(gen_cfg, seed, n_samples)) as ranges:
+        with closing(generate_dataset(gen_cfg, seed)) as ranges:
             save_dataset(dataset_dir, ranges, gen_cfg, seed)
     # the loader is the one place that turns images into table rows
     table, manifest = load_dataset(dataset_dir)
@@ -344,18 +358,8 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
     train_table, test_table = split_dataset(
         table, train_fraction=train_cfg.train_fraction, seed=seed)
 
-    results = {}
-    summary = {}
-    timings = {}
     models = train_scenarios(train_table, list(Scenario), train_cfg, seed)
-    for scenario, model in models.items():
-        report = evaluate_scenario(test_table, scenario, model)
-        write_report_files(out_dir, report, model)
-        results[scenario] = (model, report)
-        summary[scenario.value] = report.accuracy
-        timings[scenario.value] = report.wall_time_s
-    (out_dir / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    reports = evaluate_scenarios(test_table, models, out_dir)
 
     experiment_manifest = {
         "seed": int(seed),
@@ -363,19 +367,13 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None,
         "n_samples": manifest["n_samples"],
         "n_train": len(train_table),
         "n_test": len(test_table),
-        "train_config": {
-            "batch_size": train_cfg.batch_size,
-            "learning_rate": train_cfg.learning_rate,
-            "weight_decay": train_cfg.weight_decay,
-            "schedule_epochs": list(train_cfg.schedule_epochs),
-            "lr_reduction_factor": train_cfg.lr_reduction_factor,
-            "epochs": train_cfg.epochs,
-            "train_fraction": train_cfg.train_fraction,
-        },
+        # each scenario trains with its own seed mixed from the root seed
+        "train_config": {key: value for key, value in asdict(train_cfg).items()
+                         if key != "seed"},
         "generator_config": manifest["config"],
-        "accuracies": summary,
+        "accuracies": {s.value: report.accuracy for s, report in reports.items()},
     }
     (out_dir / "experiment_manifest.json").write_text(
         json.dumps(experiment_manifest, sort_keys=True, indent=2) + "\n",
         encoding="ascii")
-    return results
+    return {scenario: (models[scenario], reports[scenario]) for scenario in models}

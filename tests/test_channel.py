@@ -218,28 +218,32 @@ def test_empty_paths_give_zero_channels():
     cfg = PropagationConfig(carrier_frequency_hz=1e9)
     geom = ArrayGeometry(n_bs_antennas=3, n_ris_elements=4)
     np.testing.assert_array_equal(channel_bs_ue([], cfg, geom), np.zeros(3))
-    np.testing.assert_array_equal(channel_bs_ris([], cfg, geom),
+    np.testing.assert_array_equal(channel_bs_ris([], cfg, geom, []),
                                   np.zeros((4, 3)))
     np.testing.assert_array_equal(channel_ris_ue([], cfg, geom), np.zeros(4))
 
 
 def test_single_path_hand_value():
-    # one path, unit pulse, unit amplitude, no Doppler: the only surviving
-    # phase is the elevation term, weighted by k/K = 1
+    # one path, one pulse tap at zero delay (sinc(0) = 1), unit amplitude, no
+    # Doppler: the only surviving phase is the elevation term, weighted by
+    # k/K = 1
     cfg = PropagationConfig(carrier_frequency_hz=1.0, speed_mps=0.0)
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     path = _path(delay_s=0.0, azimuth_rad=0.0, elevation_rad=math.pi / 2)
-    h = channel_bs_ue([path], cfg, geom, pulse=lambda x: 1.0)
+    h = channel_bs_ue([path], cfg, geom)
     np.testing.assert_allclose(h, [cmath.exp(0.5j * math.pi)], atol=1e-15)
 
 
 def test_identical_paths_cancel_through_spectral_weighting():
-    # two identical unit-delay paths at f = 1 Hz: the k/K weights turn the
-    # shared phase 2*pi into exp(-j*pi) and exp(-j*2*pi), which cancel
-    cfg = PropagationConfig(carrier_frequency_hz=1.0, speed_mps=0.0)
+    # two identical half-second paths at f = 2 Hz: the k/K weights turn the
+    # shared phase 2*pi into exp(-j*pi) and exp(-j*2*pi), which cancel. One
+    # path alone keeps its pulse sinc(-0.5) = 2/pi, so the cancellation is
+    # the weighting's doing, not a zero of the pulse.
+    cfg = PropagationConfig(carrier_frequency_hz=2.0, speed_mps=0.0)
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
-    path = _path(delay_s=1.0)
-    h = channel_bs_ue([path, path], cfg, geom, pulse=lambda x: 1.0)
+    path = _path(delay_s=0.5)
+    assert abs(channel_bs_ue([path], cfg, geom)[0]) > 0.5
+    h = channel_bs_ue([path, path], cfg, geom)
     assert abs(h[0]) < 1e-12
 
 
@@ -248,7 +252,7 @@ def test_hop_channel_reduces_to_scalar_formula():
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     path = _path(amplitude=0.5 + 0.25j, delay_s=3e-8, azimuth_rad=1.0,
                  elevation_rad=0.2)
-    got = channel_bs_ris([path], cfg, geom)
+    got = channel_bs_ris([path], cfg, geom, [(1.0, 0.2)])
     # no Doppler on the static hop, regardless of cfg.speed_mps
     want = oracles.naive_bs_ris([path], [(1.0, 0.2)], 2e9, 1, 1, 0.5)
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -262,7 +266,7 @@ def test_hop_channel_ignores_sampling_time():
     for t in (1e-6, 1e-3, 1.0):
         path = _path(delay_s=4e-8, sampling_time_s=t, azimuth_rad=0.7,
                      elevation_rad=-0.1)
-        outs.append(channel_bs_ris([path], cfg, geom))
+        outs.append(channel_bs_ris([path], cfg, geom, [(0.7, -0.1)]))
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[0], outs[2])
 
@@ -291,8 +295,8 @@ def test_zero_speed_outputs_are_sampling_time_independent():
                        sampling_time_s=t, cyclic_prefix_count=1,
                        azimuth_rad=p.azimuth_rad, elevation_rad=p.elevation_rad)
                  for p in base]
-        outs.append((channel_bs_ue(paths, cfg, geom, pulse=lambda x: 1.0),
-                     channel_ris_ue(paths, cfg, geom, pulse=lambda x: 1.0)))
+        outs.append((channel_bs_ue(paths, cfg, geom),
+                     channel_ris_ue(paths, cfg, geom)))
     for direct, surface in outs[1:]:
         np.testing.assert_allclose(direct, outs[0][0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(surface, outs[0][1], rtol=1e-12, atol=0)
@@ -483,16 +487,6 @@ def test_co_phasing_zero_direct_falls_back_to_cascade_alignment():
     gain = effective_gain(h_b, h_u, cfg, h_r)
     want = np.sum(np.abs(h_u) * np.abs(h_r[:, 0]))
     assert math.isclose(abs(gain[0]), want, rel_tol=1e-10)
-
-
-def test_co_phasing_validates_combiner():
-    h_b = np.array([1.0 + 0j])
-    h_u = np.array([1.0 + 0j])
-    h_r = np.array([[1.0 + 0j]])
-    with pytest.raises(ValueError):
-        co_phase_ris(h_b, h_r, h_u, combiner=np.array([2.0 + 0j]))
-    with pytest.raises(ValueError):
-        co_phase_ris(h_b, h_r, h_u, combiner=np.ones(2, dtype=complex))
 
 
 def test_co_phasing_all_zero_channels_is_still_valid():

@@ -396,6 +396,22 @@ def test_eval_requires_every_train_meta(workspace, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_eval_writes_no_report_when_a_model_file_is_corrupt(workspace,
+                                                            tmp_path, capsys):
+    # ris comes after none and camera: every model loads before any report
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    model = models / "model_ris.bin"
+    model.write_bytes(model.read_bytes()[:-8])
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 1
+    assert "model payload is" in capsys.readouterr().err
+    assert list(out.glob("report_*.json")) == []
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -545,8 +561,12 @@ def test_no_tracked_file_is_ignored():
 
 
 def test_module_runs_without_entry_point():
+    # the child imports the risblock this process imported, also where the
+    # package reached sys.path through pytest's own pythonpath setting
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "risblock.cli", "gradcheck", "--seed", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

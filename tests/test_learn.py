@@ -346,11 +346,6 @@ def test_train_validates_inputs():
         train(features, np.array([5] * 9), TrainConfig())
     with pytest.raises(ValueError):
         train(features, labels[:-1], TrainConfig())
-    # a zero image block still has to fit the given parameters
-    features[:, :-1] = 0.0
-    with pytest.raises(ValueError, match="feature columns"):
-        train(features, labels, TrainConfig(),
-              params=init_params(4, np.random.default_rng(0)))
 
 
 # The scenarios without a camera give an all-zero image block, the others a

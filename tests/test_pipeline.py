@@ -64,7 +64,6 @@ def test_pool_image_rejects_indivisible_shapes():
 
 def test_pooled_feature_count():
     assert pooled_feature_count((64, 64, 3)) == 768
-    assert pooled_feature_count((64, 64, 3), pooled_hw=(8, 8)) == 192
 
 
 # ---------------------------------------------------------------- features
