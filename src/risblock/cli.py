@@ -1,10 +1,11 @@
 """Command-line front end: generate | train | eval | gradcheck | curves.
 
 Configuration is an INI-style file with [generator], [layout], [training]
-and [experiment] sections; every key mirrors a config dataclass field and
-unknown keys are rejected with their line number. The seed resolves in
-order: --seed flag, RISBLOCK_SEED environment variable, [experiment] seed,
-then 0. Exit codes: 0 success, 1 runtime failure, 2 config/validation error.
+and [experiment] sections; the keys come from the config dataclasses,
+which check their own values, and unknown keys are rejected with their line
+number. The seed resolves in order: --seed flag, RISBLOCK_SEED environment
+variable, [experiment] seed, then 0. Exit codes: 0 success, 1 runtime
+failure, 2 config/validation error.
 """
 
 import argparse
@@ -15,14 +16,15 @@ import os
 import re
 import sys
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from risblock.dataset import (GeneratorConfig, check_poolable, generate_dataset,
                               load_dataset, save_dataset)
-from risblock.learn import init_params, grad_check, load_model, save_model
+from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
+                            save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
                                check_trainable, evaluate_scenarios,
                                split_dataset, train_scenarios)
@@ -35,59 +37,45 @@ class ConfigError(Exception):
     match eval's dataset and seed; maps to exit code 2."""
 
 
-_GENERATOR_KEYS = {
-    "n_samples": int,
-    "carrier_frequency_hz": float,
-    "speed_mps": float,
-    "step_time_s": float,
-    "snr_linear": float,
-    "n_bs_antennas": int,
-    "n_ris_elements": int,
-    "element_spacing_wavelengths": float,
-    "n_paths_direct": int,
-    "n_paths_hop": int,
-    "n_paths_surface": int,
-    "absent_probability": float,
-    "trajectory_steps": int,
-    "image_height": int,
-    "image_width": int,
+def _scalar_fields(cls):
+    """{name: type} of the int and float fields of a config dataclass."""
+    return {f.name: f.type for f in fields(cls) if f.type in (int, float)}
+
+
+def _int_list(raw):
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+_int_list.__name__ = "comma-separated ints"  # as parse errors name it
+
+# [layout] keys that set one coordinate of a SceneLayout pair: (field, index)
+_LAYOUT_COORDINATES = {
+    "bounds_width": ("bounds", 0),
+    "bounds_depth": ("bounds", 1),
+    "bs_x": ("bs_position", 0),
+    "bs_y": ("bs_position", 1),
+    "ris_x": ("ris_position", 0),
+    "ris_y": ("ris_position", 1),
 }
 
-_LAYOUT_KEYS = {
-    "bounds_width": float,
-    "bounds_depth": float,
-    "bs_x": float,
-    "bs_y": float,
-    "ris_x": float,
-    "ris_y": float,
-    "penetration_loss_db": float,
-    "dense_probability": float,
-}
-
-_TRAINING_KEYS = {
-    "batch_size": int,
-    "learning_rate": float,
-    "weight_decay": float,
-    "schedule_epochs": str,
-    "lr_reduction_factor": float,
-    "epochs": int,
-    "train_fraction": float,
-    "seed": int,
-}
-
-_EXPERIMENT_KEYS = {"seed": int}
-
+# {section: {key: parser}}. The seed comes from [experiment] alone: each
+# scenario trains with a seed mixed from the root seed, never TrainConfig's.
 _SECTIONS = {
-    "generator": _GENERATOR_KEYS,
-    "layout": _LAYOUT_KEYS,
-    "training": _TRAINING_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
+    "generator": {**_scalar_fields(GeneratorConfig),
+                  "image_height": int, "image_width": int},
+    "layout": {**dict.fromkeys(_LAYOUT_COORDINATES, float),
+               "penetration_loss_db": float, "dense_probability": float},
+    "training": {**{key: kind for key, kind in _scalar_fields(TrainConfig).items()
+                    if key != "seed"},
+                 "schedule_epochs": _int_list},
+    "experiment": {"seed": int},
 }
 
 
-def _line_of(text, pattern):
+def _line_of(text, pattern, after=0):
+    """Number of the first line past line `after` that matches, else 0."""
     for number, line in enumerate(text.splitlines(), start=1):
-        if re.match(pattern, line.strip(), flags=re.IGNORECASE):
+        if number > after and re.match(pattern, line.strip(), flags=re.IGNORECASE):
             return number
     return 0
 
@@ -106,65 +94,57 @@ def load_config(path):
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
     for section in parser.sections():
+        header = _line_of(text, rf"\[{re.escape(section)}\]")
         if section not in _SECTIONS:
-            line = _line_of(text, rf"\[{re.escape(section)}\]")
             raise ConfigError(
-                f"{path}:{line}: unknown section [{section}] "
+                f"{path}:{header}: unknown section [{section}] "
                 f"(expected one of {sorted(_SECTIONS)})")
         allowed = _SECTIONS[section]
         for key in parser[section]:
             if key not in allowed:
-                line = _line_of(text, rf"{re.escape(key)}\s*[=:]")
+                line = _line_of(text, rf"{re.escape(key)}\s*[=:]", after=header)
                 raise ConfigError(
                     f"{path}:{line}: unknown key '{key}' in section "
                     f"[{section}] (expected one of {sorted(allowed)})")
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _coerce(section, key, raw, kind):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from exc
+def _values(config, section):
+    """The section's values of a loaded config, each parsed as _SECTIONS says."""
+    parsers = _SECTIONS[section]
+    values = {}
+    for key, raw in config.get(section, {}).items():
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as "
+                              f"{parsers[key].__name__}") from exc
+    return values
+
+
+def _layout(values):
+    """SceneLayout() with the [layout] values put in."""
+    layout = SceneLayout()
+    changes = {}
+    for key, value in values.items():
+        if key in _LAYOUT_COORDINATES:
+            name, index = _LAYOUT_COORDINATES[key]
+            pair = list(changes.get(name, getattr(layout, name)))
+            pair[index] = value
+            changes[name] = tuple(pair)
+        else:
+            changes[key] = value
+    return replace(layout, **changes)
 
 
 def generator_from_config(config):
-    overrides = {}
-    for key, raw in config.get("generator", {}).items():
-        overrides[key] = _coerce("generator", key, raw, _GENERATOR_KEYS[key])
-    height = overrides.pop("image_height", None)
-    width = overrides.pop("image_width", None)
-    if height is not None or width is not None:
-        overrides["image_dims"] = (height or 64, width or 64, 3)
-
-    layout_cfg = {}
-    raw_layout = config.get("layout", {})
-    if raw_layout:
-        values = {k: _coerce("layout", k, v, _LAYOUT_KEYS[k])
-                  for k, v in raw_layout.items()}
-        base = SceneLayout()
-        layout_cfg["layout"] = replace(
-            base,
-            bounds=(values.get("bounds_width", base.bounds[0]),
-                    values.get("bounds_depth", base.bounds[1])),
-            bs_position=(values.get("bs_x", base.bs_position[0]),
-                         values.get("bs_y", base.bs_position[1])),
-            ris_position=(values.get("ris_x", base.ris_position[0]),
-                          values.get("ris_y", base.ris_position[1])),
-            penetration_loss_db=values.get("penetration_loss_db",
-                                           base.penetration_loss_db),
-            dense_probability=values.get("dense_probability",
-                                         base.dense_probability),
-        )
+    values = _values(config, "generator")
+    if "image_height" in values or "image_width" in values:
+        height, width, channels = GeneratorConfig.image_dims
+        values["image_dims"] = (values.pop("image_height", height),
+                                values.pop("image_width", width), channels)
     try:
-        cfg = GeneratorConfig(**overrides, **layout_cfg)
-        cfg.propagation()  # surface bad physical parameters here, not mid-run
-        cfg.geometry()
+        cfg = GeneratorConfig(**values, layout=_layout(_values(config, "layout")))
         check_poolable(cfg.image_dims)  # else train fails on the dataset
         return cfg
     except ValueError as exc:
@@ -172,19 +152,8 @@ def generator_from_config(config):
 
 
 def training_from_config(config):
-    overrides = {}
-    for key, raw in config.get("training", {}).items():
-        if key == "schedule_epochs":
-            try:
-                overrides[key] = tuple(int(part) for part in raw.split(",") if part.strip())
-            except ValueError as exc:
-                raise ConfigError(
-                    f"[training] schedule_epochs: cannot parse {raw!r} as "
-                    f"comma-separated ints") from exc
-        else:
-            overrides[key] = _coerce("training", key, raw, _TRAINING_KEYS[key])
     try:
-        return replace(EXPERIMENT_TRAIN_CONFIG, **overrides)
+        return replace(EXPERIMENT_TRAIN_CONFIG, **_values(config, "training"))
     except ValueError as exc:
         raise ConfigError(f"invalid training config: {exc}") from exc
 
@@ -198,10 +167,7 @@ def resolve_seed(args, config):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"RISBLOCK_SEED must be an integer, got {env!r}") from exc
-    raw = config.get("experiment", {}).get("seed")
-    if raw is not None:
-        return _coerce("experiment", "seed", raw, int)
-    return 0
+    return _values(config, "experiment").get("seed", 0)
 
 
 def _scenario_list(flag):

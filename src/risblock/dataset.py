@@ -47,9 +47,9 @@ from risblock._pool import fork_map
 from risblock.channel import (ArrayGeometry, PropagationConfig, channel_bs_ris,
                               channel_bs_ue, channel_ris_ue, co_phase_ris,
                               data_rate, effective_gain)
-from risblock.scene import (LinkStatus, SceneLayout, generate_trajectory,
-                            link_status, random_scene, render_image,
-                            synthesize_mpcs)
+from risblock.scene import (LinkStatus, SceneLayout, check_image_dims,
+                            generate_trajectory, link_status, random_scene,
+                            render_image, synthesize_mpcs)
 
 # tag mixed into every per-sample SeedSequence, decoupling sample streams
 # from any other consumer of the same root seed
@@ -102,7 +102,12 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.absent_probability <= 1:
             raise ValueError("absent_probability must lie in [0, 1]")
+        if not self.step_time_s > 0:
+            raise ValueError("step_time_s must be > 0")
         object.__setattr__(self, "image_dims", tuple(self.image_dims))
+        check_image_dims(self.image_dims)
+        self.propagation()  # bad physical parameters fail here, not mid-run
+        self.geometry()
 
     def propagation(self):
         return PropagationConfig(carrier_frequency_hz=self.carrier_frequency_hz,
@@ -202,9 +207,9 @@ def _content_hash(digest, features_text):
     return "sha256:" + digest.hexdigest()
 
 
-def _config_record(cfg):
+def config_record(cfg):
+    """The manifest's `config`: cfg as JSON values."""
     record = asdict(cfg)
-    record["layout"] = asdict(cfg.layout)
     # normalize tuples to lists so the record equals its JSON round-trip
     return json.loads(json.dumps(record))
 
@@ -219,7 +224,7 @@ def build_manifest(cfg, seed, samples, content_hash):
         "seed": int(seed),
         "sample_stream_tag": SAMPLE_STREAM_TAG,
         "image_dims": list(cfg.image_dims),
-        "config": _config_record(cfg),
+        "config": config_record(cfg),
         "class_counts": {str(v): labels.count(v) for v in (-1, 0, 1)},
         "content_hash": content_hash,
         "samples": [{"index": i, "label": int(s.label),

@@ -41,8 +41,9 @@ import numpy as np
 
 from risblock import learn
 from risblock._pool import fork_map
-from risblock.dataset import (MANIFEST_NAME, check_poolable, generate_dataset,
-                              load_dataset, pooled_feature_count, save_dataset)
+from risblock.dataset import (MANIFEST_NAME, check_poolable, config_record,
+                              generate_dataset, load_dataset,
+                              pooled_feature_count, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
 from risblock.scene import LinkStatus
@@ -338,7 +339,8 @@ def evaluate_scenarios(test_table, models, out_dir):
 
 def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     """Generate (or load) a dataset, train all four scenarios, evaluate, and
-    write reports, curves, confusions, and an experiment manifest.
+    write reports, curves, confusions, and an experiment manifest. A loaded
+    dataset must have been made by gen_cfg from seed, else ValueError.
 
     Returns {scenario: (model, report)}. Fully deterministic for a fixed
     seed: per-sample streams, the split, and each scenario's training seed
@@ -353,6 +355,11 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
             save_dataset(dataset_dir, ranges, gen_cfg, seed)
     # the loader is the one place that turns images into table rows
     table, manifest = load_dataset(dataset_dir)
+    for key, given in (("seed", int(seed)), ("config", config_record(gen_cfg))):
+        if manifest[key] != given:
+            raise ValueError(
+                f"{dataset_dir / MANIFEST_NAME} records {key} "
+                f"{manifest[key]!r}, but run_experiment was given {given!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train_table, test_table = split_dataset(

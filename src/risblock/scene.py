@@ -329,6 +329,13 @@ def _stamp(img, channel, row, col, half):
     img[r0:r1 + 1, c0:c1 + 1, channel] = 1.0
 
 
+def check_image_dims(dims):
+    """Raise ValueError unless dims is a renderable (H >= 8, W >= 8, 3)."""
+    height, width, channels = dims
+    if height < 8 or width < 8 or channels != 3:
+        raise ValueError("dims must be (H >= 8, W >= 8, 3)")
+
+
 def render_image(scene, ue_position, status, dims=(64, 64, 3)):
     """Top-down raster of the scene, H x W x 3 float32 in [0, 1].
 
@@ -336,9 +343,8 @@ def render_image(scene, ue_position, status, dims=(64, 64, 3)):
     (3x3). Channel 2: terminal marker (5x5), drawn only for an unblocked
     link, so absent and blocked renders of the same scene are identical.
     """
-    height, width, channels = dims
-    if height < 8 or width < 8 or channels != 3:
-        raise ValueError("dims must be (H >= 8, W >= 8, 3)")
+    check_image_dims(dims)
+    height, width, _ = dims
     img = np.zeros((height, width, 3), dtype=np.float32)
     w, d = scene.bounds
 
@@ -383,6 +389,14 @@ class SceneLayout:
     sparse_half_size: tuple = (0.8, 2.0)
     blocker_x_range: tuple = (7.0, 31.0)
     blocker_y_margin: float = 0.5
+
+    def __post_init__(self):
+        if not 0 <= self.dense_probability <= 1:
+            raise ValueError("dense_probability must lie in [0, 1]")
+        # the blocker-free scene every draw starts from checks the rest
+        Scene(self.bounds, self.bs_position, self.ris_position,
+              penetration_loss_db=self.penetration_loss_db,
+              ue_zone=self.ue_zone)
 
 
 def random_scene(layout, rng):

@@ -1,6 +1,7 @@
 """Command-line workflow: generate -> train -> eval -> curves, config
 validation, seed resolution, exit codes, and byte-level reproducibility."""
 
+import argparse
 import importlib.metadata
 import importlib.util
 import json
@@ -17,7 +18,8 @@ import pytest
 import risblock
 from conftest import allow_cpus
 from risblock import dataset, pipeline
-from risblock.cli import main
+from risblock.cli import (_SECTIONS, generator_from_config, load_config, main,
+                          resolve_seed, training_from_config)
 from risblock.dataset import GeneratorConfig, generate_dataset, save_dataset
 from risblock.pipeline import EXPERIMENT_TRAIN_CONFIG, Scenario, run_experiment
 
@@ -183,10 +185,53 @@ def test_unparseable_and_invalid_values_are_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "d")]) == 2
     assert "cannot parse 'many'" in capsys.readouterr().err
 
-    config.write_text("[generator]\nn_ris_elements = 0\n", encoding="ascii")
-    assert main(["generate", "--config", str(config),
-                 "--out", str(tmp_path / "d")]) == 2
-    assert "invalid generator config" in capsys.readouterr().err
+    # each is refused before generation starts, so no directory is made
+    for section, line in (("generator", "n_ris_elements = 0"),
+                          ("generator", "image_height = 0"),
+                          ("generator", "image_height = -16"),
+                          ("generator", "step_time_s = 0"),
+                          ("layout", "bs_x = 99"),
+                          ("layout", "penetration_loss_db = -1"),
+                          ("layout", "bounds_width = -1"),
+                          ("layout", "dense_probability = 2")):
+        config.write_text(f"[{section}]\n{line}\n", encoding="ascii")
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "d")]) == 2, line
+        assert "invalid generator config" in capsys.readouterr().err, line
+        assert not (tmp_path / "d").exists(), line
+
+
+def test_training_seed_is_not_a_key(workspace, tmp_path, capsys):
+    # each scenario trains with a seed mixed from the root seed, so a
+    # [training] seed would change nothing
+    config = tmp_path / "bad.ini"
+    config.write_text("[experiment]\nseed = 5\n\n[training]\nepochs = 3\n"
+                      "seed = 9\n", encoding="ascii")
+    code = main(["train", "--config", str(config),
+                 "--dataset", str(workspace / "dataset"),
+                 "--out", str(tmp_path / "models")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{config}:6: unknown key 'seed' in section [training]" in err
+    assert not (tmp_path / "models").exists()
+
+
+def _readme_config_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_is_the_schema(tmp_path):
+    config_path = tmp_path / "readme.ini"
+    config_path.write_text(_readme_config_block(), encoding="ascii")
+    config = load_config(config_path)
+    assert {section: set(values) for section, values in config.items()} == {
+        section: set(keys) for section, keys in _SECTIONS.items()}
+    assert generator_from_config(config) == GeneratorConfig()
+    assert training_from_config(config) == EXPERIMENT_TRAIN_CONFIG
+    assert resolve_seed(argparse.Namespace(seed=None), config) == 0
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):
@@ -282,7 +327,8 @@ def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
     assert "ris could not be trained" in capsys.readouterr().err
     assert not (tmp_path / "models").exists()
     with pytest.raises(ValueError, match="ris could not be trained"):
-        run_experiment(GeneratorConfig(), EXPERIMENT_TRAIN_CONFIG, 5,
+        run_experiment(GeneratorConfig(n_samples=60, n_ris_elements=32),
+                       EXPERIMENT_TRAIN_CONFIG, 5,
                        tmp_path / "experiment",
                        dataset_dir=workspace / "dataset")
     assert not any((tmp_path / "experiment").iterdir())

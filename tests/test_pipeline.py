@@ -416,6 +416,22 @@ def test_run_experiment_reuses_saved_dataset(experiment_run, tmp_path):
         assert (rerun / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_run_experiment_refuses_a_dataset_from_another_seed_or_config(tmp_path):
+    out = tmp_path / "run"
+    run_experiment(GeneratorConfig(n_samples=60, n_ris_elements=32), FAST_TRAIN,
+                   1, out)
+    written = {path: path.read_bytes() for path in out.rglob("*")
+               if path.is_file()}
+    for gen_cfg, seed, key in (
+            (GeneratorConfig(n_samples=90, n_ris_elements=32), 2, "seed"),
+            (GeneratorConfig(n_samples=90, n_ris_elements=32), 1, "config"),
+            (GeneratorConfig(n_samples=60, n_ris_elements=32), 2, "seed")):
+        with pytest.raises(ValueError, match=f"records {key} "):
+            run_experiment(gen_cfg, FAST_TRAIN, seed, out)
+        assert {path: path.read_bytes() for path in out.rglob("*")
+                if path.is_file()} == written
+
+
 def test_run_experiment_checks_the_pooled_grid_before_generating(tmp_path):
     gen_cfg = GeneratorConfig(n_samples=300, n_ris_elements=64,
                               image_dims=(40, 64, 3))
