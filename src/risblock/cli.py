@@ -27,7 +27,7 @@ from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
                             save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
                                check_trainable, evaluate_scenarios,
-                               split_dataset, train_scenarios)
+                               fit_scenarios, split_dataset)
 from risblock.scene import SceneLayout
 from risblock.svgchart import render_line_chart
 
@@ -81,7 +81,10 @@ def _line_of(text, pattern, after=0):
 
 
 def load_config(path):
-    """Parse and validate an INI config; values stay as {section: {key: str}}."""
+    """Parse and validate an INI config; values stay as {section: {key: str}}.
+
+    Every section is checked, whichever the command reads, so a bad value
+    fails the first command given the file, before it writes anything."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -106,7 +109,11 @@ def load_config(path):
                 raise ConfigError(
                     f"{path}:{line}: unknown key '{key}' in section "
                     f"[{section}] (expected one of {sorted(allowed)})")
-    return {section: dict(parser[section]) for section in parser.sections()}
+    config = {section: dict(parser[section]) for section in parser.sections()}
+    generator_from_config(config)
+    training_from_config(config)
+    _values(config, "experiment")
+    return config
 
 
 def _values(config, section):
@@ -234,7 +241,14 @@ def cmd_train(args):
         check_trainable(train_table, scenarios)
     except ValueError as exc:
         raise ConfigError(f"cannot train on {args.dataset}: {exc}") from exc
-    models = train_scenarios(train_table, scenarios, train_cfg, seed)
+    trained = {}
+    with closing(fit_scenarios(train_table, scenarios, train_cfg,
+                               seed)) as fits:
+        for scenario, model in fits:
+            trained[scenario] = model
+            print(f"{len(trained)}/{len(scenarios)} scenarios trained "
+                  f"({scenario.value})", file=sys.stderr, flush=True)
+    models = {scenario: trained[scenario] for scenario in scenarios}
 
     # Every file is written under a temporary name first and renamed into
     # place once all are written, so a failed run leaves no partial model set.

@@ -22,9 +22,10 @@ scenario has a learning curve to report next to the others.
 Feature standardization is fit on the training split only and stored with
 each model; images enter as the table's pooled blocks.
 
-`train_scenarios` checks every scenario's preconditions, then fits the
+`fit_scenarios` checks every scenario's preconditions, then fits the
 scenarios with `fork_map`, one per task on every CPU the process may use,
-the image scenarios first.
+the image scenarios first, and yields each model as it comes back;
+`train_scenarios` collects them.
 Each scenario trains with its own seed derived from the root seed, so a
 model's bytes depend neither on the CPU count nor on which other scenarios
 are trained beside it.
@@ -222,10 +223,11 @@ def check_trainable(train_table, scenarios):
                     f"the training split, got labels {sorted(present)}")
 
 
-def train_scenarios(train_table, scenarios, train_cfg, seed):
-    """{scenario: model} in Scenario order, after check_trainable has passed
-    for every one of them. Scenario k of Scenario trains with the seed
-    _mixed_seed(seed, TRAIN_STREAM_TAG, k)."""
+def fit_scenarios(train_table, scenarios, train_cfg, seed):
+    """(scenario, model) pairs, each as its fit comes back from fork_map,
+    the image scenarios first, once check_trainable has passed for every one
+    of them. Scenario k of Scenario trains with the seed
+    _mixed_seed(seed, TRAIN_STREAM_TAG, k). Run it to its end or close it."""
     order = list(Scenario)
     scenarios = [s for s in order if s in scenarios]
     check_trainable(train_table, scenarios)
@@ -240,8 +242,15 @@ def train_scenarios(train_table, scenarios, train_cfg, seed):
     # The image scenarios take several times longer to fit than the rate-only
     # ones; submitted first, the longest fit no longer starts last.
     longest_first = sorted(scenarios, key=lambda s: s not in IMAGE_SCENARIOS)
-    models = dict(zip(longest_first, list(fork_map(fit, longest_first))))
-    return {scenario: models[scenario] for scenario in scenarios}
+    with closing(fork_map(fit, longest_first)) as models:
+        yield from zip(longest_first, models)
+
+
+def train_scenarios(train_table, scenarios, train_cfg, seed):
+    """{scenario: model} in Scenario order; see fit_scenarios."""
+    models = dict(fit_scenarios(train_table, scenarios, train_cfg, seed))
+    return {scenario: models[scenario] for scenario in Scenario
+            if scenario in models}
 
 
 def predict_scenario(table, model):

@@ -4,14 +4,17 @@ The physics oracles are written with scalar ``math``/``cmath`` loops — no
 numpy, no vectorization, no precomputation, no code shared with the package —
 so a disagreement with the production path cannot have a common cause.
 
-The training reference (``reference_train``) is the exception: it is the
+The training references are the exception. ``reference_train`` is the
 plain three-pass SGD loop, which runs the full forward pass for the batch
 loss, again for the gradient and over the whole training set, every column
-of it, for the accuracy curve, and always multiplies the image block. It
-keeps numpy and the package's operation order because ``train`` must match
-it byte for byte; it shares only the parameter container, the
-initialisation, the learning-rate schedule, softmax, the loss and the SGD
-step with the package.
+of it, for the accuracy curve, and always multiplies the image block.
+``reference_live_column_train`` is ``train``'s loop with a direct forward
+pass over the live image columns for the accuracy curve, where ``train``
+keeps those columns' pre-activations from step to step. Both keep numpy
+and the package's operation order because ``train`` must match them byte
+for byte; they share only the parameter container, the initialisation,
+the learning-rate schedule, softmax, the loss and the SGD step with the
+package.
 
 The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package
@@ -22,6 +25,7 @@ writer with the package.
 import cmath
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -153,6 +157,45 @@ def reference_train(features, labels, cfg):
             iteration += 1
             history.append((iteration, epoch, lr, batch_loss,
                             reference_accuracy(params, features, label_indices)))
+    return params, history
+
+
+def reference_live_column_train(features, labels, cfg):
+    """(params, history) of train's loop with a direct accuracy pass: the
+    image block is dropped when it is all zeros, and after every step a full
+    forward pass runs over the live image columns, those with a nonzero
+    value, and their rows of w1."""
+    features = np.asarray(features, dtype=np.float64)
+    label_indices = np.array([label_to_index(l) for l in labels])
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(features.shape[1] - 1, rng)
+    live = features[:, :-1].any(axis=0)
+    live_features = features[:, np.append(live, True)]
+    image_is_zero = not live.any()
+    if image_is_zero:
+        features = live_features
+    n = features.shape[0]
+    history = []
+    iteration = 0
+    for epoch in range(1, cfg.epochs + 1):
+        lr = lr_schedule(epoch, cfg)
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            take = order[start:start + cfg.batch_size]
+            net = replace(params, w1=params.w1[live]) if image_is_zero else params
+            probs, _, _ = _reference_forward(net, features[take])
+            batch_loss = float(np.mean([
+                cross_entropy(probs[i], int(label_indices[take][i]))
+                for i in range(take.shape[0])]))
+            grads = _reference_gradients(net, features[take],
+                                         label_indices[take], cfg.weight_decay)
+            if image_is_zero:
+                grads = replace(grads, w1=0.0 + cfg.weight_decay * params.w1)
+            params = sgd_step(params, grads, lr)
+            iteration += 1
+            history.append((iteration, epoch, lr, batch_loss, reference_accuracy(
+                replace(params, w1=params.w1[live]), live_features,
+                label_indices)))
     return params, history
 
 

@@ -201,6 +201,26 @@ def test_unparseable_and_invalid_values_are_rejected(tmp_path, capsys):
         assert not (tmp_path / "d").exists(), line
 
 
+def test_every_section_is_checked_before_anything_is_written(workspace,
+                                                            tmp_path, capsys):
+    # generate reads [generator] and [layout] alone, train and eval
+    # [training] and [experiment]; a bad value in any section fails each
+    config = tmp_path / "bad.ini"
+    config.write_text("[training]\nschedule_epochs = 5;8\n", encoding="ascii")
+    assert main(["generate", "--config", str(config), "--n", "5",
+                 "--out", str(tmp_path / "d")]) == 2
+    assert ("[training] schedule_epochs: cannot parse '5;8'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "d").exists()
+
+    config.write_text("[generator]\nn_ris_elements = 0\n", encoding="ascii")
+    assert main(["train", "--config", str(config), "--seed", "5",
+                 "--dataset", str(workspace / "dataset"),
+                 "--out", str(tmp_path / "models")]) == 2
+    assert "invalid generator config" in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
+
+
 def test_training_seed_is_not_a_key(workspace, tmp_path, capsys):
     # each scenario trains with a seed mixed from the root seed, so a
     # [training] seed would change nothing
@@ -276,6 +296,30 @@ def test_train_single_scenario_flag(workspace, tmp_path):
     produced = sorted(p.name for p in out.iterdir())
     assert produced == ["history_camera.csv", "model_camera.bin",
                         "train_meta_camera.json"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_reports_each_fitted_scenario(workspace, tmp_path, monkeypatch,
+                                            capsys, cpus):
+    allow_cpus(monkeypatch, cpus)
+    capsys.readouterr()
+    assert _train(workspace, tmp_path / "models") == 0
+    captured = capsys.readouterr()
+    # one line as each fit comes back, the image scenarios first
+    assert captured.err.splitlines() == [
+        f"{k}/4 scenarios trained ({name})"
+        for k, name in enumerate(("camera", "both", "none", "ris"), start=1)]
+    # progress goes to stderr only: stdout has its one line a scenario, in
+    # Scenario order, and the files are those of the workspace's run
+    assert ([line.split(":")[0] for line in captured.out.splitlines()]
+            == [f"trained {name}" for name in SCENARIOS])
+    assert ({path.name: path.read_bytes()
+             for path in (tmp_path / "models").iterdir()}
+            == {path.name: path.read_bytes()
+                for path in (workspace / "models").iterdir()})
+
+    assert _train(workspace, tmp_path / "camera", "--scenario", "camera") == 0
+    assert capsys.readouterr().err == "1/1 scenarios trained (camera)\n"
 
 
 def _train(workspace, out, *flags):

@@ -1,13 +1,19 @@
 """Classifier ops: forward/loss/backward hand values, gradient checking,
 training determinism, and the model file format."""
 
+import functools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import SMALL_SEED
+from conftest import SMALL_SEED, generated, table_of
+from risblock import learn
+from risblock.dataset import GeneratorConfig
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             accuracy, argmax_index, backward, cross_entropy,
                             fit_standardization, forward, grad_check,
@@ -398,6 +404,103 @@ def test_live_column_accuracy_keeps_the_history(seed):
         assert got.tobytes() == want.tobytes(), f"{name} differs"
     assert ([tuple(map(repr, row)) for row in history]
             == [tuple(map(repr, row)) for row in want_history])
+
+
+LIVE_COLUMN_GEN = GeneratorConfig(n_samples=90, n_ris_elements=16)
+LIVE_COLUMN_SEEDS = (6, 7, 8, 9, 10)
+
+
+@functools.cache
+def _generated_table(seed):
+    return table_of(generated(LIVE_COLUMN_GEN, seed))
+
+
+def _generated_training_set(scenario, fraction, seed):
+    train_table, _ = split_dataset(_generated_table(seed), fraction, seed)
+    raw = build_features(train_table, scenario)
+    features = fit_standardization(raw).apply(raw)
+    live = features[:, :-1].any(axis=0)
+    assert 0 < live.sum() < live.size  # some dead columns, some live
+    return features, train_table.label, replace(EXPERIMENT_TRAIN_CONFIG,
+                                                seed=seed)
+
+
+def _blob_training_set(dead):
+    # the blob problem with five dead columns inserted, or with all dead
+    features, labels = _blob_problem(n=45, d_img=6, seed=11)
+    features = np.insert(features, [0, 2, 2, 5, 6], 0.0, axis=1)
+    if dead == "all":
+        features[:, :-1] = 0.0
+    return features, labels, TrainConfig(learning_rate=0.1, batch_size=8,
+                                         epochs=4, seed=12)
+
+
+LIVE_COLUMN_CASES = {
+    **{f"{scenario.value}-{fraction}-seed{seed}":
+       functools.partial(_generated_training_set, scenario, fraction, seed)
+       for scenario in (Scenario.CAMERA_ONLY, Scenario.BOTH)
+       for fraction in (0.5, 0.7, 0.9)
+       for seed in LIVE_COLUMN_SEEDS},
+    "some_dead_columns": functools.partial(_blob_training_set, "some"),
+    "all_dead_columns": functools.partial(_blob_training_set, "all"),
+}
+
+
+@pytest.mark.parametrize("case", LIVE_COLUMN_CASES)
+def test_train_matches_the_direct_live_column_loop(case):
+    # train keeps the accuracy pass's pre-activations from step to step; the
+    # reference recomputes them from the live columns after every step
+    features, labels, cfg = LIVE_COLUMN_CASES[case]()
+    params, history = train(features, labels, cfg)
+    want_params, want_history = oracles.reference_live_column_train(
+        features, labels, cfg)
+    for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), f"{name} differs"
+    assert ([tuple(map(repr, row)) for row in history]
+            == [tuple(map(repr, row)) for row in want_history])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), d_img=st.integers(1, 8),
+       dead=st.integers(0, 255), data_seed=st.integers(0, 2**32 - 1),
+       learning_rate=st.floats(1e-3, 0.5),
+       lr_reduction_factor=st.floats(0.05, 1.0),
+       schedule_epochs=st.lists(st.integers(1, 4), max_size=3),
+       weight_decay=st.sampled_from([0.0, 2e-3, 0.1]),
+       batch_size=st.integers(1, 12), epochs=st.integers(1, 4))
+def test_tracked_preactivations_follow_the_direct_product(
+        n, d_img, dead, data_seed, learning_rate, lr_reduction_factor,
+        schedule_epochs, weight_decay, batch_size, epochs):
+    rng = np.random.default_rng(data_seed)
+    features = rng.normal(scale=rng.uniform(0.1, 3.0), size=(n, d_img + 1))
+    # the bits of `dead` zero image columns; column 0 stays live
+    for column in range(1, d_img):
+        if dead >> column & 1:
+            features[:, column] = 0.0
+    live = features[:, :-1].any(axis=0)
+    x_live = features[:, :-1][:, live]
+    labels = rng.choice([-1, 0, 1], size=n)
+    cfg = TrainConfig(learning_rate=learning_rate,
+                      lr_reduction_factor=lr_reduction_factor,
+                      schedule_epochs=schedule_epochs,
+                      weight_decay=weight_decay, batch_size=batch_size,
+                      epochs=epochs, seed=data_seed)
+    direct_accuracy = learn.accuracy
+    checked = []
+
+    def checking_accuracy(params, scored, label_indices):
+        # called once after every step, with the tracked pre-activations
+        assert isinstance(scored, learn._LivePreactivations)
+        direct = x_live @ params.w1[live]
+        np.testing.assert_allclose(scored.pre, direct, rtol=0,
+                                   atol=1e-9 * np.abs(direct).max())
+        checked.append(direct_accuracy(params, scored, label_indices))
+        return checked[-1]
+
+    with mock.patch.object(learn, "accuracy", checking_accuracy):
+        _, history = train(features, labels, cfg)
+    assert len(checked) == len(history) == epochs * math.ceil(n / batch_size)
 
 
 # ---------------------------------------------------------------- model file
