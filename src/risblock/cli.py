@@ -5,7 +5,8 @@ and [experiment] sections; the keys come from the config dataclasses,
 which check their own values, and unknown keys are rejected with their line
 number. The seed resolves in order: --seed flag, RISBLOCK_SEED environment
 variable, [experiment] seed, then 0. Exit codes: 0 success, 1 runtime
-failure, 2 config/validation error.
+failure, 2 config/validation error. Each command writes its output set
+through `risblock._files.staged_files`: all of it, or none of it.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from risblock._files import csv_text, json_text, staged_files
 from risblock.dataset import (GeneratorConfig, check_poolable, generate_dataset,
                               load_dataset, save_dataset)
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
@@ -33,8 +35,8 @@ from risblock.svgchart import render_line_chart
 
 
 class ConfigError(Exception):
-    """Invalid configuration or arguments, or trained models that do not
-    match eval's dataset and seed; maps to exit code 2."""
+    """Invalid configuration or arguments, or trained models that are
+    incomplete or do not match eval's dataset and seed; maps to exit code 2."""
 
 
 def _scalar_fields(cls):
@@ -177,28 +179,17 @@ def resolve_seed(args, config):
     return _values(config, "experiment").get("seed", 0)
 
 
-def _scenario_list(flag):
-    if flag is None:
-        return list(Scenario)
-    return [Scenario(flag)]
-
-
 def _history_csv_text(history):
-    lines = ["iteration,epoch,lr,loss,accuracy"]
-    for it, epoch, lr, loss, acc in history:
-        lines.append(f"{it},{epoch},{repr(float(lr))},{repr(float(loss))},"
-                     f"{repr(float(acc))}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("iteration", "epoch", "lr", "loss", "accuracy"), (
+        (it, epoch, float(lr), float(loss), float(acc))
+        for it, epoch, lr, loss, acc in history))
 
 
 def _read_history_csv(path):
-    rows = []
     with open(path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["iteration"]), int(row["epoch"]),
-                         float(row["lr"]), float(row["loss"]),
-                         float(row["accuracy"])))
-    return tuple(rows)
+        return tuple((int(row["iteration"]), int(row["epoch"]),
+                      float(row["lr"]), float(row["loss"]),
+                      float(row["accuracy"])) for row in csv.DictReader(fh))
 
 
 def _reporting_progress(ranges, n):
@@ -236,7 +227,7 @@ def cmd_train(args):
     seed = resolve_seed(args, config)
     table, manifest = load_dataset(Path(args.dataset))
     train_table, _ = split_dataset(table, train_cfg.train_fraction, seed)
-    scenarios = _scenario_list(args.scenario)
+    scenarios = [Scenario(args.scenario)] if args.scenario else list(Scenario)
     try:
         check_trainable(train_table, scenarios)
     except ValueError as exc:
@@ -250,39 +241,20 @@ def cmd_train(args):
                   f"({scenario.value})", file=sys.stderr, flush=True)
     models = {scenario: trained[scenario] for scenario in scenarios}
 
-    # Every file is written under a temporary name first and renamed into
-    # place once all are written, so a failed run leaves no partial model set.
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged = []
-
-    def stage(name):
-        temporary = out_dir / f".{name}.{os.getpid()}.tmp"
-        staged.append((temporary, out_dir / name))
-        return temporary
-
-    try:
+    with staged_files(out_dir) as stage:
         for scenario, model in models.items():
             name = scenario.value
-            save_model(stage(f"model_{name}.bin"), model.params,
+            save_model(stage.path(f"model_{name}.bin"), model.params,
                        model.standardization)
-            stage(f"history_{name}.csv").write_text(
-                _history_csv_text(model.history), encoding="ascii")
-            meta = {
+            stage.write(f"history_{name}.csv", _history_csv_text(model.history))
+            stage.write(f"train_meta_{name}.json", json_text({
                 "scenario": name,
                 "dataset_hash": manifest["content_hash"],
                 "seed": seed,
                 "rate_threshold": model.rate_threshold,
                 "threshold_accuracy": model.threshold_accuracy,
-            }
-            stage(f"train_meta_{name}.json").write_text(
-                json.dumps(meta, sort_keys=True, indent=2) + "\n",
-                encoding="ascii")
-        for temporary, path in staged:
-            os.replace(temporary, path)
-    finally:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
+            }))
     for scenario, model in models.items():
         name = scenario.value
         final_acc = model.history[-1][4] if model.history else float("nan")
@@ -291,18 +263,21 @@ def cmd_train(args):
     return 0
 
 
-def _read_train_meta(models_dir, scenario, dataset_hash, seed):
-    """A scenario's model file must exist, and its train metadata must exist
-    and name the dataset hash and the seed that eval was given, else the
+def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
+    """A scenario's model with its history and train metadata. The metadata
+    must name the dataset hash and the seed that eval was given, else the
     test split would overlap the rows the model was trained on."""
-    model_path = models_dir / f"model_{scenario.value}.bin"
+    name = scenario.value
+    model_path = models_dir / f"model_{name}.bin"
     if not model_path.exists():
         raise FileNotFoundError(f"missing model file {model_path}")
-    meta_path = models_dir / f"train_meta_{scenario.value}.json"
-    if not meta_path.exists():
-        raise ConfigError(
-            f"missing {meta_path}; eval needs the train metadata that "
-            f"`risblock train` writes next to each model")
+    meta_path = models_dir / f"train_meta_{name}.json"
+    history_path = models_dir / f"history_{name}.csv"
+    for path, kind in ((meta_path, "train metadata"),
+                       (history_path, "training history")):
+        if not path.exists():
+            raise ConfigError(f"missing {path}; eval needs the {kind} that "
+                              f"`risblock train` writes next to each model")
     meta = json.loads(meta_path.read_text("ascii"))
     for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
         if meta.get(key) != given:
@@ -310,16 +285,10 @@ def _read_train_meta(models_dir, scenario, dataset_hash, seed):
                 f"{meta_path} records {key} {meta.get(key)!r}, but eval was "
                 f"given {key} {given!r}; evaluate with the dataset and seed "
                 f"the models were trained on")
-    return meta
-
-
-def _load_scenario_model(models_dir, scenario, meta):
-    name = scenario.value
-    params, stats = load_model(models_dir / f"model_{name}.bin")
-    history_path = models_dir / f"history_{name}.csv"
-    history = _read_history_csv(history_path) if history_path.exists() else ()
+    params, stats = load_model(model_path)
     return ScenarioModel(scenario=scenario, params=params,
-                         standardization=stats, history=history,
+                         standardization=stats,
+                         history=_read_history_csv(history_path),
                          rate_threshold=meta.get("rate_threshold"),
                          threshold_accuracy=meta.get("threshold_accuracy"))
 
@@ -331,12 +300,10 @@ def cmd_eval(args):
     table, manifest = load_dataset(Path(args.dataset))
     _, test_table = split_dataset(table, train_cfg.train_fraction, seed)
     models_dir = Path(args.models)
-    metas = {scenario: _read_train_meta(models_dir, scenario,
-                                        manifest["content_hash"], seed)
-             for scenario in Scenario}
     # every model loads before any report is written
-    models = {scenario: _load_scenario_model(models_dir, scenario, meta)
-              for scenario, meta in metas.items()}
+    models = {scenario: _load_scenario_model(models_dir, scenario,
+                                             manifest["content_hash"], seed)
+              for scenario in Scenario}
     reports = evaluate_scenarios(test_table, models, Path(args.out))
     for scenario, report in reports.items():
         print(f"{scenario.value}: accuracy {report.accuracy:.3f} "
@@ -370,7 +337,6 @@ def cmd_gradcheck(args):
 def cmd_curves(args):
     results_dir = Path(args.results)
     out_dir = Path(args.out) if args.out else results_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = {}
     for scenario in Scenario:
         path = results_dir / f"curve_{scenario.value}.csv"
@@ -385,16 +351,14 @@ def cmd_curves(args):
     if len(set(iterations)) != 1:
         raise ValueError("curve files disagree on iteration grids; "
                          "regenerate them from one evaluation run")
-    lines = ["iteration," + ",".join(s.value for s in Scenario)]
-    for i, it in enumerate(iterations[0]):
-        values = ",".join(repr(series[s.value][i][1]) for s in Scenario)
-        lines.append(f"{it},{values}")
-    (out_dir / "curves.csv").write_text("\n".join(lines) + "\n",
-                                        encoding="ascii")
-
+    merged = csv_text(("iteration", *series), (
+        (it, *(points[i][1] for points in series.values()))
+        for i, it in enumerate(iterations[0])))
     svg = render_line_chart(series, title="Training accuracy by scenario",
                             x_label="iteration", y_label="train accuracy")
-    (out_dir / "curves.svg").write_text(svg, encoding="ascii")
+    with staged_files(out_dir) as stage:
+        stage.write("curves.csv", merged)
+        stage.write("curves.svg", svg)
     print(f"wrote {out_dir}/curves.csv and {out_dir}/curves.svg "
           f"({len(series)} series)")
     return 0

@@ -14,9 +14,8 @@ RANGES_PER_WORKER per CPU in the process's affinity mask, and maps them with
 range's samples in index order. `save_dataset` writes and hashes each range
 as it arrives and then drops its images, so the files are the same bytes on
 any CPU count and no more than a range of images is held at once. It writes
-all three files under temporary names and renames them into place after the
-last range, so a failed run leaves no dataset. `taskset -c 0` gives a serial
-run.
+through `risblock._files.staged_files`, the manifest last, so a failed run
+leaves no dataset. `taskset -c 0` gives a serial run.
 
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
@@ -29,10 +28,7 @@ reduced to its rows of a `FeatureTable` (the image pooled to a 16 x 16 x C
 block, and whether the camera sees the terminal) and is dropped.
 """
 
-import contextlib
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -43,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
 from risblock.channel import (ArrayGeometry, PropagationConfig, channel_bs_ris,
                               channel_bs_ue, channel_ris_ue, co_phase_ris,
@@ -179,11 +176,6 @@ def generate_sample(cfg, seed, index):
                   seed_used=(int(seed), SAMPLE_STREAM_TAG, int(index)))
 
 
-def _image_buffer(sample):
-    """The sample's image as images.bin stores it: C-order little-endian f4."""
-    return np.ascontiguousarray(sample.image, dtype="<f4")
-
-
 # what the writer keeps of a sample once its image is written
 _Record = namedtuple("_Record", "direct_rate ris_rate label location_index")
 
@@ -191,13 +183,9 @@ _FEATURES_HEADER = ("index", "direct_rate", "ris_rate", "label")
 
 
 def _features_csv(samples):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_FEATURES_HEADER)
-    for i, s in enumerate(samples):
-        writer.writerow([i, repr(float(s.direct_rate)), repr(float(s.ris_rate)),
-                         int(s.label)])
-    return buf.getvalue()
+    return csv_text(_FEATURES_HEADER, (
+        (i, float(s.direct_rate), float(s.ris_rate), int(s.label))
+        for i, s in enumerate(samples)))
 
 
 def _content_hash(digest, features_text):
@@ -258,22 +246,16 @@ def save_dataset(out_dir, ranges, cfg, seed):
     order, as a dataset made by `cfg` from `seed`; returns its manifest.
 
     Each range is written and hashed as it arrives, then dropped. The three
-    files are written under temporary names in out_dir and renamed into
-    place after the last range; on an error none is left, nor any directory
-    this call made.
+    files are staged (see risblock._files): all of them appear, or none.
     """
-    out_dir = Path(out_dir)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp"
-              for name in (IMAGES_NAME, FEATURES_NAME, MANIFEST_NAME)}
-    try:
+    with staged_files(out_dir) as stage:
         digest = hashlib.sha256()
         records = []
-        with open(staged[IMAGES_NAME], "wb") as images:
+        with open(stage.path(IMAGES_NAME), "wb") as images:
             for part in ranges:
                 for s in part:
-                    buffer = _image_buffer(s)
+                    # as images.bin stores it: C-order little-endian f4
+                    buffer = np.ascontiguousarray(s.image, dtype="<f4")
                     images.write(buffer)
                     digest.update(buffer)
                     records.append(_Record(s.direct_rate, s.ris_rate, s.label,
@@ -283,20 +265,9 @@ def save_dataset(out_dir, ranges, cfg, seed):
         features_text = _features_csv(records)
         manifest = build_manifest(cfg, seed, records,
                                   _content_hash(digest, features_text))
-        staged[FEATURES_NAME].write_text(features_text, encoding="ascii")
-        staged[MANIFEST_NAME].write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-            encoding="ascii")
+        stage.write(FEATURES_NAME, features_text)
         # the manifest last: a directory with one holds a finished dataset
-        for name, temporary in staged.items():
-            os.replace(temporary, out_dir / name)
-    except BaseException:
-        for temporary in staged.values():
-            temporary.unlink(missing_ok=True)
-        for directory in made:
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
+        stage.write(MANIFEST_NAME, json_text(manifest))
     return manifest
 
 

@@ -2,10 +2,8 @@
 cascade predictor, and the four-scenario evaluation.
 
 Every stage reads a dataset's `FeatureTable` (see risblock.dataset), never
-its images: `load_dataset` pools each image once into the table's 16x16x3
-block and records whether the camera sees the terminal.
-
-The four scenarios differ only in which features reach the classifier:
+its images. The four scenarios differ only in which features reach the
+classifier:
 
     none    direct-link rate only (image block zeroed)
     camera  pooled image only (rate column zeroed)
@@ -17,21 +15,17 @@ the cascade: stage 1 declares the link clear when the camera sees the
 terminal (any channel-2 evidence); stage 2 separates absent from blocked by
 thresholding the surface-assisted rate, with the threshold calibrated on the
 training split. A perceptron is still trained on the full features so the
-scenario has a learning curve to report next to the others.
+scenario has a learning curve to report next to the others. Feature
+standardization is fit on the training split only and stored with each
+model.
 
-Feature standardization is fit on the training split only and stored with
-each model; images enter as the table's pooled blocks.
-
-`fit_scenarios` checks every scenario's preconditions, then fits the
-scenarios with `fork_map`, one per task on every CPU the process may use,
-the image scenarios first, and yields each model as it comes back;
-`train_scenarios` collects them.
-Each scenario trains with its own seed derived from the root seed, so a
-model's bytes depend neither on the CPU count nor on which other scenarios
-are trained beside it.
+`fit_scenarios` fits the scenarios on every CPU the process may use; each
+trains with its own seed derived from the root seed, so a model's bytes
+depend neither on the CPU count nor on which other scenarios are trained
+beside it. The report set is written through `risblock._files.staged_files`:
+all of it, or none of it.
 """
 
-import json
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
@@ -41,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from risblock import learn
+from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
 from risblock.dataset import (MANIFEST_NAME, check_poolable, config_record,
                               generate_dataset, load_dataset,
@@ -312,44 +307,43 @@ def report_to_dict(report, model):
     }
 
 
-def write_report_files(out_dir, report, model):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_report_files(stage, report, model):
+    """Stage a scenario's report, curve and confusion files (see
+    risblock._files)."""
     name = report.scenario.value
-    (out_dir / f"report_{name}.json").write_text(
-        json.dumps(report_to_dict(report, model), sort_keys=True, indent=2) + "\n",
-        encoding="ascii")
-    curve_lines = ["iteration,accuracy"]
-    curve_lines += [f"{it},{repr(float(acc))}" for it, acc in report.curve]
-    (out_dir / f"curve_{name}.csv").write_text("\n".join(curve_lines) + "\n",
-                                               encoding="ascii")
-    rows = ["true\\predicted," + ",".join(CLASS_NAMES)]
-    for i, cls in enumerate(CLASS_NAMES):
-        rows.append(cls + "," + ",".join(str(int(v))
-                                         for v in report.confusion[i]))
-    (out_dir / f"confusion_{name}.csv").write_text("\n".join(rows) + "\n",
-                                                   encoding="ascii")
+    stage.write(f"report_{name}.json", json_text(report_to_dict(report, model)))
+    stage.write(f"curve_{name}.csv", csv_text(
+        ("iteration", "accuracy"),
+        ((it, float(acc)) for it, acc in report.curve)))
+    stage.write(f"confusion_{name}.csv", csv_text(
+        ("true\\predicted", *CLASS_NAMES),
+        ((cls, *(int(v) for v in report.confusion[i]))
+         for i, cls in enumerate(CLASS_NAMES))))
 
 
 def evaluate_scenarios(test_table, models, out_dir):
     """Evaluate each {scenario: model} on the test rows and write its report
-    files, then timings.json. Returns {scenario: report} in the models'
-    order."""
-    out_dir = Path(out_dir)
+    files, then timings.json, all of them or none (see risblock._files).
+    Returns {scenario: report} in the models' order."""
+    with staged_files(out_dir) as stage:
+        return _evaluate_staged(stage, test_table, models)
+
+
+def _evaluate_staged(stage, test_table, models):
     reports = {}
     for scenario, model in models.items():
         reports[scenario] = evaluate_scenario(test_table, scenario, model)
-        write_report_files(out_dir, reports[scenario], model)
+        write_report_files(stage, reports[scenario], model)
     timings = {s.value: report.wall_time_s for s, report in reports.items()}
-    (out_dir / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="ascii")
+    stage.write("timings.json", json_text(timings))
     return reports
 
 
 def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     """Generate (or load) a dataset, train all four scenarios, evaluate, and
-    write reports, curves, confusions, and an experiment manifest. A loaded
-    dataset must have been made by gen_cfg from seed, else ValueError.
+    write reports, curves, confusions, and an experiment manifest, all of
+    them or none (see risblock._files). A loaded dataset must have been made
+    by gen_cfg from seed, else ValueError.
 
     Returns {scenario: (model, report)}. Fully deterministic for a fixed
     seed: per-sample streams, the split, and each scenario's training seed
@@ -364,32 +358,31 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
             save_dataset(dataset_dir, ranges, gen_cfg, seed)
     # the loader is the one place that turns images into table rows
     table, manifest = load_dataset(dataset_dir)
-    for key, given in (("seed", int(seed)), ("config", config_record(gen_cfg))):
-        if manifest[key] != given:
+    # `generate --n` records the count it made beside its config's n_samples
+    made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}
+    for key, recorded, given in (("seed", manifest["seed"], int(seed)),
+                                 ("config", made_by, config_record(gen_cfg))):
+        if recorded != given:
             raise ValueError(
                 f"{dataset_dir / MANIFEST_NAME} records {key} "
-                f"{manifest[key]!r}, but run_experiment was given {given!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+                f"{recorded!r}, but run_experiment was given {given!r}")
 
     train_table, test_table = split_dataset(
         table, train_fraction=train_cfg.train_fraction, seed=seed)
 
     models = train_scenarios(train_table, list(Scenario), train_cfg, seed)
-    reports = evaluate_scenarios(test_table, models, out_dir)
-
-    experiment_manifest = {
-        "seed": int(seed),
-        "dataset_hash": manifest["content_hash"],
-        "n_samples": manifest["n_samples"],
-        "n_train": len(train_table),
-        "n_test": len(test_table),
-        # each scenario trains with its own seed mixed from the root seed
-        "train_config": {key: value for key, value in asdict(train_cfg).items()
-                         if key != "seed"},
-        "generator_config": manifest["config"],
-        "accuracies": {s.value: report.accuracy for s, report in reports.items()},
-    }
-    (out_dir / "experiment_manifest.json").write_text(
-        json.dumps(experiment_manifest, sort_keys=True, indent=2) + "\n",
-        encoding="ascii")
+    with staged_files(out_dir) as stage:
+        reports = _evaluate_staged(stage, test_table, models)
+        stage.write("experiment_manifest.json", json_text({
+            "seed": int(seed),
+            "dataset_hash": manifest["content_hash"],
+            "n_samples": manifest["n_samples"],
+            "n_train": len(train_table),
+            "n_test": len(test_table),
+            # each scenario trains with its own seed mixed from the root seed
+            "train_config": {key: value for key, value
+                             in asdict(train_cfg).items() if key != "seed"},
+            "generator_config": manifest["config"],
+            "accuracies": {s.value: r.accuracy for s, r in reports.items()},
+        }))
     return {scenario: (models[scenario], reports[scenario]) for scenario in models}

@@ -73,6 +73,28 @@ def test_generate_n_flag_overrides(tmp_path):
     assert manifest["seed"] == 1
 
 
+def test_experiment_checks_the_sample_count_the_dataset_holds(tmp_path):
+    # --n overrides the config's n_samples, which the manifest's config
+    # still records beside the count generated
+    config = tmp_path / "c.ini"
+    config.write_text("[generator]\nn_samples = 200\nn_ris_elements = 32\n",
+                      encoding="ascii")
+    dataset = tmp_path / "dataset"
+    assert main(["generate", "--config", str(config), "--n", "60",
+                 "--seed", "5", "--out", str(dataset)]) == 0
+    with pytest.raises(ValueError, match="records config "):
+        run_experiment(GeneratorConfig(n_samples=200, n_ris_elements=32),
+                       EXPERIMENT_TRAIN_CONFIG, 5, tmp_path / "refused",
+                       dataset_dir=dataset)
+    assert not (tmp_path / "refused").exists()
+    run_experiment(GeneratorConfig(n_samples=60, n_ris_elements=32),
+                   EXPERIMENT_TRAIN_CONFIG, 5, tmp_path / "run",
+                   dataset_dir=dataset)
+    recorded = json.loads(
+        (tmp_path / "run" / "experiment_manifest.json").read_text())
+    assert recorded["n_samples"] == 60
+
+
 def test_generate_rejects_bad_n(tmp_path, capsys):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "x")]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -375,7 +397,7 @@ def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
                        EXPERIMENT_TRAIN_CONFIG, 5,
                        tmp_path / "experiment",
                        dataset_dir=workspace / "dataset")
-    assert not any((tmp_path / "experiment").iterdir())
+    assert not (tmp_path / "experiment").exists()
     assert multiprocessing.active_children() == []
 
 
@@ -483,6 +505,18 @@ def test_eval_requires_every_train_meta(workspace, tmp_path, capsys):
                  "--models", str(models), "--out", str(tmp_path / "r")])
     assert code == 2
     assert f"missing {models / 'train_meta_both.json'}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_requires_every_history(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    (models / "history_camera.csv").unlink()
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert f"missing {models / 'history_camera.csv'}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

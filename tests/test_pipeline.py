@@ -10,6 +10,7 @@ import pytest
 
 from conftest import SMALL_GEN, allow_cpus, table_of
 from risblock import learn, pipeline
+from risblock._files import staged_files
 from risblock.dataset import (GeneratorConfig, detect_visible_ue, pool_image,
                               pooled_feature_count)
 from risblock.learn import TrainConfig
@@ -321,7 +322,8 @@ def test_report_files_are_byte_stable(tmp_path, trained_both):
     _, test, model = trained_both
     report = evaluate_scenario(test, Scenario.BOTH, model)
     for name in ("first", "second"):
-        write_report_files(tmp_path / name, report, model)
+        with staged_files(tmp_path / name) as stage:
+            write_report_files(stage, report, model)
     names = ["report_both.json", "curve_both.csv", "confusion_both.csv"]
     for name in names:
         assert (tmp_path / "first" / name).read_bytes() == \
