@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from risblock._files import csv_text, json_text, staged_files
-from risblock.dataset import (GeneratorConfig, check_poolable, generate_dataset,
-                              load_dataset, save_dataset)
+from risblock.dataset import (GeneratorConfig, generate_dataset, load_dataset,
+                              save_dataset)
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
                             save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
@@ -153,9 +153,7 @@ def generator_from_config(config):
         values["image_dims"] = (values.pop("image_height", height),
                                 values.pop("image_width", width), channels)
     try:
-        cfg = GeneratorConfig(**values, layout=_layout(_values(config, "layout")))
-        check_poolable(cfg.image_dims)  # else train fails on the dataset
-        return cfg
+        return GeneratorConfig(**values, layout=_layout(_values(config, "layout")))
     except ValueError as exc:
         raise ConfigError(f"invalid generator config: {exc}") from exc
 
@@ -269,15 +267,13 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
     test split would overlap the rows the model was trained on."""
     name = scenario.value
     model_path = models_dir / f"model_{name}.bin"
-    if not model_path.exists():
-        raise FileNotFoundError(f"missing model file {model_path}")
     meta_path = models_dir / f"train_meta_{name}.json"
     history_path = models_dir / f"history_{name}.csv"
-    for path, kind in ((meta_path, "train metadata"),
+    for path, kind in ((model_path, "model"), (meta_path, "train metadata"),
                        (history_path, "training history")):
         if not path.exists():
-            raise ConfigError(f"missing {path}; eval needs the {kind} that "
-                              f"`risblock train` writes next to each model")
+            raise ConfigError(f"missing {path}; eval needs the {kind} file "
+                              f"that `risblock train` writes for each scenario")
     meta = json.loads(meta_path.read_text("ascii"))
     for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
         if meta.get(key) != given:

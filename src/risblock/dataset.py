@@ -22,18 +22,25 @@ per-sample metadata, class counts, and a sha256 content hash), `images.bin`
 (raw little-endian float32, N x H x W x C, C order) and `features.csv`
 (columns index, direct_rate, ris_rate, label; floats as repr round-trips).
 
+A dataset's images are (H, W, 3) with H and W positive multiples of 16
+(`check_dataset_image_dims`): `GeneratorConfig` refuses other sizes, and
+`load_dataset` refuses a manifest that records them before it reads
+images.bin. So every dataset pools to the same 16 x 16 x 3 grid and feeds
+all four scenarios.
+
 `load_dataset` never holds the images either. It reads images.bin
 LOAD_CHUNK_IMAGES images at a time; each chunk updates the content hash, is
-reduced to its rows of a `FeatureTable` (the image pooled to a 16 x 16 x C
+reduced to its rows of a `FeatureTable` (the image pooled to a 16 x 16 x 3
 block, and whether the camera sees the terminal) and is dropped.
 """
 
 import hashlib
 import json
 import math
+import numbers
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from pathlib import Path
 
@@ -44,9 +51,9 @@ from risblock._pool import fork_map
 from risblock.channel import (ArrayGeometry, PropagationConfig, channel_bs_ris,
                               channel_bs_ue, channel_ris_ue, co_phase_ris,
                               data_rate, effective_gain)
-from risblock.scene import (LinkStatus, SceneLayout, check_image_dims,
-                            generate_trajectory, link_status, random_scene,
-                            render_image, synthesize_mpcs)
+from risblock.scene import (LinkStatus, SceneLayout, generate_trajectory,
+                            link_status, random_scene, render_image,
+                            synthesize_mpcs)
 
 # tag mixed into every per-sample SeedSequence, decoupling sample streams
 # from any other consumer of the same root seed
@@ -102,7 +109,7 @@ class GeneratorConfig:
         if not self.step_time_s > 0:
             raise ValueError("step_time_s must be > 0")
         object.__setattr__(self, "image_dims", tuple(self.image_dims))
-        check_image_dims(self.image_dims)
+        check_dataset_image_dims(self.image_dims)
         self.propagation()  # bad physical parameters fail here, not mid-run
         self.geometry()
 
@@ -271,15 +278,15 @@ def save_dataset(out_dir, ranges, cfg, seed):
     return manifest
 
 
-def check_poolable(image_dims):
-    """Raise ValueError unless (H, W, C) images pool evenly to POOLED_HW."""
-    if not _poolable(image_dims):
-        raise ValueError(f"image {tuple(image_dims)} not divisible into "
-                         f"{POOLED_HW}")
-
-
-def _poolable(image_dims):
-    return image_dims[0] % POOLED_HW[0] == 0 and image_dims[1] % POOLED_HW[1] == 0
+def check_dataset_image_dims(image_dims):
+    """Raise ValueError, naming the dims, unless a dataset may hold images
+    of image_dims: (H, W, 3) with H and W positive multiples of POOLED_HW."""
+    dims = tuple(image_dims)
+    if (len(dims) != 3 or not all(isinstance(d, numbers.Integral) for d in dims)
+            or dims[2] != 3 or min(dims[:2]) < 1):
+        raise ValueError(f"image {dims} is not three ints (H >= 1, W >= 1, 3)")
+    if dims[0] % POOLED_HW[0] or dims[1] % POOLED_HW[1]:
+        raise ValueError(f"image {dims} not divisible into {POOLED_HW}")
 
 
 def pooled_feature_count(image_dims):
@@ -295,9 +302,11 @@ def pool_image(images):
     the block axes of a float64 copy computes it, without making that copy.
     """
     images = np.asarray(images)
-    check_poolable(images.shape[-3:])
     h, w = POOLED_HW
     *lead, height, width, channels = images.shape
+    if height % h or width % w:
+        raise ValueError(f"image {images.shape[-3:]} not divisible into "
+                         f"{POOLED_HW}")
     rows, cols = height // h, width // w
     blocks = images.reshape(*lead, h, rows, w, cols, channels)
     pooled = blocks[..., 0, :, 0, :].astype(np.float64)
@@ -319,14 +328,12 @@ def detect_visible_ue(images):
 class FeatureTable:
     """Everything the scenarios read of a dataset, one row per sample.
 
-    pooled       (N, h * w * C) float64: each image average-pooled to
-                 POOLED_HW and flattened, or None when that grid does not
-                 divide the images
+    pooled       (N, 768) float64: each image average-pooled to
+                 POOLED_HW x 3 and flattened
     visible      (N,) bool: detect_visible_ue of each image
     direct_rate  (N,) float64
     ris_rate     (N,) float64
     label        (N,) int64 in {-1, 0, 1}
-    image_dims   (H, W, C) of the images the rows came from
     """
 
     pooled: np.ndarray
@@ -334,31 +341,24 @@ class FeatureTable:
     direct_rate: np.ndarray
     ris_rate: np.ndarray
     label: np.ndarray
-    image_dims: tuple
 
     def __len__(self):
         return len(self.label)
 
     def take(self, rows):
         """The table of the given row indices, in their order."""
-        return replace(self,
-                       pooled=None if self.pooled is None else self.pooled[rows],
-                       visible=self.visible[rows],
-                       direct_rate=self.direct_rate[rows],
-                       ris_rate=self.ris_rate[rows], label=self.label[rows])
+        return FeatureTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def image_columns(image_chunks, n, image_dims):
     """The table's (pooled, visible) columns for n images of image_dims,
     given as consecutive (k, H, W, C) stacks."""
-    pooled = (np.empty((n, pooled_feature_count(image_dims)))
-              if _poolable(image_dims) else None)
+    pooled = np.empty((n, pooled_feature_count(image_dims)))
     visible = np.empty(n, dtype=bool)
     start = 0
     for images in image_chunks:
         stop = start + len(images)
-        if pooled is not None:
-            pooled[start:stop] = pool_image(images).reshape(len(images), -1)
+        pooled[start:stop] = pool_image(images).reshape(len(images), -1)
         visible[start:stop] = detect_visible_ue(images)
         start = stop
     return pooled, visible
@@ -412,8 +412,9 @@ def _parse_features(text, n):
 def load_dataset(dataset_dir, verify=True):
     """Read a dataset directory into (FeatureTable, manifest).
 
-    images.bin must hold exactly the manifest's N x H x W x C float32 values
-    and features.csv exactly one well-formed row per sample. With
+    The manifest's image_dims must pass check_dataset_image_dims, images.bin
+    must hold exactly its N x H x W x 3 float32 values and features.csv
+    exactly one well-formed row per sample. With
     verify=True (default) the sha256 content hash must match the manifest;
     a corrupted or edited file raises ValueError. The manifest's sample
     table must list every sample with the label features.csv gives it,
@@ -424,6 +425,10 @@ def load_dataset(dataset_dir, verify=True):
     features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
     n = manifest["n_samples"]
     image_dims = tuple(manifest["image_dims"])
+    try:
+        check_dataset_image_dims(image_dims)
+    except ValueError as exc:
+        raise ValueError(f"{dataset_dir / MANIFEST_NAME}: {exc}") from None
 
     digest = hashlib.sha256() if verify else None
     with open(dataset_dir / IMAGES_NAME, "rb") as images_file:
@@ -446,5 +451,5 @@ def load_dataset(dataset_dir, verify=True):
                              f"differs from features.csv label {label[i]}")
     table = FeatureTable(pooled=pooled, visible=visible,
                          direct_rate=direct_rate, ris_rate=ris_rate,
-                         label=label, image_dims=image_dims)
+                         label=label)
     return table, manifest

@@ -37,9 +37,8 @@ import numpy as np
 from risblock import learn
 from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
-from risblock.dataset import (MANIFEST_NAME, check_poolable, config_record,
-                              generate_dataset, load_dataset,
-                              pooled_feature_count, save_dataset)
+from risblock.dataset import (MANIFEST_NAME, config_record, generate_dataset,
+                              load_dataset, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
 from risblock.scene import LinkStatus
@@ -74,14 +73,10 @@ def build_features(table, scenario):
     camera; the final column is the scenario's rate feature (direct for
     "none", surface-assisted for "ris"/"both", zero for "camera").
     """
-    n = len(table)
-    if n == 0:
+    if len(table) == 0:
         raise ValueError("table must be non-empty")
-    if scenario in IMAGE_SCENARIOS:
-        check_poolable(table.image_dims)
-        image_block = table.pooled
-    else:
-        image_block = np.zeros((n, pooled_feature_count(table.image_dims)))
+    image_block = (table.pooled if scenario in IMAGE_SCENARIOS
+                   else np.zeros_like(table.pooled))
     return np.concatenate([image_block, _rate_column(table, scenario)[:, None]],
                           axis=1)
 
@@ -155,7 +150,8 @@ def cascade_predict(table, rate_threshold):
 
 @dataclass(frozen=True)
 class ScenarioModel:
-    """Everything one scenario needs at prediction time."""
+    """Everything one scenario needs at prediction time. train_time_s is
+    the fit's wall time, or None for a model not fitted in this process."""
 
     scenario: Scenario
     params: MlpParams
@@ -163,18 +159,16 @@ class ScenarioModel:
     history: tuple
     rate_threshold: float = None
     threshold_accuracy: float = None
-    train_time_s: float = 0.0
+    train_time_s: float = None
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Test-set outcome of one scenario."""
+    """Test-set outcome of one scenario's model."""
 
-    scenario: Scenario
     accuracy: float
     confusion: np.ndarray  # (3, 3) counts, rows true / cols predicted
-    curve: tuple  # (iteration, train_accuracy) pairs
-    wall_time_s: float
+    eval_time_s: float
 
 
 def train_scenario(train_table, scenario, train_cfg):
@@ -201,21 +195,14 @@ def train_scenario(train_table, scenario, train_cfg):
 
 
 def check_trainable(train_table, scenarios):
-    """Raise ValueError, naming the scenario, if one of them cannot be
-    trained on these rows: camera and both pool the images, and both's rate
-    threshold needs absent and blocked rows."""
-    for scenario in scenarios:
-        if scenario in IMAGE_SCENARIOS:
-            try:
-                check_poolable(train_table.image_dims)
-            except ValueError as exc:
-                raise ValueError(f"scenario {scenario.value}: {exc}") from exc
-        if scenario is Scenario.BOTH:
-            present = set(np.unique(train_table.label).tolist())
-            if not {int(LinkStatus.ABSENT), int(LinkStatus.BLOCKED)} <= present:
-                raise ValueError(
-                    f"scenario both needs absent (-1) and blocked (1) rows in "
-                    f"the training split, got labels {sorted(present)}")
+    """Raise ValueError if both is among the scenarios and these rows lack
+    the absent or the blocked rows its rate threshold needs."""
+    if Scenario.BOTH in scenarios:
+        present = set(np.unique(train_table.label).tolist())
+        if not {int(LinkStatus.ABSENT), int(LinkStatus.BLOCKED)} <= present:
+            raise ValueError(
+                f"scenario both needs absent (-1) and blocked (1) rows in "
+                f"the training split, got labels {sorted(present)}")
 
 
 def fit_scenarios(train_table, scenarios, train_cfg, seed):
@@ -266,12 +253,10 @@ def predict_scenario(table, model):
     return np.array([learn.index_to_label(int(i)) for i in indices])
 
 
-def evaluate_scenario(test_table, scenario, model):
-    """Accuracy, confusion matrix, and curve for one scenario's test run."""
+def evaluate_scenario(test_table, model):
+    """Accuracy and confusion matrix of a scenario's model on the test rows."""
     if len(test_table) == 0:
         raise ValueError("test set must be non-empty")
-    if model.scenario is not scenario:
-        raise ValueError(f"model was trained for {model.scenario}, not {scenario}")
     started = time.perf_counter()
     predicted = predict_scenario(test_table, model)
     true = test_table.label
@@ -279,10 +264,8 @@ def evaluate_scenario(test_table, scenario, model):
     for t, p in zip(true, predicted):
         confusion[label_to_index(t), label_to_index(p)] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
-    curve = tuple((it, acc) for it, _, _, _, acc in model.history)
-    elapsed = time.perf_counter() - started
-    return EvalReport(scenario=scenario, accuracy=accuracy, confusion=confusion,
-                      curve=curve, wall_time_s=model.train_time_s + elapsed)
+    return EvalReport(accuracy=accuracy, confusion=confusion,
+                      eval_time_s=time.perf_counter() - started)
 
 
 def _mixed_seed(seed, tag, index):
@@ -294,10 +277,10 @@ CLASS_NAMES = ("absent", "unblocked", "blocked")
 
 
 def report_to_dict(report, model):
-    # wall_time_s deliberately left out: report files are byte-reproducible
+    # eval_time_s deliberately left out: report files are byte-reproducible
     # for a fixed seed, timings go to timings.json instead
     return {
-        "scenario": report.scenario.value,
+        "scenario": model.scenario.value,
         "accuracy": report.accuracy,
         "confusion": report.confusion.tolist(),
         "class_order": list(CLASS_NAMES),
@@ -309,12 +292,12 @@ def report_to_dict(report, model):
 
 def write_report_files(stage, report, model):
     """Stage a scenario's report, curve and confusion files (see
-    risblock._files)."""
-    name = report.scenario.value
+    risblock._files); the curve is the model's training history."""
+    name = model.scenario.value
     stage.write(f"report_{name}.json", json_text(report_to_dict(report, model)))
     stage.write(f"curve_{name}.csv", csv_text(
         ("iteration", "accuracy"),
-        ((it, float(acc)) for it, acc in report.curve)))
+        ((it, float(acc)) for it, _, _, _, acc in model.history)))
     stage.write(f"confusion_{name}.csv", csv_text(
         ("true\\predicted", *CLASS_NAMES),
         ((cls, *(int(v) for v in report.confusion[i]))
@@ -324,17 +307,21 @@ def write_report_files(stage, report, model):
 def evaluate_scenarios(test_table, models, out_dir):
     """Evaluate each {scenario: model} on the test rows and write its report
     files, then timings.json, all of them or none (see risblock._files).
-    Returns {scenario: report} in the models' order."""
+    timings.json gives each scenario's evaluation seconds as eval_s, and its
+    fit seconds as train_s if the model was fitted in this process. Returns
+    {scenario: report} in the models' order."""
     with staged_files(out_dir) as stage:
         return _evaluate_staged(stage, test_table, models)
 
 
 def _evaluate_staged(stage, test_table, models):
-    reports = {}
+    reports, timings = {}, {}
     for scenario, model in models.items():
-        reports[scenario] = evaluate_scenario(test_table, scenario, model)
+        reports[scenario] = evaluate_scenario(test_table, model)
         write_report_files(stage, reports[scenario], model)
-    timings = {s.value: report.wall_time_s for s, report in reports.items()}
+        timings[scenario.value] = {"eval_s": reports[scenario].eval_time_s}
+        if model.train_time_s is not None:
+            timings[scenario.value]["train_s"] = model.train_time_s
     stage.write("timings.json", json_text(timings))
     return reports
 
@@ -353,7 +340,6 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else out_dir / "dataset"
 
     if not (dataset_dir / MANIFEST_NAME).exists():
-        check_poolable(gen_cfg.image_dims)  # fail before generating, not after
         with closing(generate_dataset(gen_cfg, seed)) as ranges:
             save_dataset(dataset_dir, ranges, gen_cfg, seed)
     # the loader is the one place that turns images into table rows

@@ -32,8 +32,7 @@ def table_of(samples):
                                              dtype=np.float64),
                         ris_rate=np.array([s.ris_rate for s in samples],
                                           dtype=np.float64),
-                        label=np.array([int(s.label) for s in samples]),
-                        image_dims=dims)
+                        label=np.array([int(s.label) for s in samples]))
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from conftest import allow_cpus
 from risblock import dataset, pipeline
 from risblock.cli import (_SECTIONS, generator_from_config, load_config, main,
                           resolve_seed, training_from_config)
-from risblock.dataset import GeneratorConfig, generate_dataset, save_dataset
+from risblock.dataset import GeneratorConfig, load_dataset
 from risblock.pipeline import EXPERIMENT_TRAIN_CONFIG, Scenario, run_experiment
 
 CONFIG_TEXT = """\
@@ -401,20 +401,28 @@ def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
     assert multiprocessing.active_children() == []
 
 
-def test_train_checks_the_pooled_grid_before_training(tmp_path, capsys):
-    dataset = tmp_path / "dataset"
-    cfg = GeneratorConfig(n_samples=20, n_ris_elements=16,
-                          image_dims=(40, 64, 3))
-    save_dataset(dataset, generate_dataset(cfg, 5), cfg, 5)
-    code = main(["train", "--dataset", str(dataset), "--seed", "5",
-                 "--out", str(tmp_path / "models")])
-    assert code == 2
-    assert ("scenario camera: image (40, 64, 3) not divisible into (16, 16)"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "models").exists()
-    # the rate-only scenarios never pool the images
-    assert main(["train", "--dataset", str(dataset), "--seed", "5",
-                 "--out", str(tmp_path / "none"), "--scenario", "none"]) == 0
+def test_train_checks_the_pooled_grid_before_training(workspace, tmp_path,
+                                                      capsys):
+    # no dataset of such images can be made
+    with pytest.raises(ValueError, match=r"image \(40, 64, 3\) not divisible"):
+        GeneratorConfig(n_samples=20, n_ris_elements=16, image_dims=(40, 64, 3))
+    # nor loaded: 16 x 16 x 48 images take the bytes of 64 x 64 x 3 ones, and
+    # the content hash does not cover the manifest, so only the grid check
+    # refuses them
+    edited = tmp_path / "edited"
+    shutil.copytree(workspace / "dataset", edited)
+    manifest = json.loads((edited / "manifest.json").read_text("ascii"))
+    manifest["image_dims"] = [16, 16, 48]
+    (edited / "manifest.json").write_text(json.dumps(manifest), "ascii")
+    with pytest.raises(ValueError, match=r"image \(16, 16, 48\) is not"):
+        load_dataset(edited)
+    for scenario in ("camera", "none"):
+        code = main(["train", "--dataset", str(edited), "--seed", "5",
+                     "--out", str(tmp_path / "models"),
+                     "--scenario", scenario])
+        assert code == 1
+        assert "image (16, 16, 48) is not" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
 
 
 def test_train_checks_that_both_has_absent_and_blocked_rows(tmp_path, capsys):
@@ -453,17 +461,20 @@ def test_eval_writes_reports_and_timings(workspace):
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert (reports / f"curve_{name}.csv").exists()
         assert (reports / f"confusion_{name}.csv").exists()
+    # eval fits nothing, so it times the evaluation alone
     timings = json.loads((reports / "timings.json").read_text())
     assert set(timings) == set(SCENARIOS)
-    assert all(t >= 0.0 for t in timings.values())
+    assert all(list(t) == ["eval_s"] and t["eval_s"] >= 0.0
+               for t in timings.values())
 
 
 def test_eval_missing_model_fails(workspace, tmp_path, capsys):
     code = main(["eval", "--dataset", str(workspace / "dataset"),
                  "--models", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "r")])
-    assert code == 1
-    assert "missing model file" in capsys.readouterr().err
+    assert code == 2
+    assert (f"missing {tmp_path / 'nowhere' / 'model_none.bin'}; eval needs "
+            f"the model file" in capsys.readouterr().err)
 
 
 def test_eval_refuses_models_trained_with_another_seed(workspace, tmp_path,

@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -37,6 +38,10 @@ def test_generator_config_validates():
         GeneratorConfig(n_paths_direct=0)
     with pytest.raises(ValueError):
         GeneratorConfig(absent_probability=1.5)
+    # images must pool to the 16 x 16 grid, which every scenario reads
+    for dims in ((40, 64, 3), (64, 8, 3), (0, 64, 3), (64, 64, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(dims))):
+            GeneratorConfig(image_dims=dims)
     cfg = GeneratorConfig()
     assert cfg.propagation().carrier_frequency_hz == cfg.carrier_frequency_hz
     assert cfg.geometry().n_ris_elements == cfg.n_ris_elements
@@ -187,7 +192,7 @@ def test_save_load_roundtrip(tmp_path, small_dataset):
     loaded, loaded_manifest = load_dataset(tmp_path)
     assert loaded_manifest == manifest
     assert len(loaded) == len(samples)
-    assert loaded.image_dims == SMALL_GEN.image_dims
+    assert loaded.pooled.shape == (len(samples), 768)
     for i, s in enumerate(samples):
         assert loaded.pooled[i].tobytes() == pool_image(s.image).tobytes()
         assert loaded.visible[i] == detect_visible_ue(s.image)
@@ -315,8 +320,8 @@ def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
 
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
-    """name -> bytes of a saved 4-sample dataset with 8 x 8 images."""
-    cfg = GeneratorConfig(n_samples=4, n_ris_elements=16, image_dims=(8, 8, 3))
+    """name -> bytes of a saved 4-sample dataset with 16 x 16 images."""
+    cfg = GeneratorConfig(n_samples=4, n_ris_elements=16, image_dims=(16, 16, 3))
     directory = tmp_path_factory.mktemp("tiny")
     save_dataset(directory, generate_dataset(cfg, 2), cfg, 2)
     return {name: (directory / name).read_bytes()
@@ -348,22 +353,35 @@ def test_any_flipped_byte_or_truncation_is_refused(tiny_files, name, truncate,
                 load_dataset(directory, verify=False)
 
 
-def test_a_dataset_the_grid_cannot_divide_loads_without_a_pooled_block(
-        tmp_path, tiny_files):
+def test_a_dataset_whose_images_the_grid_cannot_pool_is_refused(tmp_path,
+                                                                tiny_files):
+    # each keeps the byte count of 16 x 16 x 3 images, so images.bin still
+    # fits the manifest and the content hash, which does not cover it, matches
+    manifest = json.loads(tiny_files[MANIFEST_NAME])
+    for dims in ([8, 32, 3], [4, 4, 48], [16, 16, 3, 1], [16.0, 16, 3]):
+        manifest["image_dims"] = dims
+        _write_files(tmp_path, dict(tiny_files, **{
+            MANIFEST_NAME: json.dumps(manifest).encode("ascii")}))
+        for verify in (True, False):
+            with pytest.raises(ValueError, match=re.escape(str(tuple(dims)))):
+                load_dataset(tmp_path, verify=verify)
+
+
+def test_a_loaded_table_has_a_pooled_block_for_every_row(tmp_path, tiny_files):
     _write_files(tmp_path, tiny_files)
     table, manifest = load_dataset(tmp_path)
     assert len(table) == manifest["n_samples"] == 4
-    assert table.image_dims == (8, 8, 3)
-    assert table.pooled is None
+    assert table.pooled.shape == (4, 768)
     assert table.visible.shape == (4,)
-    assert table.take(np.array([2, 0])).pooled is None
+    rows = np.array([2, 0])
+    assert table.take(rows).pooled.tobytes() == table.pooled[rows].tobytes()
 
 
 # a whole extra image, one byte short, and an extra features.csv row; none
 # changes the manifest, so the hash is not what catches them
 @pytest.mark.parametrize("name, edit, message", [
-    (IMAGES_NAME, lambda blob: blob + blob[:192 * 4], "holds 3840 bytes"),
-    (IMAGES_NAME, lambda blob: blob[:-1], "holds 3071 bytes"),
+    (IMAGES_NAME, lambda blob: blob + blob[:768 * 4], "holds 15360 bytes"),
+    (IMAGES_NAME, lambda blob: blob[:-1], "holds 12287 bytes"),
     (FEATURES_NAME, lambda blob: blob + b"4,1.0,2.0,0\n",
      "features.csv has 5 rows, manifest says 4"),
 ], ids=("long_images", "short_images", "extra_row"))

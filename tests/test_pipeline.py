@@ -229,6 +229,16 @@ def test_cascade_never_sees_ue_in_empty_channel():
     assert not np.any(predicted == LinkStatus.UNBLOCKED)
 
 
+def test_the_cascade_can_only_miss_blocked_rows_below_the_cut(small_table):
+    # why both scores about 1.00: the camera sees the terminal exactly on
+    # the unblocked rows, and absent rows carry a rate of exactly 0.0, so
+    # stage 2 errs only on blocked rows whose rate falls below the threshold
+    table = small_table
+    np.testing.assert_array_equal(table.visible, table.label == 0)
+    assert np.all(table.ris_rate[table.label == -1] == 0.0)
+    assert table.ris_rate[table.label == 1].min() > 0.0
+
+
 # ---------------------------------------------------------------- scenarios
 
 
@@ -252,7 +262,7 @@ def test_train_scenario_fits_threshold_only_for_cascade(trained_both):
 
 def test_evaluate_scenario_counts_consistently(trained_both):
     _, test, model = trained_both
-    report = evaluate_scenario(test, Scenario.BOTH, model)
+    report = evaluate_scenario(test, model)
     confusion = report.confusion
     assert confusion.shape == (3, 3)
     assert confusion.sum() == len(test)
@@ -260,23 +270,19 @@ def test_evaluate_scenario_counts_consistently(trained_both):
     true = test.label
     row_totals = [int(np.sum(true == label)) for label in (-1, 0, 1)]
     np.testing.assert_array_equal(confusion.sum(axis=1), row_totals)
-    assert report.curve == tuple((it, acc)
-                                 for it, _, _, _, acc in model.history)
 
 
 def test_evaluate_scenario_validates(trained_both):
     _, test, model = trained_both
     with pytest.raises(ValueError):
-        evaluate_scenario(test.take(NO_ROWS), Scenario.BOTH, model)
-    with pytest.raises(ValueError):
-        evaluate_scenario(test, Scenario.NONE, model)
+        evaluate_scenario(test.take(NO_ROWS), model)
 
 
 def test_cascade_is_exact_on_absent_only_test(trained_both):
     _, test, model = trained_both
     absent = test.take(np.flatnonzero(test.label == LinkStatus.ABSENT))
     assert len(absent), "fixture split left no absent samples in the test set"
-    report = evaluate_scenario(absent, Scenario.BOTH, model)
+    report = evaluate_scenario(absent, model)
     assert report.accuracy == 1.0
 
 
@@ -310,9 +316,9 @@ def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
 
 def test_report_dict_has_no_timing_fields(trained_both):
     _, test, model = trained_both
-    report = evaluate_scenario(test, Scenario.BOTH, model)
+    report = evaluate_scenario(test, model)
     payload = report_to_dict(report, model)
-    assert "wall_time_s" not in payload
+    assert "eval_time_s" not in payload
     assert payload["scenario"] == "both"
     assert payload["n_test"] == len(test)
     assert payload["class_order"] == ["absent", "unblocked", "blocked"]
@@ -320,7 +326,7 @@ def test_report_dict_has_no_timing_fields(trained_both):
 
 def test_report_files_are_byte_stable(tmp_path, trained_both):
     _, test, model = trained_both
-    report = evaluate_scenario(test, Scenario.BOTH, model)
+    report = evaluate_scenario(test, model)
     for name in ("first", "second"):
         with staged_files(tmp_path / name) as stage:
             write_report_files(stage, report, model)
@@ -329,7 +335,8 @@ def test_report_files_are_byte_stable(tmp_path, trained_both):
         assert (tmp_path / "first" / name).read_bytes() == \
             (tmp_path / "second" / name).read_bytes()
     curve_text = (tmp_path / "first" / "curve_both.csv").read_text()
-    assert curve_text.splitlines()[0] == "iteration,accuracy"
+    assert curve_text.splitlines() == ["iteration,accuracy"] + [
+        f"{it},{acc!r}" for it, _, _, _, acc in model.history]
 
 
 # ---------------------------------------------------------------- runner
@@ -394,7 +401,11 @@ def test_run_experiment_writes_everything(experiment_run):
         model, report = results[scenario]
         assert 0.0 <= report.accuracy <= 1.0
     assert (out / "dataset" / "manifest.json").exists()
-    assert (out / "timings.json").exists()
+    # the fits ran in this process, so each scenario has both timings
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings == {s.value: {"eval_s": results[s][1].eval_time_s,
+                                 "train_s": results[s][0].train_time_s}
+                       for s in Scenario}
 
     manifest = json.loads((out / "experiment_manifest.json").read_text())
     dataset_manifest = json.loads((out / "dataset" / "manifest.json").read_text())
@@ -434,10 +445,9 @@ def test_run_experiment_refuses_a_dataset_from_another_seed_or_config(tmp_path):
                 if path.is_file()} == written
 
 
-def test_run_experiment_checks_the_pooled_grid_before_generating(tmp_path):
-    gen_cfg = GeneratorConfig(n_samples=300, n_ris_elements=64,
-                              image_dims=(40, 64, 3))
-    out = tmp_path / "run"
-    with pytest.raises(ValueError, match="not divisible"):
-        run_experiment(gen_cfg, FAST_TRAIN, seed=1, out_dir=out)
-    assert not out.exists()
+def test_run_experiment_checks_the_pooled_grid_before_generating():
+    # the config that run_experiment generates from cannot hold such images
+    with pytest.raises(ValueError,
+                       match=r"image \(40, 64, 3\) not divisible into"):
+        GeneratorConfig(n_samples=300, n_ris_elements=64,
+                        image_dims=(40, 64, 3))
