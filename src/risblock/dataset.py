@@ -29,9 +29,13 @@ images.bin. So every dataset pools to the same 16 x 16 x 3 grid and feeds
 all four scenarios.
 
 `load_dataset` never holds the images either. It reads images.bin
-LOAD_CHUNK_IMAGES images at a time; each chunk updates the content hash, is
-reduced to its rows of a `FeatureTable` (the image pooled to a 16 x 16 x 3
-block, and whether the camera sees the terminal) and is dropped.
+LOAD_CHUNK_IMAGES images at a time. Each chunk is reduced to its rows of a
+`FeatureTable` (the image pooled to a 16 x 16 x 3 block, and whether the
+camera sees the terminal) and dropped. With verification on, one hashing
+thread reads the same file on its own, LOAD_CHUNK_IMAGES images at a time,
+and adds it to the content hash while the caller pools, so two chunks are in
+flight at once; the thread is joined before `load_dataset` returns or
+raises.
 """
 
 import hashlib
@@ -40,6 +44,7 @@ import math
 import numbers
 import os
 from collections import namedtuple
+from contextlib import closing
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from pathlib import Path
@@ -68,8 +73,9 @@ FEATURES_NAME = "features.csv"
 RANGES_PER_WORKER = 8
 
 # images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
-# the table being filled. Loading 2000 such images took 0.23-0.24 s with 8,
-# 16, 32 or 125 per read, most of it in sha256.
+# the table being filled even with two chunks alive, one pooled, one hashed.
+# Reads of 8, 16, 32 or 125 images loaded 2000 such images in the same time
+# (0.23-0.24 s, hashed on one thread), so the smallest is kept.
 LOAD_CHUNK_IMAGES = 8
 
 # the grid every image is average-pooled to before it reaches the classifier
@@ -209,9 +215,14 @@ def config_record(cfg):
     return json.loads(json.dumps(record))
 
 
+def _class_counts(labels):
+    """The manifest's class_counts: how many of the labels are -1, 0 and 1."""
+    labels = [int(label) for label in labels]
+    return {str(v): labels.count(v) for v in (-1, 0, 1)}
+
+
 def build_manifest(cfg, seed, samples, content_hash):
     """The manifest of samples (anything with label and location_index)."""
-    labels = [int(s.label) for s in samples]
     return {
         "format": "risblock-dataset",
         "version": 1,
@@ -220,7 +231,7 @@ def build_manifest(cfg, seed, samples, content_hash):
         "sample_stream_tag": SAMPLE_STREAM_TAG,
         "image_dims": list(cfg.image_dims),
         "config": config_record(cfg),
-        "class_counts": {str(v): labels.count(v) for v in (-1, 0, 1)},
+        "class_counts": _class_counts(s.label for s in samples),
         "content_hash": content_hash,
         "samples": [{"index": i, "label": int(s.label),
                      "location_index": s.location_index}
@@ -364,20 +375,51 @@ def image_columns(image_chunks, n, image_dims):
     return pooled, visible
 
 
+def _hash_file(fd, size, chunk_bytes, digest):
+    """Add the first `size` bytes of the open file `fd` to digest in file
+    order, chunk_bytes at a time."""
+    for offset in range(0, size, chunk_bytes):
+        digest.update(os.pread(fd, min(chunk_bytes, size - offset), offset))
+
+
 def _read_images(images_file, n, image_dims, digest):
     """images.bin as consecutive (k, H, W, C) float32 stacks of at most
-    LOAD_CHUNK_IMAGES images, each added to digest (if any) as it is read."""
+    LOAD_CHUNK_IMAGES images.
+
+    With a digest, one hashing thread reads the same open file on its own
+    (os.pread, which leaves the caller's file position alone) and adds it to
+    the digest in file order while the caller pools the chunks; hashlib lets
+    go of the GIL for buffers of 2 KB or more. Each side holds one chunk, so
+    two are alive at once. The two sides meet once, at the end: handing the
+    thread each chunk instead cost up to two cross-CPU wake-ups a chunk, 500
+    a load at n=2000. On a 2-CPU virtual machine the slowest of a run of
+    such loads took up to 0.69 s that way, against at most 0.25 s this way
+    and 0.38 s on one thread (BENCH_17.json). The thread is joined when
+    the generator ends or is closed, after it has hashed the whole file;
+    close the generator before the caller returns, so no thread is alive
+    when a pool forks.
+    """
     image_bytes = 4 * math.prod(image_dims)
     size = os.fstat(images_file.fileno()).st_size
     if size != n * image_bytes:
         raise ValueError(f"{IMAGES_NAME} holds {size} bytes, but {n} float32 "
                          f"images of {tuple(image_dims)} take "
                          f"{n * image_bytes}")
-    for start in range(0, n, LOAD_CHUNK_IMAGES):
-        chunk = images_file.read(min(LOAD_CHUNK_IMAGES, n - start) * image_bytes)
-        if digest is not None:
-            digest.update(chunk)
-        yield np.frombuffer(chunk, dtype="<f4").reshape(-1, *image_dims)
+    chunks = (np.frombuffer(
+        images_file.read(min(LOAD_CHUNK_IMAGES, n - start) * image_bytes),
+        dtype="<f4").reshape(-1, *image_dims)
+        for start in range(0, n, LOAD_CHUNK_IMAGES))
+    if digest is None:
+        yield from chunks
+        return
+    # imported here, not at the top: concurrent.futures pulls in logging,
+    # about 14 ms of start-up that commands which load no dataset would pay
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as hasher:
+        hashed = hasher.submit(_hash_file, images_file.fileno(), size,
+                               LOAD_CHUNK_IMAGES * image_bytes, digest)
+        yield from chunks
+        hashed.result()
 
 
 def _parse_features(text, n):
@@ -412,13 +454,18 @@ def _parse_features(text, n):
 def load_dataset(dataset_dir, verify=True):
     """Read a dataset directory into (FeatureTable, manifest).
 
-    The manifest's image_dims must pass check_dataset_image_dims, images.bin
-    must hold exactly its N x H x W x 3 float32 values and features.csv
-    exactly one well-formed row per sample. With
+    The manifest's image_dims must pass check_dataset_image_dims and equal
+    its config's, images.bin must hold exactly its N x H x W x 3 float32
+    values and features.csv exactly one well-formed row per sample. With
     verify=True (default) the sha256 content hash must match the manifest;
     a corrupted or edited file raises ValueError. The manifest's sample
-    table must list every sample with the label features.csv gives it,
-    whether or not the hash is checked.
+    table must list every sample with the label features.csv gives it, and
+    its class_counts must count those labels, whether or not the hash is
+    checked: the hash does not cover the manifest.
+
+    With verify=True images.bin is hashed on a second thread while it is
+    pooled (see _read_images); the thread is joined before this returns or
+    raises.
     """
     dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / MANIFEST_NAME).read_text("ascii"))
@@ -429,11 +476,15 @@ def load_dataset(dataset_dir, verify=True):
         check_dataset_image_dims(image_dims)
     except ValueError as exc:
         raise ValueError(f"{dataset_dir / MANIFEST_NAME}: {exc}") from None
+    if list(image_dims) != list(manifest["config"]["image_dims"]):
+        raise ValueError(f"{dataset_dir / MANIFEST_NAME}: image_dims "
+                         f"{list(image_dims)} differs from config.image_dims "
+                         f"{manifest['config']['image_dims']}")
 
     digest = hashlib.sha256() if verify else None
-    with open(dataset_dir / IMAGES_NAME, "rb") as images_file:
-        pooled, visible = image_columns(
-            _read_images(images_file, n, image_dims, digest), n, image_dims)
+    with (open(dataset_dir / IMAGES_NAME, "rb") as images_file,
+          closing(_read_images(images_file, n, image_dims, digest)) as chunks):
+        pooled, visible = image_columns(chunks, n, image_dims)
     if verify:
         actual = _content_hash(digest, features_text)
         if actual != manifest["content_hash"]:
@@ -449,6 +500,11 @@ def load_dataset(dataset_dir, verify=True):
         if int(meta["label"]) != label[i]:
             raise ValueError(f"sample {i}: manifest label {meta['label']} "
                              f"differs from features.csv label {label[i]}")
+    counts = _class_counts(label)
+    if manifest["class_counts"] != counts:
+        raise ValueError(f"{dataset_dir / MANIFEST_NAME}: class_counts "
+                         f"{manifest['class_counts']} disagree with the "
+                         f"labels of {FEATURES_NAME}, which count {counts}")
     table = FeatureTable(pooled=pooled, visible=visible,
                          direct_rate=direct_rate, ris_rate=ris_rate,
                          label=label)

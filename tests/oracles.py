@@ -13,8 +13,10 @@ pass over the live image columns for the accuracy curve, where ``train``
 keeps those columns' pre-activations from step to step. Both keep numpy
 and the package's operation order because ``train`` must match them byte
 for byte; they share only the parameter container, the initialisation,
-the learning-rate schedule, softmax, the loss and the SGD step with the
-package.
+the learning-rate schedule, the loss and the SGD step with the package.
+Their softmax is ``reference_softmax``, numpy's last-axis max and sum
+reduces, where the package reduces over the class columns one at a
+time.
 
 The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package
@@ -31,7 +33,7 @@ import numpy as np
 
 from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
-                            label_to_index, lr_schedule, sgd_step, softmax)
+                            label_to_index, lr_schedule, sgd_step)
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,6 +103,14 @@ def naive_ris_ue(paths, carrier_hz, doppler_hz, n_elements, spacing):
     return naive_bs_ue(paths, carrier_hz, doppler_hz, n_elements, spacing)
 
 
+def reference_softmax(logits):
+    """Stable softmax over the last axis through numpy's max and sum reduces."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
 def _reference_forward(params, features):
     d = params.w1.shape[0]
     x_img, rate = features[:, :d], features[:, d]
@@ -108,7 +118,7 @@ def _reference_forward(params, features):
     hidden = np.maximum(pre, 0.0)
     z_in = np.concatenate([hidden, rate[:, None]], axis=1)
     logits = z_in @ params.w2 + params.b2
-    return softmax(logits), z_in, pre
+    return reference_softmax(logits), z_in, pre
 
 
 def _reference_gradients(params, features, label_indices, weight_decay):

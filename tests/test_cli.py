@@ -451,6 +451,34 @@ def test_train_on_corrupted_dataset_fails(workspace, tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+def _more_blocked(manifest):
+    manifest["class_counts"]["1"] += 1
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("image_dims", lambda manifest: manifest.update(image_dims=[32, 128, 3])),
+    ("class_counts", _more_blocked),
+])
+def test_train_and_eval_refuse_a_manifest_at_odds_with_itself(
+        workspace, tmp_path, capsys, field, edit):
+    # the content hash does not cover the manifest, so it still matches
+    edited = tmp_path / "edited"
+    shutil.copytree(workspace / "dataset", edited)
+    manifest = json.loads((edited / "manifest.json").read_text("ascii"))
+    edit(manifest)
+    (edited / "manifest.json").write_text(json.dumps(manifest), "ascii")
+    config = str(workspace / "config.ini")
+    for command in (["train", "--out", str(tmp_path / "models")],
+                    ["eval", "--models", str(workspace / "models"),
+                     "--out", str(tmp_path / "reports")]):
+        code = main(command + ["--config", config, "--dataset", str(edited)])
+        assert code == 1
+        assert (f"error: {edited / 'manifest.json'}: {field} "
+                in capsys.readouterr().err)
+    assert not (tmp_path / "models").exists()
+    assert not (tmp_path / "reports").exists()
+
+
 # ---------------------------------------------------------------- eval
 
 

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -268,6 +269,95 @@ def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
     _edit_manifest(tmp_path, lambda m: m["samples"][3].update(label=9))
     with pytest.raises(ValueError, match="sample 3: manifest label 9"):
         load_dataset(tmp_path)
+
+
+def test_image_dims_must_equal_the_config_image_dims(tmp_path,
+                                                     small_dataset):
+    # 32 x 128 images take the bytes of 64 x 64 ones and pool to the same
+    # grid, and the content hash does not cover the manifest
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    _edit_manifest(tmp_path, lambda m: m.update(image_dims=[32, 128, 3]))
+    for verify in (True, False):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / MANIFEST_NAME}: image_dims [32, 128, 3] differs "
+                f"from config.image_dims [64, 64, 3]")):
+            load_dataset(tmp_path, verify=verify)
+
+
+def test_class_counts_must_count_the_csv_labels(tmp_path, small_dataset):
+    samples, manifest = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    counts = manifest["class_counts"]
+    swapped = dict(counts, **{"-1": counts["0"], "0": counts["-1"]})
+    assert swapped != counts
+    _edit_manifest(tmp_path, lambda m: m.update(class_counts=swapped))
+    for verify in (True, False):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / MANIFEST_NAME}: class_counts {swapped} disagree "
+                f"with the labels of {FEATURES_NAME}, which count {counts}")):
+            load_dataset(tmp_path, verify=verify)
+
+
+def test_the_content_hash_runs_over_the_files_in_order(tmp_path,
+                                                       small_dataset):
+    samples, manifest = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    digest = hashlib.sha256((tmp_path / IMAGES_NAME).read_bytes())
+    digest.update((tmp_path / FEATURES_NAME).read_bytes())
+    assert manifest["content_hash"] == "sha256:" + digest.hexdigest()
+    assert len(samples) > 2 * dataset.LOAD_CHUNK_IMAGES  # several chunks
+    _, loaded = load_dataset(tmp_path, verify=True)
+    assert loaded == manifest
+
+
+def _flip_a_byte(directory):
+    blob = bytearray((directory / IMAGES_NAME).read_bytes())
+    blob[len(blob) // 2] ^= 0x10
+    (directory / IMAGES_NAME).write_bytes(bytes(blob))
+
+
+def _truncate_images(directory):
+    blob = (directory / IMAGES_NAME).read_bytes()
+    (directory / IMAGES_NAME).write_bytes(blob[:-7])
+
+
+def _fail_the_third_pool(monkeypatch):
+    calls = []
+
+    def pool(images):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("pooling failed")
+        return pool_image(images)
+    monkeypatch.setattr(dataset, "pool_image", pool)
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (None, None),
+    (_flip_a_byte, "hash mismatch"),
+    (_truncate_images, "images.bin holds"),
+    ("pool", "pooling failed"),
+], ids=("loaded", "hash_mismatch", "truncated", "failed_pooling"))
+def test_load_dataset_leaves_no_thread_running(tmp_path, small_dataset,
+                                               monkeypatch, spoil, error):
+    # train forks its fit pool right after loading, and a fork must not
+    # happen while the hashing thread is alive
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    if spoil == "pool":
+        _fail_the_third_pool(monkeypatch)
+    elif spoil is not None:
+        spoil(tmp_path)
+    before = threading.active_count()
+    if error is None:
+        load_dataset(tmp_path, verify=True)
+    else:
+        # checked while the traceback, and every frame in it, is still held
+        with pytest.raises((ValueError, MemoryError), match=error) as raised:
+            load_dataset(tmp_path, verify=True)
+        assert raised.traceback
+    assert threading.active_count() == before
 
 
 def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):

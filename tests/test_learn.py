@@ -145,6 +145,33 @@ def test_softmax_is_shift_invariant_at_the_argmax():
                 == argmax_index(softmax(logits + 17.3)))
 
 
+_ANY_LOGIT = st.floats(-1e307, 1e307)  # no difference of two overflows
+_LOGIT = st.floats(-50.0, 50.0)
+# finite rows of three logits: any, three equal, two equal, and one a spread
+# near 700 below another, where exp of the shifted logit nears underflow
+_LOGIT_ROWS = st.one_of(
+    st.tuples(_ANY_LOGIT, _ANY_LOGIT, _ANY_LOGIT),
+    st.tuples(_LOGIT, _LOGIT, _LOGIT),
+    _LOGIT.map(lambda x: (x, x, x)),
+    st.tuples(_LOGIT, _LOGIT).flatmap(
+        lambda xy: st.permutations((xy[0], xy[0], xy[1]))),
+    st.tuples(_LOGIT, st.floats(690.0, 750.0), _LOGIT).flatmap(
+        lambda t: st.permutations((t[0], t[0] - t[1], t[2]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_LOGIT_ROWS, min_size=1, max_size=40))
+def test_softmax_equals_the_reference_reduce_bit_for_bit(rows):
+    # softmax reduces over the class columns one at a time; the reference
+    # runs numpy's last-axis max and sum
+    logits = np.array(rows, dtype=np.float64)
+    assert (softmax(logits).tobytes()
+            == oracles.reference_softmax(logits).tobytes())
+    assert (softmax(logits[0]).tobytes()
+            == oracles.reference_softmax(logits[0]).tobytes())
+
+
 # ---------------------------------------------------------------- forward
 
 
@@ -461,6 +488,32 @@ def test_train_matches_the_direct_live_column_loop(case):
             == [tuple(map(repr, row)) for row in want_history])
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), d_img=st.integers(0, 6), hidden=st.integers(1, 8),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_the_training_set_scorer_equals_the_forward_pass(n, d_img, hidden,
+                                                         data_seed):
+    # the scorer writes into buffers it made once; each call must give what
+    # a fresh forward pass gives, with every image column live or none
+    rng = np.random.default_rng(data_seed)
+    features = rng.normal(size=(n, d_img + 1))
+    label_indices = rng.integers(0, 3, size=n)
+    draws = [MlpParams(w1=rng.normal(size=(d_img, hidden)),
+                       b1=rng.normal(scale=2.0, size=hidden),
+                       w2=rng.normal(size=(hidden + 1, 3)),
+                       b2=rng.normal(size=3)) for _ in range(3)]
+    tracked = None
+    if d_img:
+        tracked = learn._LivePreactivations(features[:, :-1], draws[0].w1)
+    scorer = learn._TrainingSetScorer(features[:, -1], label_indices, hidden,
+                                      tracked)
+    for params in draws:
+        if tracked is not None:
+            tracked.pre = features[:, :-1] @ params.w1
+        assert (repr(scorer.accuracy(params))
+                == repr(accuracy(params, features, label_indices)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 30), d_img=st.integers(1, 8),
        dead=st.integers(0, 255), data_seed=st.integers(0, 2**32 - 1),
@@ -486,19 +539,19 @@ def test_tracked_preactivations_follow_the_direct_product(
                       schedule_epochs=schedule_epochs,
                       weight_decay=weight_decay, batch_size=batch_size,
                       epochs=epochs, seed=data_seed)
-    direct_accuracy = learn.accuracy
+    scorer_accuracy = learn._TrainingSetScorer.accuracy
     checked = []
 
-    def checking_accuracy(params, scored, label_indices):
+    def checking_accuracy(scorer, params):
         # called once after every step, with the tracked pre-activations
-        assert isinstance(scored, learn._LivePreactivations)
         direct = x_live @ params.w1[live]
-        np.testing.assert_allclose(scored.pre, direct, rtol=0,
+        np.testing.assert_allclose(scorer.tracked.pre, direct, rtol=0,
                                    atol=1e-9 * np.abs(direct).max())
-        checked.append(direct_accuracy(params, scored, label_indices))
+        checked.append(scorer_accuracy(scorer, params))
         return checked[-1]
 
-    with mock.patch.object(learn, "accuracy", checking_accuracy):
+    with mock.patch.object(learn._TrainingSetScorer, "accuracy",
+                           checking_accuracy):
         _, history = train(features, labels, cfg)
     assert len(checked) == len(history) == epochs * math.ceil(n / batch_size)
 
