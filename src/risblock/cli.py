@@ -24,12 +24,12 @@ import numpy as np
 
 from risblock._files import csv_text, json_text, staged_files
 from risblock.dataset import (GeneratorConfig, generate_dataset, load_dataset,
-                              save_dataset)
+                              read_manifest, save_dataset)
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
                             save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
                                check_trainable, evaluate_scenarios,
-                               fit_scenarios, split_dataset)
+                               fit_scenarios, split_rows)
 from risblock.scene import SceneLayout
 from risblock.svgchart import render_line_chart
 
@@ -219,12 +219,19 @@ def cmd_generate(args):
     return 0
 
 
+def _split_rows(dataset_dir, train_cfg, seed):
+    """The dataset's (train_rows, test_rows) under train_cfg and seed, so
+    that train and eval each load only their side."""
+    n = read_manifest(dataset_dir)["n_samples"]
+    return split_rows(n, train_cfg.train_fraction, seed)
+
+
 def cmd_train(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = training_from_config(config)
     seed = resolve_seed(args, config)
-    table, manifest = load_dataset(Path(args.dataset))
-    train_table, _ = split_dataset(table, train_cfg.train_fraction, seed)
+    train_rows, _ = _split_rows(args.dataset, train_cfg, seed)
+    train_table, manifest = load_dataset(args.dataset, rows=train_rows)
     scenarios = [Scenario(args.scenario)] if args.scenario else list(Scenario)
     try:
         check_trainable(train_table, scenarios)
@@ -293,8 +300,8 @@ def cmd_eval(args):
     config = load_config(args.config) if args.config else {}
     train_cfg = training_from_config(config)
     seed = resolve_seed(args, config)
-    table, manifest = load_dataset(Path(args.dataset))
-    _, test_table = split_dataset(table, train_cfg.train_fraction, seed)
+    _, test_rows = _split_rows(args.dataset, train_cfg, seed)
+    test_table, manifest = load_dataset(args.dataset, rows=test_rows)
     models_dir = Path(args.models)
     # every model loads before any report is written
     models = {scenario: _load_scenario_model(models_dir, scenario,

@@ -31,11 +31,13 @@ all four scenarios.
 `load_dataset` never holds the images either. It reads images.bin
 LOAD_CHUNK_IMAGES images at a time. Each chunk is reduced to its rows of a
 `FeatureTable` (the image pooled to a 16 x 16 x 3 block, and whether the
-camera sees the terminal) and dropped. With verification on, one hashing
-thread reads the same file on its own, LOAD_CHUNK_IMAGES images at a time,
-and adds it to the content hash while the caller pools, so two chunks are in
-flight at once; the thread is joined before `load_dataset` returns or
-raises.
+camera sees the terminal) and dropped. Given `rows`, it pools only those
+images and the table holds only those rows, in the order given; a chunk
+with none of them is not pooled. The checks still cover every sample. With
+verification on, one hashing thread reads the whole file on its own,
+LOAD_CHUNK_IMAGES images at a time, and adds it to the content hash while
+the caller pools, so two chunks are in flight at once; the thread is joined
+before `load_dataset` returns or raises.
 """
 
 import hashlib
@@ -357,21 +359,54 @@ class FeatureTable:
         return len(self.label)
 
     def take(self, rows):
-        """The table of the given row indices, in their order."""
+        """The table of the given rows: an index array, whose rows are
+        copied in its order, or a slice, whose rows are views."""
         return FeatureTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def image_columns(image_chunks, n, image_dims):
+def _checked_rows(rows, n):
+    """rows as an index array; ValueError unless they are distinct ints in
+    [0, n)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ValueError(f"rows must be a 1-D sequence of ints, got {rows!r}")
+    rows = rows.astype(np.intp, copy=False)
+    if rows.size and not (0 <= rows.min() and rows.max() < n):
+        raise ValueError(f"rows must lie in [0, {n}), got {rows.min()} to "
+                         f"{rows.max()}")
+    if len(np.unique(rows)) != len(rows):
+        raise ValueError("rows must be distinct")
+    return rows
+
+
+def image_columns(image_chunks, n, image_dims, rows=None):
     """The table's (pooled, visible) columns for n images of image_dims,
-    given as consecutive (k, H, W, C) stacks."""
-    pooled = np.empty((n, pooled_feature_count(image_dims)))
-    visible = np.empty(n, dtype=bool)
+    given as consecutive (k, H, W, C) stacks: all n in order, or the images
+    at rows (distinct ints in [0, n), see _checked_rows) in rows' order.
+
+    A chunk that holds none of the rows is not pooled, and one that holds
+    only rows is pooled as it came.
+    """
+    # positions[i]: the table row that image i fills, or -1 if none does
+    if rows is None:
+        positions, size = np.arange(n), n
+    else:
+        positions, size = np.full(n, -1), len(rows)
+        positions[rows] = np.arange(size)
+    pooled = np.empty((size, pooled_feature_count(image_dims)))
+    visible = np.empty(size, dtype=bool)
     start = 0
     for images in image_chunks:
         stop = start + len(images)
-        pooled[start:stop] = pool_image(images).reshape(len(images), -1)
-        visible[start:stop] = detect_visible_ue(images)
+        chunk_positions = positions[start:stop]
         start = stop
+        kept = chunk_positions >= 0
+        if not kept.all():
+            if not kept.any():
+                continue
+            images, chunk_positions = images[kept], chunk_positions[kept]
+        pooled[chunk_positions] = pool_image(images).reshape(len(images), -1)
+        visible[chunk_positions] = detect_visible_ue(images)
     return pooled, visible
 
 
@@ -441,50 +476,68 @@ def _parse_features(text, n):
             if int(index) != i:
                 raise ValueError
             direct_rate[i], ris_rate[i] = float(direct), float(ris)
-            if not (direct_rate[i] >= 0 and ris_rate[i] >= 0):
+            if not (0 <= direct_rate[i] < math.inf
+                    and 0 <= ris_rate[i] < math.inf):
                 raise ValueError
             label[i] = LinkStatus(int(status))
         except ValueError:
             raise ValueError(f"{FEATURES_NAME} row {i} is not "
-                             f"'{i},<rate >= 0>,<rate >= 0>,<-1|0|1>': "
+                             f"'{i},<finite rate >= 0>,<finite rate >= 0>,"
+                             f"<-1|0|1>': "
                              f"{row!r}") from None
     return direct_rate, ris_rate, label
 
 
-def load_dataset(dataset_dir, verify=True):
-    """Read a dataset directory into (FeatureTable, manifest).
-
-    The manifest's image_dims must pass check_dataset_image_dims and equal
-    its config's, images.bin must hold exactly its N x H x W x 3 float32
-    values and features.csv exactly one well-formed row per sample. With
-    verify=True (default) the sha256 content hash must match the manifest;
-    a corrupted or edited file raises ValueError. The manifest's sample
-    table must list every sample with the label features.csv gives it, and
-    its class_counts must count those labels, whether or not the hash is
-    checked: the hash does not cover the manifest.
-
-    With verify=True images.bin is hashed on a second thread while it is
-    pooled (see _read_images); the thread is joined before this returns or
-    raises.
-    """
-    dataset_dir = Path(dataset_dir)
-    manifest = json.loads((dataset_dir / MANIFEST_NAME).read_text("ascii"))
-    features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
-    n = manifest["n_samples"]
+def read_manifest(dataset_dir):
+    """A dataset directory's manifest, once its image_dims pass
+    check_dataset_image_dims and equal its config's (else ValueError)."""
+    path = Path(dataset_dir) / MANIFEST_NAME
+    manifest = json.loads(path.read_text("ascii"))
     image_dims = tuple(manifest["image_dims"])
     try:
         check_dataset_image_dims(image_dims)
     except ValueError as exc:
-        raise ValueError(f"{dataset_dir / MANIFEST_NAME}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     if list(image_dims) != list(manifest["config"]["image_dims"]):
-        raise ValueError(f"{dataset_dir / MANIFEST_NAME}: image_dims "
-                         f"{list(image_dims)} differs from config.image_dims "
+        raise ValueError(f"{path}: image_dims {list(image_dims)} differs from "
+                         f"config.image_dims "
                          f"{manifest['config']['image_dims']}")
+    return manifest
+
+
+def load_dataset(dataset_dir, verify=True, rows=None):
+    """Read a dataset directory into (FeatureTable, manifest).
+
+    The table holds every sample in index order, or with rows (distinct ints
+    in [0, N), else ValueError) exactly those samples in rows' order; only
+    their images are pooled. Every check below covers all N samples whatever
+    the rows.
+
+    The manifest must pass read_manifest, images.bin must hold exactly its
+    N x H x W x 3 float32 values and features.csv exactly one well-formed
+    row per sample. With verify=True (default) the sha256 content hash must
+    match the manifest; a corrupted or edited file raises ValueError. The
+    manifest's sample table must list every sample with the label
+    features.csv gives it, and its class_counts must count those labels,
+    whether or not the hash is checked: the hash does not cover the
+    manifest.
+
+    With verify=True the whole of images.bin is hashed on a second thread
+    while the rows are pooled (see _read_images); the thread is joined
+    before this returns or raises.
+    """
+    dataset_dir = Path(dataset_dir)
+    manifest = read_manifest(dataset_dir)
+    features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
+    n = manifest["n_samples"]
+    image_dims = tuple(manifest["image_dims"])
+    if rows is not None:
+        rows = _checked_rows(rows, n)
 
     digest = hashlib.sha256() if verify else None
     with (open(dataset_dir / IMAGES_NAME, "rb") as images_file,
           closing(_read_images(images_file, n, image_dims, digest)) as chunks):
-        pooled, visible = image_columns(chunks, n, image_dims)
+        pooled, visible = image_columns(chunks, n, image_dims, rows)
     if verify:
         actual = _content_hash(digest, features_text)
         if actual != manifest["content_hash"]:
@@ -505,6 +558,9 @@ def load_dataset(dataset_dir, verify=True):
         raise ValueError(f"{dataset_dir / MANIFEST_NAME}: class_counts "
                          f"{manifest['class_counts']} disagree with the "
                          f"labels of {FEATURES_NAME}, which count {counts}")
+    if rows is not None:
+        direct_rate, ris_rate, label = (column[rows] for column
+                                        in (direct_rate, ris_rate, label))
     table = FeatureTable(pooled=pooled, visible=visible,
                          direct_rate=direct_rate, ris_rate=ris_rate,
                          label=label)

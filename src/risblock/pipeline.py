@@ -38,7 +38,7 @@ from risblock import learn
 from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
 from risblock.dataset import (MANIFEST_NAME, config_record, generate_dataset,
-                              load_dataset, save_dataset)
+                              load_dataset, read_manifest, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
 from risblock.scene import LinkStatus
@@ -89,13 +89,9 @@ def _rate_column(table, scenario):
     return table.ris_rate
 
 
-def split_dataset(table, train_fraction=0.7, seed=0):
-    """Seeded shuffle, then cut: floor(fraction * n) train, the rest test.
-
-    `table` is a FeatureTable, or anything else with len() and take(); each
-    side keeps the permutation's row order.
-    """
-    n = len(table)
+def split_rows(n, train_fraction=0.7, seed=0):
+    """(train_rows, test_rows) of n samples: a seeded shuffle of range(n),
+    then a cut, floor(fraction * n) rows to train and the rest to test."""
     if n < 2:
         raise ValueError("need at least 2 samples to split")
     if not 0 < train_fraction < 1:
@@ -104,7 +100,17 @@ def split_dataset(table, train_fraction=0.7, seed=0):
                                                         SPLIT_STREAM_TAG]))
     order = rng.permutation(n)
     n_train = min(max(int(train_fraction * n), 1), n - 1)
-    return table.take(order[:n_train]), table.take(order[n_train:])
+    return order[:n_train], order[n_train:]
+
+
+def split_dataset(table, train_fraction=0.7, seed=0):
+    """The two sides of split_rows(len(table), train_fraction, seed), each
+    taken from `table` in the split's row order.
+
+    `table` is a FeatureTable, or anything else with len() and take().
+    """
+    train_rows, test_rows = split_rows(len(table), train_fraction, seed)
+    return table.take(train_rows), table.take(test_rows)
 
 
 def calibrate_rate_threshold(ris_rates, labels):
@@ -342,8 +348,7 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     if not (dataset_dir / MANIFEST_NAME).exists():
         with closing(generate_dataset(gen_cfg, seed)) as ranges:
             save_dataset(dataset_dir, ranges, gen_cfg, seed)
-    # the loader is the one place that turns images into table rows
-    table, manifest = load_dataset(dataset_dir)
+    manifest = read_manifest(dataset_dir)
     # `generate --n` records the count it made beside its config's n_samples
     made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}
     for key, recorded, given in (("seed", manifest["seed"], int(seed)),
@@ -353,8 +358,14 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
                 f"{dataset_dir / MANIFEST_NAME} records {key} "
                 f"{recorded!r}, but run_experiment was given {given!r}")
 
-    train_table, test_table = split_dataset(
-        table, train_fraction=train_cfg.train_fraction, seed=seed)
+    # the loader is the one place that turns images into table rows; it
+    # pools them in split order, so each side is a view of the one table
+    train_rows, test_rows = split_rows(manifest["n_samples"],
+                                       train_cfg.train_fraction, seed)
+    table, manifest = load_dataset(
+        dataset_dir, rows=np.concatenate([train_rows, test_rows]))
+    train_table = table.take(slice(None, len(train_rows)))
+    test_table = table.take(slice(len(train_rows), None))
 
     models = train_scenarios(train_table, list(Scenario), train_cfg, seed)
     with staged_files(out_dir) as stage:

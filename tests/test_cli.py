@@ -20,8 +20,9 @@ from conftest import allow_cpus
 from risblock import dataset, pipeline
 from risblock.cli import (_SECTIONS, generator_from_config, load_config, main,
                           resolve_seed, training_from_config)
-from risblock.dataset import GeneratorConfig, load_dataset
-from risblock.pipeline import EXPERIMENT_TRAIN_CONFIG, Scenario, run_experiment
+from risblock.dataset import GeneratorConfig, load_dataset, pool_image
+from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
+                               run_experiment, split_rows)
 
 CONFIG_TEXT = """\
 [generator]
@@ -613,6 +614,34 @@ def test_curves_grid_mismatch_fails(workspace, tmp_path, capsys):
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="ascii")
     assert main(["curves", "--results", str(clipped)]) == 1
     assert "disagree on iteration grids" in capsys.readouterr().err
+
+
+def test_each_command_pools_only_the_images_it_uses(workspace, tmp_path,
+                                                    monkeypatch):
+    pooled = []
+
+    def counting(images):
+        pooled.append(len(images))
+        return pool_image(images)
+    monkeypatch.setattr(dataset, "pool_image", counting)
+    train_rows, test_rows = split_rows(
+        60, EXPERIMENT_TRAIN_CONFIG.train_fraction, 5)
+    config = str(workspace / "config.ini")
+    assert main(["train", "--config", config,
+                 "--dataset", str(workspace / "dataset"),
+                 "--out", str(tmp_path / "models"), "--scenario", "none"]) == 0
+    assert sum(pooled) == len(train_rows) == 42
+    pooled.clear()
+    assert main(["eval", "--config", config,
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(workspace / "models"),
+                 "--out", str(tmp_path / "reports")]) == 0
+    assert sum(pooled) == len(test_rows) == 18
+    pooled.clear()
+    run_experiment(GeneratorConfig(n_samples=60, n_ris_elements=32),
+                   EXPERIMENT_TRAIN_CONFIG, 5, tmp_path / "run",
+                   dataset_dir=workspace / "dataset")
+    assert sum(pooled) == 60
 
 
 # ---------------------------------------------------------------- rerun

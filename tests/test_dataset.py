@@ -482,6 +482,100 @@ def test_file_sizes_are_checked_without_verify(tmp_path, tiny_files, name,
         load_dataset(tmp_path, verify=False)
 
 
+@pytest.mark.parametrize("rate", ["inf", "1e999", "-inf", "nan"])
+@pytest.mark.parametrize("column", [1, 2], ids=("direct", "ris"))
+def test_features_rates_must_be_finite(tmp_path, tiny_files, rate, column):
+    lines = tiny_files[FEATURES_NAME].decode("ascii").split("\n")
+    cells = lines[2].split(",")
+    cells[column] = rate
+    lines[2] = ",".join(cells)
+    _write_files(tmp_path, dict(tiny_files, **{
+        FEATURES_NAME: "\n".join(lines).encode("ascii")}))
+    with pytest.raises(ValueError, match="features.csv row 1 is not"):
+        load_dataset(tmp_path, verify=False)
+
+
+# ---------------------------------------------------------------- rows
+#
+# load_dataset(rows=...) pools and holds only those rows, but its checks
+# still cover every sample of the dataset.
+
+
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory, small_dataset):
+    directory = tmp_path_factory.mktemp("small_rows")
+    save_dataset(directory, [small_dataset[0]], SMALL_GEN, SMALL_SEED)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def small_loaded(small_dir):
+    return load_dataset(small_dir)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_table_of_rows_is_the_take_of_the_whole_table(small_dir,
+                                                        small_loaded, data):
+    table, manifest = small_loaded
+    rows = data.draw(st.lists(st.integers(0, len(table) - 1), unique=True,
+                              max_size=len(table)), label="rows")
+    part, part_manifest = load_dataset(small_dir, rows=rows)
+    assert part_manifest == manifest
+    want = table.take(np.array(rows, dtype=np.intp))
+    assert len(part) == len(rows)
+    for column in ("pooled", "visible", "direct_rate", "ris_rate", "label"):
+        got, expected = getattr(part, column), getattr(want, column)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), column
+
+
+# the first chunk of images alone: every other chunk goes unpooled
+FIRST_CHUNK = list(range(dataset.LOAD_CHUNK_IMAGES))
+
+
+def test_a_flipped_byte_outside_the_rows_is_refused(tmp_path, small_dataset,
+                                                    monkeypatch):
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    _flip_a_byte(tmp_path)  # in image 70, far from the first chunk
+    pooled = []
+
+    def counting(images):
+        pooled.append(len(images))
+        return pool_image(images)
+    monkeypatch.setattr(dataset, "pool_image", counting)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="hash mismatch"):
+        load_dataset(tmp_path, rows=FIRST_CHUNK)
+    assert pooled == [len(FIRST_CHUNK)]
+    assert threading.active_count() == before
+
+
+def test_a_manifest_label_outside_the_rows_is_checked(tmp_path, small_dataset):
+    samples, _ = small_dataset
+    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    _edit_manifest(tmp_path, lambda m: m["samples"][100].update(label=9))
+    for verify in (True, False):
+        with pytest.raises(ValueError, match="sample 100: manifest label 9"):
+            load_dataset(tmp_path, verify=verify, rows=FIRST_CHUNK)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([3, 5, 3], "distinct"),
+    ([0, 140], r"\[0, 140\)"),
+    ([-1, 2], r"\[0, 140\)"),
+    ([1.0, 2.0], "ints"),
+    ([True, False], "ints"),
+    ([[0, 1]], "1-D"),
+], ids=("duplicate", "past_the_end", "negative", "floats", "bools", "2d"))
+def test_rows_must_be_distinct_ints_in_range(small_dir, rows, message):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=message):
+        load_dataset(small_dir, rows=rows)
+    assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------- memory
 #
 # Neither generating nor loading may hold a dataset's images: tracemalloc,
