@@ -13,8 +13,7 @@ from risblock.channel import (ArrayGeometry, MultipathComponent,
                               effective_gain, phase_term, ris_matrix,
                               sinc_pulse, steering_vector)
 from risblock.dataset import (FeatureTable, GeneratorConfig, Sample,
-                              generate_dataset, generate_sample, load_dataset,
-                              save_dataset)
+                              generate_sample, load_dataset, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             argmax_index, backward, cross_entropy,
                             fit_standardization, forward, grad_check,

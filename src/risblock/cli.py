@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from risblock._files import csv_text, json_text, staged_files
-from risblock.dataset import (GeneratorConfig, generate_dataset, load_dataset,
-                              read_manifest, save_dataset)
+from risblock.dataset import (GeneratorConfig, load_dataset, read_manifest,
+                              save_dataset)
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
                             save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
@@ -190,17 +190,6 @@ def _read_history_csv(path):
                       float(row["accuracy"])) for row in csv.DictReader(fh))
 
 
-def _reporting_progress(ranges, n):
-    """The ranges, unchanged, with a `k/n samples written` line on stderr
-    each time the consumer has written one and asks for the next."""
-    written = 0
-    for part in ranges:
-        written += len(part)
-        yield part
-        del part  # written: let its images go before the next range is made
-        print(f"{written}/{n} samples written", file=sys.stderr, flush=True)
-
-
 def cmd_generate(args):
     config = load_config(args.config) if args.config else {}
     gen_cfg = generator_from_config(config)
@@ -209,9 +198,11 @@ def cmd_generate(args):
     if n < 1:
         raise ConfigError("--n must be >= 1")
     out_dir = Path(args.out)
-    with closing(generate_dataset(gen_cfg, seed, n)) as ranges:
-        manifest = save_dataset(out_dir, _reporting_progress(ranges, n),
-                                gen_cfg, seed)
+
+    def progress(written):
+        print(f"{written}/{n} samples written", file=sys.stderr, flush=True)
+
+    manifest = save_dataset(out_dir, gen_cfg, seed, n, progress)
     counts = manifest["class_counts"]
     print(f"wrote {n} samples to {out_dir} (seed {seed}, "
           f"absent/clear/blocked = {counts['-1']}/{counts['0']}/{counts['1']})")

@@ -8,14 +8,18 @@ direct-link data rate, the surface-assisted data rate with co-phased
 elements, the ternary label, the trajectory step it was taken from, and the
 seed material.
 
-`generate_dataset` cuts the indices into contiguous ranges, about
+`save_dataset` cuts the indices into contiguous ranges, about
 RANGES_PER_WORKER per CPU in the process's affinity mask, and maps them with
-`fork_map` (inline on one CPU, a forked pool on more), which yields each
-range's samples in index order. `save_dataset` writes and hashes each range
-as it arrives and then drops its images, so the files are the same bytes on
-any CPU count and no more than a range of images is held at once. It writes
-through `risblock._files.staged_files`, the manifest last, so a failed run
-leaves no dataset. `taskset -c 0` gives a serial run.
+`fork_map` (inline on one CPU, a forked pool on more). Each range task
+writes its images straight into the staged images.bin, WRITE_CHUNK_IMAGES
+at a time and each at its index's offset, and returns only the rates,
+labels and location indices, so no image crosses a process boundary. The
+caller takes the ranges in index order and hashes each back from the file
+while later ranges are made, so the files are the same bytes on any CPU
+count. The caller holds no more than WRITE_CHUNK_IMAGES images on one CPU,
+and none on more. It writes through `risblock._files.staged_files`, the
+manifest last, so a failed run leaves no dataset. `taskset -c 0` gives a
+serial run.
 
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
@@ -40,6 +44,7 @@ the caller pools, so two chunks are in flight at once; the thread is joined
 before `load_dataset` returns or raises.
 """
 
+import errno
 import hashlib
 import json
 import math
@@ -73,6 +78,14 @@ FEATURES_NAME = "features.csv"
 # index ranges per allowed CPU: enough that a slow range leaves little idle
 # time at the end, few enough that task overhead stays small
 RANGES_PER_WORKER = 8
+
+# images per write of a range task into images.bin: 1.5 MB of 64 x 64 x 3
+# images. Written one at a time, 2000 such samples took about 15% more CPU
+# in two pool workers, with 180k minor page faults against 27k: glibc
+# raises its mmap threshold to the size of a freed mapped block, and no
+# block freed in a worker was then larger than the per-sample temporaries,
+# so those were mapped and faulted in afresh for every sample.
+WRITE_CHUNK_IMAGES = 32
 
 # images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
 # the table being filled even with two chunks alive, one pooled, one hashed.
@@ -191,7 +204,7 @@ def generate_sample(cfg, seed, index):
                   seed_used=(int(seed), SAMPLE_STREAM_TAG, int(index)))
 
 
-# what the writer keeps of a sample once its image is written
+# what a range task returns of a sample once its image is written
 _Record = namedtuple("_Record", "direct_rate ris_rate label location_index")
 
 _FEATURES_HEADER = ("index", "direct_rate", "ris_rate", "label")
@@ -241,47 +254,38 @@ def build_manifest(cfg, seed, samples, content_hash):
     }
 
 
-def generate_dataset(cfg, seed, n_samples=None):
-    """Iterator over the samples of each index range, in index order.
+def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
+    """Generate samples 0 .. n_samples - 1 (default cfg.n_samples) of cfg
+    at seed and write them as a dataset; returns its manifest.
 
-    The ranges are made on every allowed CPU. Run the iterator to its end or
-    close it: until then a forked pool may still be running.
+    The indices are cut into ranges, made on every allowed CPU (see the
+    module docstring). Each range task writes its images into images.bin
+    itself and returns only their records. The ranges are hashed back from
+    the file in index order, and progress(k), if given, is called once the
+    first k samples are written and hashed. The three files are staged (see
+    risblock._files): all of them appear, or none.
     """
     n = cfg.n_samples if n_samples is None else int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
     size = -(-n // (RANGES_PER_WORKER * len(os.sched_getaffinity(0))))
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
-    return fork_map(partial(_generate_range, cfg, seed), bounds)
-
-
-def _generate_range(cfg, seed, bounds):
-    # generate_sample is looked up as a module global when the range runs, so
-    # a rebound one (a test's patch, a tracer's wrapper) is the one called
-    return [generate_sample(cfg, seed, i) for i in range(*bounds)]
-
-
-def save_dataset(out_dir, ranges, cfg, seed):
-    """Write the samples of `ranges`, an iterable of sample lists in index
-    order, as a dataset made by `cfg` from `seed`; returns its manifest.
-
-    Each range is written and hashed as it arrives, then dropped. The three
-    files are staged (see risblock._files): all of them appear, or none.
-    """
+    image_bytes = 4 * math.prod(cfg.image_dims)
     with staged_files(out_dir) as stage:
         digest = hashlib.sha256()
         records = []
-        with open(stage.path(IMAGES_NAME), "wb") as images:
+        # opened before the pool forks, so every worker holds the descriptor
+        with (open(stage.path(IMAGES_NAME), "w+b") as images,
+              closing(fork_map(partial(_write_range, cfg, seed,
+                                       images.fileno()), bounds)) as ranges):
             for part in ranges:
-                for s in part:
-                    # as images.bin stores it: C-order little-endian f4
-                    buffer = np.ascontiguousarray(s.image, dtype="<f4")
-                    images.write(buffer)
-                    digest.update(buffer)
-                    records.append(_Record(s.direct_rate, s.ris_rate, s.label,
-                                           s.location_index))
-                # drop this range's images before the next range is made
-                del part
+                start = len(records)
+                records += part
+                _hash_file(images.fileno(), start * image_bytes,
+                           len(records) * image_bytes,
+                           LOAD_CHUNK_IMAGES * image_bytes, digest)
+                if progress is not None:
+                    progress(len(records))
         features_text = _features_csv(records)
         manifest = build_manifest(cfg, seed, records,
                                   _content_hash(digest, features_text))
@@ -289,6 +293,31 @@ def save_dataset(out_dir, ranges, cfg, seed):
         # the manifest last: a directory with one holds a finished dataset
         stage.write(MANIFEST_NAME, json_text(manifest))
     return manifest
+
+
+def _write_range(cfg, seed, fd, bounds):
+    """Make the samples of range(*bounds), write their images at their
+    places in the open images.bin `fd`, WRITE_CHUNK_IMAGES at a time, and
+    return their _Records."""
+    start, stop = bounds
+    chunk = np.empty((min(WRITE_CHUNK_IMAGES, stop - start), *cfg.image_dims),
+                     dtype="<f4")  # as images.bin stores them
+    records = []
+    for i in range(start, stop):
+        # generate_sample is looked up as a module global when the range
+        # runs, so a rebound one (a test's patch, a tracer's wrapper) is the
+        # one called
+        s = generate_sample(cfg, seed, i)
+        k = (i - start) % len(chunk)
+        chunk[k] = s.image
+        records.append(_Record(s.direct_rate, s.ris_rate, s.label,
+                               s.location_index))
+        if k == len(chunk) - 1 or i == stop - 1:
+            images = chunk[:k + 1]
+            written = os.pwrite(fd, images, (i - k) * chunk[0].nbytes)
+            if written != images.nbytes:
+                raise OSError(errno.ENOSPC, f"short write to {IMAGES_NAME}")
+    return records
 
 
 def check_dataset_image_dims(image_dims):
@@ -410,11 +439,11 @@ def image_columns(image_chunks, n, image_dims, rows=None):
     return pooled, visible
 
 
-def _hash_file(fd, size, chunk_bytes, digest):
-    """Add the first `size` bytes of the open file `fd` to digest in file
+def _hash_file(fd, start, stop, chunk_bytes, digest):
+    """Add bytes start .. stop - 1 of the open file `fd` to digest in file
     order, chunk_bytes at a time."""
-    for offset in range(0, size, chunk_bytes):
-        digest.update(os.pread(fd, min(chunk_bytes, size - offset), offset))
+    for offset in range(start, stop, chunk_bytes):
+        digest.update(os.pread(fd, min(chunk_bytes, stop - offset), offset))
 
 
 def _read_images(images_file, n, image_dims, digest):
@@ -451,7 +480,7 @@ def _read_images(images_file, n, image_dims, digest):
     # about 14 ms of start-up that commands which load no dataset would pay
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as hasher:
-        hashed = hasher.submit(_hash_file, images_file.fileno(), size,
+        hashed = hasher.submit(_hash_file, images_file.fileno(), 0, size,
                                LOAD_CHUNK_IMAGES * image_bytes, digest)
         yield from chunks
         hashed.result()
@@ -489,10 +518,14 @@ def _parse_features(text, n):
 
 
 def read_manifest(dataset_dir):
-    """A dataset directory's manifest, once its image_dims pass
-    check_dataset_image_dims and equal its config's (else ValueError)."""
+    """A dataset directory's manifest, once its n_samples is an int >= 1
+    and its image_dims pass check_dataset_image_dims and equal its config's
+    (else ValueError)."""
     path = Path(dataset_dir) / MANIFEST_NAME
     manifest = json.loads(path.read_text("ascii"))
+    n = manifest["n_samples"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{path}: n_samples {n!r} is not an int >= 1")
     image_dims = tuple(manifest["image_dims"])
     try:
         check_dataset_image_dims(image_dims)

@@ -146,14 +146,23 @@ class Standardization:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
+    def _scale(self):
+        return np.divide(1.0, self.std, out=np.zeros_like(self.std),
+                         where=self.std > 0)
+
     def apply(self, features):
         features = np.asarray(features, dtype=np.float64)
-        scale = np.divide(1.0, self.std, out=np.zeros_like(self.std),
-                          where=self.std > 0)
         # one full-size temporary: the difference, scaled in place
         centered = features - self.mean
-        centered *= scale
+        centered *= self._scale()
         return centered
+
+    def _apply_in_place(self, features):
+        """apply(features) written over features, a float64 (N, d) array
+        the caller owns and no longer needs raw; returns it."""
+        features -= self.mean
+        features *= self._scale()
+        return features
 
 
 def fit_standardization(features):

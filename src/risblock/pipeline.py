@@ -37,8 +37,8 @@ import numpy as np
 from risblock import learn
 from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
-from risblock.dataset import (MANIFEST_NAME, config_record, generate_dataset,
-                              load_dataset, read_manifest, save_dataset)
+from risblock.dataset import (MANIFEST_NAME, config_record, load_dataset,
+                              read_manifest, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             fit_standardization, label_to_index)
 from risblock.scene import LinkStatus
@@ -181,9 +181,10 @@ def train_scenario(train_table, scenario, train_cfg):
     """Fit one scenario: standardization, perceptron, and (for the cascade)
     the absent-vs-blocked rate threshold."""
     started = time.perf_counter()
-    raw = build_features(train_table, scenario)
-    stats = fit_standardization(raw)
-    features = stats.apply(raw)
+    features = build_features(train_table, scenario)
+    stats = fit_standardization(features)
+    # build_features made the matrix for this fit alone
+    features = stats._apply_in_place(features)
     labels = train_table.label
     params, history = learn.train(features, labels, train_cfg)
 
@@ -247,7 +248,7 @@ def predict_scenario(table, model):
         return cascade_predict(table, model.rate_threshold)
     params, stats = model.params, model.standardization
     if model.scenario is Scenario.CAMERA_ONLY:
-        features = stats.apply(build_features(table, model.scenario))
+        features = stats._apply_in_place(build_features(table, model.scenario))
     else:
         # No camera: the image block is all zeros, so it adds exactly 0.0 to
         # the hidden layer. Predict from the rate column alone, as train does.
@@ -346,8 +347,7 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     dataset_dir = Path(dataset_dir) if dataset_dir is not None else out_dir / "dataset"
 
     if not (dataset_dir / MANIFEST_NAME).exists():
-        with closing(generate_dataset(gen_cfg, seed)) as ranges:
-            save_dataset(dataset_dir, ranges, gen_cfg, seed)
+        save_dataset(dataset_dir, gen_cfg, seed)
     manifest = read_manifest(dataset_dir)
     # `generate --n` records the count it made beside its config's n_samples
     made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}

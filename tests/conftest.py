@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from risblock.dataset import (FeatureTable, GeneratorConfig, generate_dataset,
+from risblock.dataset import (FeatureTable, GeneratorConfig, generate_sample,
                               image_columns, save_dataset)
 
 # A small surface and sample count keep the shared dataset cheap to build
@@ -17,8 +17,10 @@ SMALL_SEED = 11
 
 
 def generated(cfg, seed, n_samples=None):
-    """Every sample generate_dataset makes, as one list."""
-    return [s for part in generate_dataset(cfg, seed, n_samples) for s in part]
+    """Samples 0 .. n_samples - 1 (default cfg.n_samples) of cfg at seed,
+    the samples save_dataset writes, as one list."""
+    n = cfg.n_samples if n_samples is None else n_samples
+    return [generate_sample(cfg, seed, i) for i in range(n)]
 
 
 def table_of(samples):
@@ -38,12 +40,12 @@ def table_of(samples):
 @pytest.fixture(scope="session")
 def small_dataset(tmp_path_factory):
     """(samples, manifest) of SMALL_GEN at SMALL_SEED; the manifest is the
-    one save_dataset wrote for them."""
+    one save_dataset writes for them."""
     samples = generated(SMALL_GEN, SMALL_SEED)
     labels = {int(s.label) for s in samples}
     assert labels == {-1, 0, 1}, "fixture dataset must contain all three classes"
     manifest = save_dataset(tmp_path_factory.mktemp("small_dataset"),
-                            [samples], SMALL_GEN, SMALL_SEED)
+                            SMALL_GEN, SMALL_SEED)
     return samples, manifest
 
 

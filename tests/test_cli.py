@@ -459,6 +459,9 @@ def _more_blocked(manifest):
 @pytest.mark.parametrize("field, edit", [
     ("image_dims", lambda manifest: manifest.update(image_dims=[32, 128, 3])),
     ("class_counts", _more_blocked),
+    *(pytest.param("n_samples", lambda manifest, n=n: manifest.update(
+        n_samples=n), id=f"n_samples-{type(n).__name__}")
+      for n in ("60", 60.0, True, 0))
 ])
 def test_train_and_eval_refuse_a_manifest_at_odds_with_itself(
         workspace, tmp_path, capsys, field, edit):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import tempfile
 import threading
@@ -23,8 +24,8 @@ from risblock import dataset
 from risblock.cli import main
 from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
                               GeneratorConfig, build_manifest,
-                              detect_visible_ue, generate_dataset,
-                              generate_sample, load_dataset, pool_image,
+                              detect_visible_ue, generate_sample,
+                              load_dataset, pool_image,
                               sample_rng, save_dataset)
 from risblock.scene import LinkStatus
 
@@ -151,8 +152,7 @@ def test_manifest_is_reproducible(tmp_path):
     cfg = GeneratorConfig(n_samples=6, n_ris_elements=16)
 
     def manifest(seed, name):
-        return save_dataset(tmp_path / name, generate_dataset(cfg, seed), cfg,
-                            seed)
+        return save_dataset(tmp_path / name, cfg, seed)
 
     first = manifest(123, "first")
     second = manifest(123, "second")
@@ -178,7 +178,7 @@ def test_manifest_records_the_generation(small_dataset):
 
 def test_save_load_roundtrip(tmp_path, small_dataset):
     samples, manifest = small_dataset
-    assert save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED) == manifest
+    assert save_dataset(tmp_path, SMALL_GEN, SMALL_SEED) == manifest
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME])
     h, w, c = SMALL_GEN.image_dims
@@ -209,7 +209,7 @@ def test_save_load_roundtrip(tmp_path, small_dataset):
 
 def test_corrupted_files_are_refused(tmp_path, small_dataset):
     samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     blob = bytearray((tmp_path / "images.bin").read_bytes())
     blob[100] ^= 0xFF
     (tmp_path / "images.bin").write_bytes(bytes(blob))
@@ -230,19 +230,19 @@ def test_build_manifest_counts_labels():
 
 
 def test_saved_manifest_is_stable_json(tmp_path, small_dataset):
-    samples, manifest = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    _, manifest = small_dataset
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     text = (tmp_path / "manifest.json").read_text("ascii")
     assert text.endswith("\n")
     assert json.loads(text) == manifest
     before = text
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     assert (tmp_path / "manifest.json").read_text("ascii") == before
 
 
 def test_str_paths_are_accepted(tmp_path, small_dataset):
     samples, manifest = small_dataset
-    save_dataset(str(tmp_path / "ds"), [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(str(tmp_path / "ds"), SMALL_GEN, SMALL_SEED)
     loaded, loaded_manifest = load_dataset(str(tmp_path / "ds"))
     assert loaded_manifest == manifest
     assert len(loaded) == len(samples)
@@ -255,28 +255,24 @@ def _edit_manifest(directory, edit):
     path.write_text(json.dumps(manifest), encoding="ascii")
 
 
-def test_short_sample_table_is_refused(tmp_path, small_dataset):
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+def test_short_sample_table_is_refused(tmp_path):
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m.update(samples=m["samples"][:4]))
     with pytest.raises(ValueError, match="manifest lists 4 samples"):
         load_dataset(tmp_path)
 
 
-def test_manifest_label_must_match_the_csv(tmp_path, small_dataset):
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+def test_manifest_label_must_match_the_csv(tmp_path):
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m["samples"][3].update(label=9))
     with pytest.raises(ValueError, match="sample 3: manifest label 9"):
         load_dataset(tmp_path)
 
 
-def test_image_dims_must_equal_the_config_image_dims(tmp_path,
-                                                     small_dataset):
+def test_image_dims_must_equal_the_config_image_dims(tmp_path):
     # 32 x 128 images take the bytes of 64 x 64 ones and pool to the same
     # grid, and the content hash does not cover the manifest
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m.update(image_dims=[32, 128, 3]))
     for verify in (True, False):
         with pytest.raises(ValueError, match=re.escape(
@@ -286,8 +282,8 @@ def test_image_dims_must_equal_the_config_image_dims(tmp_path,
 
 
 def test_class_counts_must_count_the_csv_labels(tmp_path, small_dataset):
-    samples, manifest = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    _, manifest = small_dataset
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     counts = manifest["class_counts"]
     swapped = dict(counts, **{"-1": counts["0"], "0": counts["-1"]})
     assert swapped != counts
@@ -302,7 +298,7 @@ def test_class_counts_must_count_the_csv_labels(tmp_path, small_dataset):
 def test_the_content_hash_runs_over_the_files_in_order(tmp_path,
                                                        small_dataset):
     samples, manifest = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     digest = hashlib.sha256((tmp_path / IMAGES_NAME).read_bytes())
     digest.update((tmp_path / FEATURES_NAME).read_bytes())
     assert manifest["content_hash"] == "sha256:" + digest.hexdigest()
@@ -339,12 +335,11 @@ def _fail_the_third_pool(monkeypatch):
     (_truncate_images, "images.bin holds"),
     ("pool", "pooling failed"),
 ], ids=("loaded", "hash_mismatch", "truncated", "failed_pooling"))
-def test_load_dataset_leaves_no_thread_running(tmp_path, small_dataset,
-                                               monkeypatch, spoil, error):
+def test_load_dataset_leaves_no_thread_running(tmp_path, monkeypatch, spoil,
+                                               error):
     # train forks its fit pool right after loading, and a fork must not
     # happen while the hashing thread is alive
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     if spoil == "pool":
         _fail_the_third_pool(monkeypatch)
     elif spoil is not None:
@@ -369,21 +364,21 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
             raise AssertionError(f"sample {index} made in the calling process")
         return serial(cfg, seed, index)
 
+    samples = generated(RANGED_GEN, 9)
     written = {}
     for cpus in (1, 2):
         allow_cpus(monkeypatch, cpus)
         if cpus == 2:
             monkeypatch.setattr(dataset, "generate_sample", in_a_worker)
-        ranges = list(generate_dataset(RANGED_GEN, 9))
-        assert len(ranges) > 1
-        samples = [s for part in ranges for s in part]
-        manifest = save_dataset(tmp_path / str(cpus), ranges, RANGED_GEN, 9)
+        progress = []
+        manifest = save_dataset(tmp_path / str(cpus), RANGED_GEN, 9,
+                                progress=progress.append)
+        assert len(progress) > 1 and progress[-1] == 37  # several ranges
         written[cpus] = {name: (tmp_path / str(cpus) / name).read_bytes()
                          for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
         assert written[cpus][IMAGES_NAME] == reference_images_bytes(samples)
         assert manifest["content_hash"] == reference_content_hash(samples)
     assert written[1] == written[2]
-    assert [s.seed_used[2] for s in samples] == list(range(37))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -397,15 +392,29 @@ def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
         return serial(cfg, seed, index)
 
     monkeypatch.setattr(dataset, "generate_sample", failing)
+    progress = []
     with pytest.raises(ValueError, match="sample 23 could not be generated"):
-        list(generate_dataset(RANGED_GEN, 9))
-    assert multiprocessing.active_children() == []
+        save_dataset(tmp_path / "d", RANGED_GEN, 9, progress=progress.append)
     # the ranges before sample 23 were written, but no file is left
-    with pytest.raises(ValueError, match="sample 23 could not be generated"):
-        save_dataset(tmp_path / "d", generate_dataset(RANGED_GEN, 9),
-                     RANGED_GEN, 9)
+    assert progress and progress[-1] <= 23
     assert not (tmp_path / "d").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_a_range_task_writes_its_images_and_returns_only_records(tmp_path):
+    image_bytes = 4 * 64 * 64 * 3
+    # more images than one write takes, so the last write is a short one
+    assert 37 - 3 > dataset.WRITE_CHUNK_IMAGES
+    with open(tmp_path / IMAGES_NAME, "w+b") as images:
+        records = dataset._write_range(RANGED_GEN, 9, images.fileno(), (3, 37))
+    # what crosses the pool's pipe: the rates, label and location index
+    assert len(pickle.dumps(records)) < 1024 * len(records)
+    samples = generated(RANGED_GEN, 9)[3:]
+    assert records == [(s.direct_rate, s.ris_rate, s.label, s.location_index)
+                       for s in samples]
+    # each image at its index's place, and nothing before the range written
+    blob = (tmp_path / IMAGES_NAME).read_bytes()
+    assert blob == bytes(3 * image_bytes) + reference_images_bytes(samples)
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +422,7 @@ def tiny_files(tmp_path_factory):
     """name -> bytes of a saved 4-sample dataset with 16 x 16 images."""
     cfg = GeneratorConfig(n_samples=4, n_ris_elements=16, image_dims=(16, 16, 3))
     directory = tmp_path_factory.mktemp("tiny")
-    save_dataset(directory, generate_dataset(cfg, 2), cfg, 2)
+    save_dataset(directory, cfg, 2)
     return {name: (directory / name).read_bytes()
             for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
 
@@ -502,9 +511,9 @@ def test_features_rates_must_be_finite(tmp_path, tiny_files, rate, column):
 
 
 @pytest.fixture(scope="module")
-def small_dir(tmp_path_factory, small_dataset):
+def small_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("small_rows")
-    save_dataset(directory, [small_dataset[0]], SMALL_GEN, SMALL_SEED)
+    save_dataset(directory, SMALL_GEN, SMALL_SEED)
     return directory
 
 
@@ -534,10 +543,8 @@ def test_a_table_of_rows_is_the_take_of_the_whole_table(small_dir,
 FIRST_CHUNK = list(range(dataset.LOAD_CHUNK_IMAGES))
 
 
-def test_a_flipped_byte_outside_the_rows_is_refused(tmp_path, small_dataset,
-                                                    monkeypatch):
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+def test_a_flipped_byte_outside_the_rows_is_refused(tmp_path, monkeypatch):
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     _flip_a_byte(tmp_path)  # in image 70, far from the first chunk
     pooled = []
 
@@ -552,9 +559,8 @@ def test_a_flipped_byte_outside_the_rows_is_refused(tmp_path, small_dataset,
     assert threading.active_count() == before
 
 
-def test_a_manifest_label_outside_the_rows_is_checked(tmp_path, small_dataset):
-    samples, _ = small_dataset
-    save_dataset(tmp_path, [samples], SMALL_GEN, SMALL_SEED)
+def test_a_manifest_label_outside_the_rows_is_checked(tmp_path):
+    save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     _edit_manifest(tmp_path, lambda m: m["samples"][100].update(label=9))
     for verify in (True, False):
         with pytest.raises(ValueError, match="sample 100: manifest label 9"):
@@ -580,7 +586,7 @@ def test_rows_must_be_distinct_ints_in_range(small_dir, rows, message):
 #
 # Neither generating nor loading may hold a dataset's images: tracemalloc,
 # which numpy reports its buffers to, must see a peak under a quarter of
-# images.bin.
+# images.bin. Saving in a pool may not hold even one range of them.
 
 MEMORY_GEN = GeneratorConfig(n_samples=400, n_ris_elements=64)
 
@@ -598,8 +604,27 @@ def _traced_peak(function, *args):
 @pytest.fixture(scope="module")
 def memory_dataset(tmp_path_factory):
     directory = tmp_path_factory.mktemp("memory")
-    save_dataset(directory, generate_dataset(MEMORY_GEN, 1), MEMORY_GEN, 1)
+    save_dataset(directory, MEMORY_GEN, 1)
     return directory
+
+
+def test_saving_in_a_pool_holds_no_range_of_images(memory_dataset, tmp_path,
+                                                  monkeypatch):
+    # the range tasks write their images themselves; the caller hashes them
+    # back LOAD_CHUNK_IMAGES at a time
+    allow_cpus(monkeypatch, 2)
+    range_images = -(-400 // (dataset.RANGES_PER_WORKER * 2))
+    assert range_images > 2 * dataset.LOAD_CHUNK_IMAGES
+    # a first pool imports the modules the pool needs, which tracemalloc
+    # would count
+    save_dataset(tmp_path / "first", RANGED_GEN, 9)
+    _, peak = _traced_peak(save_dataset, tmp_path / "d", MEMORY_GEN, 1)
+    range_bytes = range_images * 64 * 64 * 3 * 4
+    assert peak < range_bytes, f"save traced {peak} bytes, a range is " \
+        f"{range_bytes}"
+    for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME):
+        assert (tmp_path / "d" / name).read_bytes() == \
+            (memory_dataset / name).read_bytes()
 
 
 def test_load_dataset_holds_no_dataset_of_images(memory_dataset):

@@ -293,6 +293,17 @@ def test_predict_scenario_returns_valid_labels(trained_both):
     assert predicted.shape == (len(test),)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_standardizing_in_place_equals_apply(small_table, scenario):
+    raw = build_features(small_table, scenario)
+    stats = learn.fit_standardization(raw)
+    want = stats.apply(raw)
+    got = raw.copy()
+    assert stats._apply_in_place(got) is got
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.RIS_ONLY))
 def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
                                                          monkeypatch, scenario):
