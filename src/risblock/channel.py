@@ -25,6 +25,15 @@ effective end-to-end gain is h_b + h_u @ Delta @ h_r, and the scalar link
 rate is log2(1 + snr * ||H||^2).
 
 Vectors are 1-D numpy arrays (complex128); the BS->RIS block is 2-D (R, M).
+
+Every complex exponential of a real angle (the steering ramps and the
+surface's reflection phasors) is cos(angle) + i*sin(angle), with cos written
+into the real parts and sin into the imaginary parts; the complex sum
+cos + 1j*sin would turn a sine of -0.0 into +0.0. On the pinned stack
+(numpy 2.4, x86-64) numpy's exp of a complex with a zero real part is
+exactly that, so the bytes are those of np.exp(1j * angle). A ramp's angles
+are (rate + 0.0) * m, which keeps each zero's sign as np.exp(1j * rate * m)
+has it: +0.0 for a rate of -0.0, and -0.0 at m = 0 for a negative rate.
 """
 
 import cmath
@@ -132,11 +141,11 @@ class RisConfig:
         phases = np.asarray(self.phases, dtype=np.float64)
         if amps.ndim != 1 or phases.shape != amps.shape:
             raise ValueError("amplitudes and phases must be equal-length 1-D arrays")
-        if not np.all(np.isfinite(amps)) or not np.all(np.isfinite(phases)):
+        if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
             raise ValueError("ris amplitudes/phases must be finite")
-        if np.any(amps < 0.0) or np.any(amps > 1.0):
+        if (amps < 0.0).any() or (amps > 1.0).any():
             raise ValueError("ris amplitudes must lie in [0, 1]")
-        if np.any(phases < 0.0) or np.any(phases >= TWO_PI):
+        if (phases < 0.0).any() or (phases >= TWO_PI).any():
             raise ValueError("ris phases must lie in [0, 2*pi)")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "phases", phases)
@@ -164,7 +173,20 @@ def steering_vector(n_elements, spacing_wavelengths, azimuth_rad, elevation_rad)
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
     rate = _steering_rate(spacing_wavelengths, azimuth_rad, elevation_rad)
-    return np.exp(1j * rate * np.arange(n_elements))
+    return _ramps(np.array([rate]), n_elements)[0]
+
+
+def _phasors(angles):
+    """exp(1j * angles) of a real array, as cos(angles) + i*sin(angles)."""
+    out = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
+def _ramps(rates, n):
+    """Steering ramps exp(1j * rates[k] * m), m = 0 .. n - 1: shape (K, n)."""
+    return _phasors(np.multiply.outer(rates + 0.0, np.arange(n)))
 
 
 def _steering_rate(spacing_wavelengths, azimuth_rad, elevation_rad):
@@ -195,7 +217,9 @@ def accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols):
     out[r, c] = sum_k coeffs[k] * exp(1j*row_rates[k]*r) * exp(1j*col_rates[k]*c)
 
     The three channel builders below reduce to this one operation: the row
-    and column ramps are the two arrays' steering responses.
+    and column ramps are the two arrays' steering responses. Each side's
+    ramps for all K paths come from one cos and one sin call (see the module
+    docstring); the sum still runs path by path.
 
     Parameters
     ----------
@@ -213,15 +237,15 @@ def accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols):
         raise ValueError("coeffs, row_rates and col_rates must be equal-length 1-D")
 
     out = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    rows = np.arange(n_rows)
-    cols = np.arange(n_cols)
+    # (K, n_rows, 1) and (K, 1, n_cols): row k times column k is the outer
+    # product of path k's ramps, the broadcast multiply np.outer runs
+    row_ramps = _ramps(row_rates, n_rows)[:, :, None]
+    col_ramps = _ramps(col_rates, n_cols)[:, None, :]
     # Path-by-path accumulation: this order fixes the output bytes, and so
     # does the operand order coeffs[k] * ramps (in numpy 2.4, c * b and
     # b * c differ in their bytes for a complex scalar c).
     for k in range(coeffs.shape[0]):
-        row_ramp = np.exp(1j * row_rates[k] * rows)
-        col_ramp = np.exp(1j * col_rates[k] * cols)
-        out += coeffs[k] * np.outer(row_ramp, col_ramp)
+        out += coeffs[k] * (row_ramps[k] * col_ramps[k])
     return out
 
 
@@ -273,7 +297,7 @@ def channel_ris_ue(paths, cfg, geom):
 
 def ris_matrix(ris):
     """Diagonal reflection matrix diag(alpha_i * exp(1j*delta_i)), shape (R, R)."""
-    return np.diag(ris.amplitudes * np.exp(1j * ris.phases))
+    return np.diag(ris.amplitudes * _phasors(ris.phases + 0.0))
 
 
 def effective_gain(h_b, h_u, delta, h_r):
@@ -297,7 +321,7 @@ def effective_gain(h_b, h_u, delta, h_r):
         if delta.n_elements != r:
             raise ValueError(
                 f"RisConfig has {delta.n_elements} elements, channels have {r}")
-        reflect = delta.amplitudes * np.exp(1j * delta.phases)
+        reflect = delta.amplitudes * _phasors(delta.phases + 0.0)
         return h_b + (h_u * reflect) @ h_r
     delta = np.asarray(delta, dtype=np.complex128)
     if delta.ndim != 2 or delta.shape != (r, r):

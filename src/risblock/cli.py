@@ -4,9 +4,10 @@ Configuration is an INI-style file with [generator], [layout], [training]
 and [experiment] sections; the keys come from the config dataclasses,
 which check their own values, and unknown keys are rejected with their line
 number. The seed resolves in order: --seed flag, RISBLOCK_SEED environment
-variable, [experiment] seed, then 0. Exit codes: 0 success, 1 runtime
-failure, 2 config/validation error. Each command writes its output set
-through `risblock._files.staged_files`: all of it, or none of it.
+variable, [experiment] seed, then 0; a negative seed from any of them is a
+config error. Exit codes: 0 success, 1 runtime failure, 2 config/validation
+error. Each command writes its output set through
+`risblock._files.staged_files`: all of it, or none of it.
 """
 
 import argparse
@@ -114,7 +115,8 @@ def load_config(path):
     config = {section: dict(parser[section]) for section in parser.sections()}
     generator_from_config(config)
     training_from_config(config)
-    _values(config, "experiment")
+    _checked_seed(_values(config, "experiment").get("seed", 0),
+                  f"[experiment] seed in {path}")
     return config
 
 
@@ -165,15 +167,24 @@ def training_from_config(config):
         raise ConfigError(f"invalid training config: {exc}") from exc
 
 
+def _checked_seed(seed, source):
+    """seed, unless it is negative, which numpy's seeding refuses."""
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def resolve_seed(args, config):
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return _checked_seed(int(args.seed), "--seed")
     env = os.environ.get("RISBLOCK_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"RISBLOCK_SEED must be an integer, got {env!r}") from exc
+        return _checked_seed(seed, "RISBLOCK_SEED")
+    # load_config has checked the [experiment] seed
     return _values(config, "experiment").get("seed", 0)
 
 
@@ -310,7 +321,7 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 def cmd_gradcheck(args):
-    seed = args.seed if args.seed is not None else 0
+    seed = _checked_seed(args.seed, "--seed") if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(N_GRADCHECK_DRAWS):

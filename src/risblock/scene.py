@@ -17,7 +17,12 @@ A blocked direct link attenuates the line-of-sight amplitude by
 10^(-penetration_loss_db/20) before the bounce amplitudes are drawn from it,
 so the whole blocked bundle is degraded coherently. Surface-side links are
 never attenuated. Every synthesized path uses a single pulse tap and a fixed
-1 ms sampling time.
+1 ms sampling time. A sample's path values come from one batched draw, in
+the order that one draw per value would take them from the stream: each
+bounce's delay stretch, amplitude scale, phase, azimuth and elevation
+(station->terminal, surface->terminal, then station->surface), then the
+station->surface departures. numpy's array draw takes the same doubles in
+the same order as one scalar draw per value.
 
 Rendering produces an H x W x 3 float image in [0, 1]: channel 0 holds the
 blocker occupancy, channel 1 the station and surface markers, and channel 2
@@ -28,6 +33,7 @@ absent and blocked scenes byte-identical on purpose.
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 
 import numpy as np
 
@@ -188,8 +194,10 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
         raise ValueError("absent_probability must lie in [0, 1]")
 
     max_step = speed_mps * step_time_s
-    current = np.array(_random_free_point(scene, rng))
-    target = np.array(_random_free_point(scene, rng))
+    # (x, y) pairs of floats; np.hypot as on arrays, since math.hypot
+    # computes its own way and may round differently
+    current = _random_free_point(scene, rng)
+    target = _random_free_point(scene, rng)
     positions = []
     for _ in range(n_steps):
         if rng.random() < absent_probability:
@@ -197,21 +205,22 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
             continue
         candidate = current
         for _ in range(64):
-            offset = target - current
-            dist = float(np.hypot(*offset))
+            dx, dy = target[0] - current[0], target[1] - current[1]
+            dist = float(np.hypot(dx, dy))
             if dist <= max_step:
                 candidate = target
-                target = np.array(_random_free_point(scene, rng))
+                target = _random_free_point(scene, rng)
             elif max_step > 0:
-                candidate = current + offset * (max_step / dist)
+                scale = max_step / dist
+                candidate = (current[0] + dx * scale, current[1] + dy * scale)
             else:
                 candidate = current
             if not any(blk.contains(candidate) for blk in scene.blockers):
                 break
-            target = np.array(_random_free_point(scene, rng))
+            target = _random_free_point(scene, rng)
             candidate = current
         current = candidate
-        positions.append((float(current[0]), float(current[1])))
+        positions.append(current)
     return Trajectory(positions=tuple(positions), speed_mps=speed_mps,
                       step_time_s=step_time_s)
 
@@ -252,17 +261,22 @@ def _los_component(src, dst, wavelength_m, speed_of_light, azimuth,
     )
 
 
-def _bounce_components(los, count, rng):
+# (low, high) of each value a bounce draws, in draw order: delay stretch,
+# amplitude scale, phase, azimuth, elevation; then of a departure's azimuth
+# and elevation
+_BOUNCE_DRAWS = (NLOS_DELAY_STRETCH, NLOS_AMPLITUDE_SCALE, (0.0, TWO_PI),
+                 (0.0, TWO_PI), (-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN))
+_DEPARTURE_DRAWS = ((0.0, TWO_PI), (-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN))
+
+
+def _bounce_components(los, draws):
+    """One bounce of los per drawn (stretch, scale, phase, azimuth, elevation)."""
     paths = []
-    for _ in range(count):
-        delay = los.delay_s * rng.uniform(*NLOS_DELAY_STRETCH)
-        magnitude = abs(los.amplitude) * rng.uniform(*NLOS_AMPLITUDE_SCALE)
-        phase = rng.uniform(0.0, TWO_PI)
-        azimuth = rng.uniform(0.0, TWO_PI)
-        elevation = rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)
+    for stretch, scale, phase, azimuth, elevation in draws:
+        magnitude = abs(los.amplitude) * scale
         paths.append(MultipathComponent(
             amplitude=magnitude * complex(math.cos(phase), math.sin(phase)),
-            delay_s=delay,
+            delay_s=los.delay_s * stretch,
             sampling_time_s=PATH_SAMPLING_TIME_S,
             cyclic_prefix_count=1,
             azimuth_rad=azimuth % TWO_PI,
@@ -288,28 +302,39 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
     wavelength = prop_cfg.wavelength_m
     c = prop_cfg.speed_of_light_mps
     bs, ris = scene.bs_position, scene.ris_position
+    present = not (status == LinkStatus.ABSENT or ue_position is None)
 
-    if status == LinkStatus.ABSENT or ue_position is None:
-        bs_ue = []
-        ris_ue = []
-    else:
+    n_bounces = n_bs_ris - 1
+    if present:
+        n_bounces += (n_bs_ue - 1) + (n_ris_ue - 1)
+    bounds = np.reshape(_BOUNCE_DRAWS * n_bounces
+                        + _DEPARTURE_DRAWS * (n_bs_ris - 1), (-1, 2))
+    values = iter(rng.uniform(bounds[:, 0], bounds[:, 1]).tolist())
+    # zip over one iterator groups it into rows; islice takes only the rows
+    # a link needs, so each link reads its values in draw order
+    bounce_rows = zip(*[values] * len(_BOUNCE_DRAWS))
+
+    if present:
         penetration = 1.0
         if status == LinkStatus.BLOCKED:
             penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
         los_direct = _los_component(bs, ue_position, wavelength, c,
                                     _bearing(bs, ue_position),
                                     amplitude_scale=penetration)
-        bs_ue = [los_direct] + _bounce_components(los_direct, n_bs_ue - 1, rng)
+        bs_ue = [los_direct] + _bounce_components(
+            los_direct, islice(bounce_rows, n_bs_ue - 1))
         los_surface = _los_component(ris, ue_position, wavelength, c,
                                      _bearing(ris, ue_position))
-        ris_ue = [los_surface] + _bounce_components(los_surface, n_ris_ue - 1, rng)
+        ris_ue = [los_surface] + _bounce_components(
+            los_surface, islice(bounce_rows, n_ris_ue - 1))
+    else:
+        bs_ue = []
+        ris_ue = []
 
     los_hop = _los_component(ris, bs, wavelength, c, _bearing(ris, bs))
-    bs_ris = [los_hop] + _bounce_components(los_hop, n_bs_ris - 1, rng)
-    departures = [(_bearing(bs, ris), 0.0)]
-    for _ in range(n_bs_ris - 1):
-        departures.append((rng.uniform(0.0, TWO_PI),
-                           rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)))
+    bs_ris = [los_hop] + _bounce_components(los_hop,
+                                            islice(bounce_rows, n_bs_ris - 1))
+    departures = [(_bearing(bs, ris), 0.0)] + list(zip(values, values))
 
     return SynthesizedPaths(bs_ue=tuple(bs_ue), bs_ris=tuple(bs_ris),
                             ris_ue=tuple(ris_ue),

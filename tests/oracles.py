@@ -22,6 +22,15 @@ The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package
 hashes and writes one sample at a time. They share only the features.csv
 writer with the package.
+
+The generation references (``reference_accumulate_steering_outer``,
+``reference_synthesize_mpcs``, ``reference_generate_trajectory``) are the
+package's steering kernel, path synthesis and walk as they were before
+their per-sample overhead was cut: one ``np.exp`` ramp per path and side,
+one ``rng.uniform`` call per drawn value, and a walk on 2-element arrays.
+The package must match them byte for byte and leave its generator in the
+same state; they share the path and trajectory records, the line-of-sight
+component and the draw ranges with it.
 """
 
 import cmath
@@ -31,9 +40,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from risblock.channel import MultipathComponent
 from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
                             label_to_index, lr_schedule, sgd_step)
+from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
+                            NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
+                            LinkStatus, SynthesizedPaths, Trajectory, _bearing,
+                            _los_component, _random_free_point)
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,3 +235,102 @@ def reference_content_hash(samples):
     digest.update(reference_images_bytes(samples))
     digest.update(_features_csv(samples).encode("ascii"))
     return "sha256:" + digest.hexdigest()
+
+
+def reference_accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows,
+                                        n_cols):
+    """The steering kernel with one np.exp ramp per path and side."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    row_rates = np.asarray(row_rates, dtype=np.float64)
+    col_rates = np.asarray(col_rates, dtype=np.float64)
+    out = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    rows = np.arange(n_rows)
+    cols = np.arange(n_cols)
+    for k in range(coeffs.shape[0]):
+        row_ramp = np.exp(1j * row_rates[k] * rows)
+        col_ramp = np.exp(1j * col_rates[k] * cols)
+        out += coeffs[k] * np.outer(row_ramp, col_ramp)
+    return out
+
+
+def _reference_bounces(los, count, rng):
+    paths = []
+    for _ in range(count):
+        delay = los.delay_s * rng.uniform(*NLOS_DELAY_STRETCH)
+        magnitude = abs(los.amplitude) * rng.uniform(*NLOS_AMPLITUDE_SCALE)
+        phase = rng.uniform(0.0, TWO_PI)
+        azimuth = rng.uniform(0.0, TWO_PI)
+        elevation = rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)
+        paths.append(MultipathComponent(
+            amplitude=magnitude * complex(math.cos(phase), math.sin(phase)),
+            delay_s=delay,
+            sampling_time_s=PATH_SAMPLING_TIME_S,
+            cyclic_prefix_count=1,
+            azimuth_rad=azimuth % TWO_PI,
+            elevation_rad=elevation,
+        ))
+    return paths
+
+
+def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
+                              n_bs_ris, n_ris_ue, rng):
+    """Path synthesis with one rng.uniform call per drawn value."""
+    wavelength = prop_cfg.wavelength_m
+    c = prop_cfg.speed_of_light_mps
+    bs, ris = scene.bs_position, scene.ris_position
+    if status == LinkStatus.ABSENT or ue_position is None:
+        bs_ue = []
+        ris_ue = []
+    else:
+        penetration = 1.0
+        if status == LinkStatus.BLOCKED:
+            penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
+        los_direct = _los_component(bs, ue_position, wavelength, c,
+                                    _bearing(bs, ue_position),
+                                    amplitude_scale=penetration)
+        bs_ue = [los_direct] + _reference_bounces(los_direct, n_bs_ue - 1, rng)
+        los_surface = _los_component(ris, ue_position, wavelength, c,
+                                     _bearing(ris, ue_position))
+        ris_ue = [los_surface] + _reference_bounces(los_surface, n_ris_ue - 1,
+                                                    rng)
+    los_hop = _los_component(ris, bs, wavelength, c, _bearing(ris, bs))
+    bs_ris = [los_hop] + _reference_bounces(los_hop, n_bs_ris - 1, rng)
+    departures = [(_bearing(bs, ris), 0.0)]
+    for _ in range(n_bs_ris - 1):
+        departures.append((rng.uniform(0.0, TWO_PI),
+                           rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)))
+    return SynthesizedPaths(bs_ue=tuple(bs_ue), bs_ris=tuple(bs_ris),
+                            ris_ue=tuple(ris_ue),
+                            bs_ris_departures=tuple(departures))
+
+
+def reference_generate_trajectory(scene, n_steps, speed_mps, step_time_s,
+                                  absent_probability, rng):
+    """The random-waypoint walk on 2-element arrays."""
+    max_step = speed_mps * step_time_s
+    current = np.array(_random_free_point(scene, rng))
+    target = np.array(_random_free_point(scene, rng))
+    positions = []
+    for _ in range(n_steps):
+        if rng.random() < absent_probability:
+            positions.append(None)
+            continue
+        candidate = current
+        for _ in range(64):
+            offset = target - current
+            dist = float(np.hypot(*offset))
+            if dist <= max_step:
+                candidate = target
+                target = np.array(_random_free_point(scene, rng))
+            elif max_step > 0:
+                candidate = current + offset * (max_step / dist)
+            else:
+                candidate = current
+            if not any(blk.contains(candidate) for blk in scene.blockers):
+                break
+            target = np.array(_random_free_point(scene, rng))
+            candidate = current
+        current = candidate
+        positions.append((float(current[0]), float(current[1])))
+    return Trajectory(positions=tuple(positions), speed_mps=speed_mps,
+                      step_time_s=step_time_s)

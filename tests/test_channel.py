@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from risblock.channel import (ArrayGeometry, MultipathComponent,
+from risblock.channel import (_phasors, _ramps, ArrayGeometry,
+                              MultipathComponent,
                               PropagationConfig, RisConfig, SPEED_OF_LIGHT_MPS,
                               accumulate_steering_outer, channel_bs_ris,
                               channel_bs_ue, channel_ris_ue, co_phase_ris,
@@ -209,6 +210,70 @@ def test_single_path_is_an_outer_product():
     want = coeffs[0] * np.outer(np.exp(1j * 0.5 * np.arange(6)),
                                 np.exp(1j * -0.25 * np.arange(3)))
     np.testing.assert_allclose(out, want, rtol=1e-13, atol=0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# the signed zeros, the smallest subnormal, the largest subnormal, the
+# smallest normal and pi, each with both signs
+_EDGE_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                -2.225073858507201e-308, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, math.pi, -math.pi]
+# rate = 2*pi*spacing*sin(az)*cos(el), so 2*pi covers spacings up to 1
+_RATES = st.sampled_from(_EDGE_ANGLES) | st.floats(-TWO_PI, TWO_PI)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=st.lists(_RATES, min_size=1, max_size=5),
+       n=st.integers(1, 64) | st.integers(1, 8000))
+def test_ramps_are_np_exp_bit_for_bit(rates, n):
+    ramps = _ramps(np.array(rates), n)
+    for k, rate in enumerate(rates):
+        # the kernel's rate was a numpy scalar, steering_vector's a float
+        assert _same_bits(ramps[k], np.exp(1j * np.float64(rate) * np.arange(n)))
+        assert _same_bits(ramps[k], np.exp(1j * rate * np.arange(n)))
+
+
+def test_steering_vector_is_np_exp_bit_for_bit():
+    for azimuth in (0.0, 0.7, math.pi / 2, 3.5, 5.9):
+        rate = TWO_PI * 0.5 * math.sin(azimuth) * math.cos(-0.3)
+        assert _same_bits(steering_vector(8000, 0.5, azimuth, -0.3),
+                          np.exp(1j * rate * np.arange(8000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=st.lists(_RATES | st.floats(-1e6, 1e6), min_size=1,
+                       max_size=8000))
+def test_phasors_are_np_exp_bit_for_bit(angles):
+    angles = np.array(angles)
+    assert _same_bits(_phasors(angles + 0.0), np.exp(1j * angles))
+
+
+_COEFF_PARTS = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(0, 6),
+       n_rows=st.sampled_from([1, 1, 2, 7, 64, 8000]),
+       n_cols=st.sampled_from([1, 1, 2, 5]))
+def test_kernel_equals_the_per_path_exp_kernel_bit_for_bit(data, k, n_rows,
+                                                           n_cols):
+    parts = st.lists(_COEFF_PARTS, min_size=k, max_size=k)
+    coeffs = np.empty(k, dtype=np.complex128)  # re + 1j*im would drop a -0.0
+    coeffs.real = data.draw(parts)
+    coeffs.imag = data.draw(parts)
+    # a zero row rate makes the ramp of a terminal channel's one row
+    row_rates = np.array(data.draw(st.lists(_RATES | st.just(0.0), min_size=k,
+                                            max_size=k)))
+    col_rates = np.array(data.draw(st.lists(_RATES, min_size=k, max_size=k)))
+    got = accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows, n_cols)
+    want = oracles.reference_accumulate_steering_outer(coeffs, row_rates,
+                                                       col_rates, n_rows, n_cols)
+    assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------------- channels

@@ -294,6 +294,39 @@ def test_invalid_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert "RISBLOCK_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "eval"])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_a_negative_seed_is_a_config_error_that_writes_nothing(
+        workspace, tmp_path, monkeypatch, capsys, command, source):
+    # numpy's seeding refuses a negative seed, late and with exit 1
+    monkeypatch.delenv("RISBLOCK_SEED", raising=False)
+    config = tmp_path / "config.ini"
+    config.write_text(CONFIG_TEXT.replace("seed = 5", "seed = -3"
+                                          if source == "config" else "seed = 5"),
+                      encoding="ascii")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command != "generate":
+        argv += ["--dataset", str(workspace / "dataset")]
+    if command == "eval":
+        argv += ["--models", str(workspace / "models")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    if source == "env":
+        monkeypatch.setenv("RISBLOCK_SEED", "-5")
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert {"flag": "--seed must be >= 0, got -1",
+            "env": "RISBLOCK_SEED must be >= 0, got -5",
+            "config": f"[experiment] seed in {config} must be >= 0, got -3",
+            }[source] in err
+
+
+def test_gradcheck_refuses_a_negative_seed(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- train
 
 

@@ -7,6 +7,10 @@ CPUs. A change that alters any hash changes output bytes: it must say why
 and record the new hashes here. The bytes come from floating-point sums, so
 they hold for the stack they were recorded on: numpy 2.4, OpenBLAS 0.3.31,
 x86-64.
+
+The chain runs a 64-element surface. A second record pins the dataset files
+of the default GeneratorConfig, whose 8000-element surface is what every
+command uses unless told otherwise.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import pytest
 
 from conftest import allow_cpus
 from risblock.cli import main
+from risblock.dataset import GeneratorConfig, save_dataset
 
 CONFIG = """\
 [generator]
@@ -114,3 +119,25 @@ def test_every_output_byte_matches_the_golden_record(tmp_path, monkeypatch,
     changed = sorted(name for name in set(GOLDEN) | set(produced)
                      if GOLDEN.get(name) != produced.get(name))
     assert not changed, f"outputs differ from the golden record: {changed}"
+
+
+DEFAULT_SURFACE_SEED = 5
+DEFAULT_SURFACE_SAMPLES = 24  # 6 absent, 11 clear and 7 blocked at this seed
+
+DEFAULT_SURFACE_GOLDEN = {
+    "features.csv":
+        "bac71755cca818ff2bb2955b94f33e070f768861b2da6ca512f3d0ead947b27d",
+    "images.bin":
+        "d43ecbe41e4dda4f08ddf15e5be8c81e930484ea52e6867149cfcde735b1f551",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_default_surface_dataset_matches_the_golden_record(tmp_path,
+                                                           monkeypatch, cpus):
+    allow_cpus(monkeypatch, cpus)
+    save_dataset(tmp_path, GeneratorConfig(n_samples=DEFAULT_SURFACE_SAMPLES),
+                 DEFAULT_SURFACE_SEED)
+    produced = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in DEFAULT_SURFACE_GOLDEN}
+    assert produced == DEFAULT_SURFACE_GOLDEN

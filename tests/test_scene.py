@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from risblock.channel import PropagationConfig, SPEED_OF_LIGHT_MPS
 from risblock.scene import (Blocker, LinkStatus, Scene, SceneLayout,
                             generate_trajectory, link_status, los_blocked,
@@ -265,6 +267,37 @@ def test_synthesis_validates_path_counts():
     with pytest.raises(ValueError):
         synthesize_mpcs(_open_scene(), (6.0, 2.0), LinkStatus.UNBLOCKED, PROP,
                         0, 5, 5, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), status=st.sampled_from(LinkStatus),
+       counts=st.tuples(*[st.integers(1, 6)] * 3),
+       ue=st.tuples(st.floats(12.0, 34.0), st.floats(4.0, 36.0)))
+def test_synthesis_draws_as_one_value_at_a_time(seed, status, counts, ue):
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    scene = random_scene(SceneLayout(), np.random.default_rng(seed))
+    if status is LinkStatus.ABSENT:
+        ue = None
+    rng, reference_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
+    got = synthesize_mpcs(scene, ue, status, PROP, *counts, rng)
+    want = oracles.reference_synthesize_mpcs(scene, ue, status, PROP, *counts,
+                                             reference_rng)
+    assert repr(got) == repr(want)
+    assert rng.random() == reference_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 12),
+       speed=st.sampled_from([0.0, 1.5, 20.0]),
+       absent=st.sampled_from([0.0, 1.0 / 3.0, 1.0]))
+def test_walk_draws_and_steps_as_on_arrays(seed, n_steps, speed, absent):
+    scene = random_scene(SceneLayout(), np.random.default_rng(seed))
+    rng, reference_rng = (np.random.default_rng([seed, 2]) for _ in range(2))
+    got = generate_trajectory(scene, n_steps, speed, 0.1, absent, rng)
+    want = oracles.reference_generate_trajectory(scene, n_steps, speed, 0.1,
+                                                 absent, reference_rng)
+    assert repr(got) == repr(want)
+    assert rng.random() == reference_rng.random()
 
 
 # ---------------------------------------------------------------- rendering
