@@ -13,13 +13,14 @@ waits for the running ones.
 Each worker also caps the OpenBLAS it inherited at its share of the CPUs.
 OpenBLAS starts one thread per CPU by default, so two training workers on
 two CPUs would otherwise run four BLAS threads, and the four scenarios then
-trained slower than one after another. The golden-record test trains
-serially with the default thread count and in one-thread workers, and
-requires the same bytes from both.
+trained slower than one after another. The pipeline runs each fit, inline
+or in a worker, in `one_blas_thread()`: with the kernels OpenBLAS picks on an
+AVX2 CPU, a product on two threads rounds otherwise than on one.
 """
 
 import ctypes
 import os
+from contextlib import contextmanager
 
 # the function a pool worker maps, set once when the worker starts
 _function = None
@@ -68,6 +69,20 @@ def _cap_blas_threads(count):
     """Lower every loaded OpenBLAS to at most count threads; raise none."""
     for get, set_ in _openblas_threads():
         if get() > count:
+            set_(count)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one thread of every loaded OpenBLAS, then restore."""
+    controls = _openblas_threads()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
             set_(count)
 
 

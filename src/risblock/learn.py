@@ -6,15 +6,20 @@ units by default); the rate feature is appended to the hidden activations,
 so the output layer sees hidden+1 inputs and emits 3 logits — absent, clear,
 blocked. All math is float64 numpy and bit-deterministic for a fixed seed.
 
+The inputs travel as a pair, an (N, d) image block and an (N,) rate column;
+without a camera the block is a zero-stride np.broadcast_to(0.0, (N, d)).
+
 Labels on the wire are {-1, 0, 1} (absent, clear, blocked); class indices
 inside the model are {0, 1, 2} in that order. Features are standardized with
-training-split statistics kept alongside the weights; a constant feature gets
-scale 0 so masked-out blocks stay exactly zero through the whole chain.
+training-split statistics kept alongside the weights, the d image columns
+then the rate; a constant feature gets scale 0 so masked-out blocks stay
+exactly zero through the whole chain.
 """
 
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -146,31 +151,47 @@ class Standardization:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
-    def _scale(self):
-        return np.divide(1.0, self.std, out=np.zeros_like(self.std),
-                         where=self.std > 0)
-
-    def apply(self, features):
-        features = np.asarray(features, dtype=np.float64)
-        # one full-size temporary: the difference, scaled in place
-        centered = features - self.mean
-        centered *= self._scale()
-        return centered
-
-    def _apply_in_place(self, features):
-        """apply(features) written over features, a float64 (N, d) array
-        the caller owns and no longer needs raw; returns it."""
-        features -= self.mean
-        features *= self._scale()
-        return features
+    def apply(self, image, rate):
+        """The z-scores of an (image block, rate column) pair, as a new pair.
+        A block whose rows are all one row (row stride 0, as a zero block
+        from np.broadcast_to) comes back as one: its row standardized once."""
+        image, rate = _pair(image, rate)
+        scale = np.divide(1.0, self.std, out=np.zeros_like(self.std),
+                          where=self.std > 0)
+        rows = image[:1] if image.strides[0] == 0 else image
+        # one temporary of the block's size: the difference, scaled in place
+        centered = rows - self.mean[:-1]
+        centered *= scale[:-1]
+        if rows is not image:
+            centered = np.broadcast_to(centered, image.shape)
+        return centered, (rate - self.mean[-1]) * scale[-1]
 
 
-def fit_standardization(features):
-    """Population mean/std per column of an (N, d) feature matrix."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("features must be a non-empty (N, d) matrix")
-    return Standardization(mean=features.mean(axis=0), std=features.std(axis=0))
+def _pair(image, rate):
+    """image and rate as float64 arrays, checked: (N, d) and (N,), N >= 1."""
+    image, rate = np.asarray(image, np.float64), np.asarray(rate, np.float64)
+    if image.ndim != 2 or rate.shape != image.shape[:1] or not rate.size:
+        raise ValueError(f"expected an (N, d) image block and an (N,) rate "
+                         f"column, N >= 1, got {image.shape} and {rate.shape}")
+    return image, rate
+
+
+def fit_standardization(image, rate):
+    """Population mean/std of each feature of an (image block, rate column)
+    pair: the d image columns, then the rate.
+
+    Every sum runs down its column one row at a time, as numpy's axis-0
+    reduce does over a matrix, so for d >= 1 the statistics equal those of
+    the (N, d+1) matrix [image | rate] bit for bit (rate.mean() would not:
+    numpy sums a lone column pairwise). No (N, d) temporary is made.
+    """
+    image, rate = _pair(image, rate)
+    n = rate.shape[0]
+    mean = np.append(reduce(np.add, image), reduce(np.add, rate)) / n
+    squares = (np.square(row - mean[:-1]) for row in image)
+    var = np.append(reduce(np.add, squares),
+                    reduce(np.add, np.square(rate - mean[-1]))) / n
+    return Standardization(mean=mean, std=np.sqrt(var))
 
 
 def softmax(logits):
@@ -195,19 +216,10 @@ def softmax(logits):
     return expz
 
 
-def _split_features(params, features):
-    d = params.n_image_features
-    if features.shape[1] != d + 1:
-        raise ValueError(
-            f"expected {d + 1} feature columns (image block + rate), "
-            f"got {features.shape[1]}")
-    return features[:, :d], features[:, d]
-
-
-def _forward_batch(params, features):
-    """Probabilities plus the caches backprop needs: (probs, z_in, pre)."""
-    x_img, rate = _split_features(params, features)
-    pre = x_img @ params.w1
+def _forward_batch(params, image, rate):
+    """Probabilities of the rows of an (image block, rate column) pair plus
+    the caches backprop needs: (probs, z_in, pre)."""
+    pre = image @ params.w1
     pre += params.b1  # in place: one N x hidden temporary fewer
     hidden = np.maximum(pre, 0.0)
     z_in = np.concatenate([hidden, rate[:, None]], axis=1)
@@ -222,8 +234,8 @@ def forward(params, image_features, rate_feature):
         raise ValueError(
             f"expected {params.n_image_features} image features, "
             f"got {image_features.shape[0]}")
-    row = np.concatenate([image_features, [float(rate_feature)]])[None, :]
-    probs, _, _ = _forward_batch(params, row)
+    probs, _, _ = _forward_batch(params, image_features[None, :],
+                                 np.array([float(rate_feature)]))
     return probs[0]
 
 
@@ -242,22 +254,12 @@ def argmax_index(b):
     return int(np.argmax(b))
 
 
-def _batch_to_arrays(batch):
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    imgs = np.stack([np.asarray(feats[0], dtype=np.float64).ravel()
-                     for feats, _ in batch])
-    rates = np.array([float(feats[1]) for feats, _ in batch])
-    labels = np.array([int(label) for _, label in batch])
-    return np.concatenate([imgs, rates[:, None]], axis=1), labels
-
-
-def _gradients(params, features, label_indices, weight_decay):
+def _gradients(params, image, rate, label_indices, weight_decay):
     """Batch probabilities, the gradient of mean cross-entropy (+ L2 pull
     on weights) and the loss gradient at the hidden pre-activations:
     (probs, gradient MlpParams, dhidden)."""
-    probs, z_in, pre = _forward_batch(params, features)
-    n = features.shape[0]
+    probs, z_in, pre = _forward_batch(params, image, rate)
+    n = rate.shape[0]
     dz = probs.copy()
     dz[np.arange(n), label_indices] -= 1.0
     dz /= n
@@ -265,8 +267,7 @@ def _gradients(params, features, label_indices, weight_decay):
     gb2 = dz.sum(axis=0)
     dhidden = dz @ params.w2[:-1].T
     dhidden[pre <= 0.0] = 0.0
-    x_img = features[:, :params.n_image_features]
-    gw1 = x_img.T @ dhidden + weight_decay * params.w1
+    gw1 = image.T @ dhidden + weight_decay * params.w1
     gb1 = dhidden.sum(axis=0)
     return probs, MlpParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2), dhidden
 
@@ -278,8 +279,13 @@ def backward(params, batch, weight_decay=0.0):
     over the batch plus weight_decay * w on each weight matrix (biases
     undecayed).
     """
-    features, labels = _batch_to_arrays(batch)
-    return _gradients(params, features, labels, weight_decay)[1]
+    if len(batch) == 0:
+        raise ValueError("batch must be non-empty")
+    image = np.stack([np.asarray(feats[0], dtype=np.float64).ravel()
+                      for feats, _ in batch])
+    rate = np.array([float(feats[1]) for feats, _ in batch])
+    labels = np.array([int(label) for _, label in batch])
+    return _gradients(params, image, rate, labels, weight_decay)[1]
 
 
 def lr_schedule(epoch, cfg):
@@ -296,12 +302,6 @@ def sgd_step(params, grads, lr):
                      b1=params.b1 - lr * grads.b1,
                      w2=params.w2 - lr * grads.w2,
                      b2=params.b2 - lr * grads.b2)
-
-
-def _without_image_block(params):
-    """The same network with a zero-width image block: its hidden layer sees
-    0.0 + b1, which is what an all-zero image block gives it."""
-    return replace(params, w1=params.w1[:0])
 
 
 class _LivePreactivations:
@@ -357,8 +357,9 @@ class _TrainingSetScorer:
         return float(np.mean(np.argmax(probs, axis=1) == self.label_indices))
 
 
-def train(features, labels, cfg):
-    """Minibatch SGD over an (N, d_img+1) feature matrix and {-1,0,1} labels.
+def train(image, rate, labels, cfg):
+    """Minibatch SGD over an (N, d) image block, its (N,) rate column and
+    {-1,0,1} labels.
 
     Returns (params, history) where history holds one row per iteration:
     (iteration, epoch, lr, batch_loss, train_accuracy). The batch loss is the
@@ -367,51 +368,39 @@ def train(features, labels, cfg):
     same seed also fixes the shuffling, so a run is bit-reproducible.
 
     When the image block is all zeros (the scenarios without a camera), every
-    x_img @ w1 and x_img.T @ dhidden product is exactly 0.0. The passes then
+    image @ w1 and image.T @ dhidden product is exactly 0.0. The passes then
     run on the rate column with a zero-width w1 and w1 moves by its weight
     decay alone: the same values without the image-block matmuls.
 
     Otherwise the accuracy pass reads only the live image columns, those
-    with a nonzero value, and multiplies them once per fit, not once per
-    step: it keeps their pre-activations P = x_live @ w1[live]. After
-    each step P is scaled by 1 - lr * weight_decay and moved by
-    -lr * G[batch].T @ dhidden, with the Gram matrix G = x_live @ x_live.T
-    computed once per fit (see _LivePreactivations). At 1400 training rows,
-    324 live columns and batches of 50, that is about 9 MFLOP a step against
-    58 MFLOP for the product, and G costs about 1.3 GFLOP once. G holds
-    n_train**2 float64 values: 15.7 MB at 1400 rows (n=2000 at the default
-    split) and 98 MB at 3500 (n=5000), freed when the fit ends. P drifts
-    from the direct product in its last bits, and the logits with it, but
-    only their argmax is recorded; it moves only if a row's top two classes
-    lie within rounding of each other. The SGD passes stay full width: they
-    fix the model bytes.
-
-    Either way the accuracy pass writes into an (N, hidden+1) and an (N, 3)
-    array made once per fit (see _TrainingSetScorer), not into a new
-    concatenated matrix every step.
+    with a nonzero value, and follows their pre-activations from step to
+    step (see _LivePreactivations) instead of multiplying them again; its
+    Gram matrix is 15.7 MB at 1400 rows and 98 MB at 3500, freed when the
+    fit ends. The tracked values drift from the direct product in their last
+    bits, but only each row's argmax is recorded, which moves only if its
+    top two classes lie within rounding of each other. The SGD passes stay
+    full width: they fix the model bytes. Either way the accuracy pass
+    writes into buffers made once per fit (see _TrainingSetScorer).
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("features must be a non-empty (N, d) matrix")
+    image, rate = _pair(image, rate)
     label_indices = np.array([label_to_index(l) for l in labels])
-    if label_indices.shape[0] != features.shape[0]:
+    if label_indices.shape[0] != rate.shape[0]:
         raise ValueError("labels and features must have equal length")
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(features.shape[1] - 1, rng)
+    params = init_params(image.shape[1], rng)
 
-    x_img, rate = _split_features(params, features)
-    live = x_img.any(axis=0)
+    live = image.any(axis=0)
     if live.any():
-        tracked = _LivePreactivations(x_img[:, live], params.w1[live])
+        tracked = _LivePreactivations(image[:, live], params.w1[live])
         net = params
     else:
         tracked = None
-        features = features[:, -1:]
-        net = _without_image_block(params)
+        image = image[:, :0]
+        net = replace(params, w1=params.w1[:0])
     scorer = _TrainingSetScorer(rate, label_indices, params.n_hidden, tracked)
 
-    n = features.shape[0]
+    n = rate.shape[0]
     history = []
     iteration = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -420,7 +409,7 @@ def train(features, labels, cfg):
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
             batch_labels = label_indices[take]
-            probs, grads, dhidden = _gradients(net, features[take],
+            probs, grads, dhidden = _gradients(net, image[take], rate[take],
                                                batch_labels, cfg.weight_decay)
             batch_loss = float(np.mean([
                 cross_entropy(probs[i], int(batch_labels[i]))
@@ -429,7 +418,7 @@ def train(features, labels, cfg):
                 grads = replace(grads, w1=0.0 + cfg.weight_decay * params.w1)
             params = sgd_step(params, grads, lr)
             if tracked is None:
-                net = _without_image_block(params)
+                net = replace(params, w1=params.w1[:0])
             else:
                 net = params
                 tracked.step(take, dhidden, lr, cfg.weight_decay)
@@ -439,10 +428,10 @@ def train(features, labels, cfg):
     return params, history
 
 
-def accuracy(params, features, label_indices):
-    """Fraction of the rows of an (N, d+1) feature matrix whose argmax class
-    matches the label index."""
-    probs, _, _ = _forward_batch(params, np.asarray(features, dtype=np.float64))
+def accuracy(params, image, rate, label_indices):
+    """Fraction of the rows of an (image block, rate column) pair whose
+    argmax class matches the label index."""
+    probs, _, _ = _forward_batch(params, *_pair(image, rate))
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
 
 
@@ -515,8 +504,9 @@ def save_model(path, params, standardization):
 def load_model(path):
     """Read a model file back into (MlpParams, Standardization).
 
-    The payload must hold exactly the floats the header's shapes and feature
-    count call for; trailing or missing bytes raise ValueError.
+    The header's feature count must be w1's row count + 1, as save_model
+    writes it, and the payload must hold exactly the floats the header's
+    shapes and feature count call for; anything else raises ValueError.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii").strip()
@@ -527,6 +517,9 @@ def load_model(path):
     names = ("w1", "b1", "w2", "b2")
     d = int(header["n_features"])
     shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
+    if len(shapes[0]) != 2 or d != shapes[0][0] + 1:
+        raise ValueError(f"model header gives n_features {d}, not w1's rows "
+                         f"+ 1 for a w1 of shape {list(shapes[0])}")
     sizes = [math.prod(shape) for shape in shapes]
     if len(payload) != 8 * sum(sizes):
         raise ValueError(

@@ -5,25 +5,27 @@ Every stage reads a dataset's `FeatureTable` (see risblock.dataset), never
 its images. The four scenarios differ only in which features reach the
 classifier:
 
-    none    direct-link rate only (image block zeroed)
-    camera  pooled image only (rate column zeroed)
-    ris     surface-assisted rate only (image block zeroed)
+    none    direct-link rate only (zero image block)
+    camera  pooled image only (zero rate column)
+    ris     surface-assisted rate only (zero image block)
     both    image + surface-assisted rate, predicted by the two-stage cascade
 
-The first three train the perceptron on masked features. "both" instead runs
-the cascade: stage 1 declares the link clear when the camera sees the
-terminal (any channel-2 evidence); stage 2 separates absent from blocked by
-thresholding the surface-assisted rate, with the threshold calibrated on the
-training split. A perceptron is still trained on the full features so the
-scenario has a learning curve to report next to the others. Feature
-standardization is fit on the training split only and stored with each
-model.
+The classifier reads an (image block, rate column) pair; a scenario without a
+camera gets a zero-stride zero block, so no image-sized array is made for it.
+The first three scenarios train the perceptron on these features. "both"
+instead runs the cascade: stage 1 declares the link clear when the camera
+sees the terminal (any channel-2 evidence); stage 2 separates absent from
+blocked by thresholding the surface-assisted rate, with the threshold
+calibrated on the training split. A perceptron is still trained on the
+full features so the scenario has a learning curve to report next to the
+others. Feature standardization is fit on the training split only and
+stored with each model.
 
 `fit_scenarios` fits the scenarios on every CPU the process may use; each
-trains with its own seed derived from the root seed, so a model's bytes
-depend neither on the CPU count nor on which other scenarios are trained
-beside it. The report set is written through `risblock._files.staged_files`:
-all of it, or none of it.
+trains with its own seed derived from the root seed, and on one BLAS thread,
+so a model's bytes depend neither on the CPU count nor on which other
+scenarios are trained beside it. The report set is written through
+`risblock._files.staged_files`: all of it, or none of it.
 """
 
 import time
@@ -36,7 +38,7 @@ import numpy as np
 
 from risblock import learn
 from risblock._files import csv_text, json_text, staged_files
-from risblock._pool import fork_map
+from risblock._pool import fork_map, one_blas_thread
 from risblock.dataset import (MANIFEST_NAME, config_record, load_dataset,
                               read_manifest, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
@@ -67,26 +69,21 @@ IMAGE_SCENARIOS = (Scenario.CAMERA_ONLY, Scenario.BOTH)
 
 
 def build_features(table, scenario):
-    """Masked raw feature matrix (N, d_img + 1) of a FeatureTable.
+    """The masked raw (image block, rate column) pair of a FeatureTable.
 
-    The image block is the pooled block, or zeros when the scenario has no
-    camera; the final column is the scenario's rate feature (direct for
-    "none", surface-assisted for "ris"/"both", zero for "camera").
+    The image block is the pooled block, or, when the scenario has no
+    camera, a read-only zero-stride view of zeros of the same shape. The
+    rate column is the scenario's rate feature: direct for "none",
+    surface-assisted for "ris"/"both", zero for "camera".
     """
     if len(table) == 0:
         raise ValueError("table must be non-empty")
-    image_block = (table.pooled if scenario in IMAGE_SCENARIOS
-                   else np.zeros_like(table.pooled))
-    return np.concatenate([image_block, _rate_column(table, scenario)[:, None]],
-                          axis=1)
-
-
-def _rate_column(table, scenario):
-    if scenario is Scenario.NONE:
-        return table.direct_rate
-    if scenario is Scenario.CAMERA_ONLY:
-        return np.zeros(len(table))
-    return table.ris_rate
+    image = (table.pooled if scenario in IMAGE_SCENARIOS
+             else np.broadcast_to(0.0, table.pooled.shape))
+    rate = (table.direct_rate if scenario is Scenario.NONE
+            else np.zeros(len(table)) if scenario is Scenario.CAMERA_ONLY
+            else table.ris_rate)
+    return image, rate
 
 
 def split_rows(n, train_fraction=0.7, seed=0):
@@ -179,14 +176,15 @@ class EvalReport:
 
 def train_scenario(train_table, scenario, train_cfg):
     """Fit one scenario: standardization, perceptron, and (for the cascade)
-    the absent-vs-blocked rate threshold."""
+    the absent-vs-blocked rate threshold. The fit runs on one BLAS thread,
+    whatever the caller's count, which it gets back afterwards."""
     started = time.perf_counter()
     features = build_features(train_table, scenario)
-    stats = fit_standardization(features)
-    # build_features made the matrix for this fit alone
-    features = stats._apply_in_place(features)
+    stats = fit_standardization(*features)
+    features = stats.apply(*features)
     labels = train_table.label
-    params, history = learn.train(features, labels, train_cfg)
+    with one_blas_thread():
+        params, history = learn.train(*features, labels, train_cfg)
 
     rate_threshold = None
     threshold_accuracy = None
@@ -246,18 +244,10 @@ def predict_scenario(table, model):
     """Predicted labels ({-1, 0, 1}) for every row of a FeatureTable."""
     if model.scenario is Scenario.BOTH:
         return cascade_predict(table, model.rate_threshold)
-    params, stats = model.params, model.standardization
-    if model.scenario is Scenario.CAMERA_ONLY:
-        features = stats._apply_in_place(build_features(table, model.scenario))
-    else:
-        # No camera: the image block is all zeros, so it adds exactly 0.0 to
-        # the hidden layer. Predict from the rate column alone, as train does.
-        params = learn._without_image_block(params)
-        rate_stats = Standardization(mean=stats.mean[-1:], std=stats.std[-1:])
-        features = rate_stats.apply(_rate_column(table, model.scenario)[:, None])
-    probs, _, _ = learn._forward_batch(params, features)
-    indices = np.argmax(probs, axis=1)
-    return np.array([learn.index_to_label(int(i)) for i in indices])
+    image, rate = build_features(table, model.scenario)
+    probs, _, _ = learn._forward_batch(
+        model.params, *model.standardization.apply(image, rate))
+    return np.array(learn.LABELS)[np.argmax(probs, axis=1)]
 
 
 def evaluate_scenario(test_table, model):

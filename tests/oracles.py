@@ -16,7 +16,9 @@ for byte; they share only the parameter container, the initialisation,
 the learning-rate schedule, the loss and the SGD step with the package.
 Their softmax is ``reference_softmax``, numpy's last-axis max and sum
 reduces, where the package reduces over the class columns one at a
-time.
+time. They take the image block and the rate as one (N, d+1) matrix, so
+their slicing is independent of ``train``'s; the tests join ``train``'s
+(image block, rate column) pair with ``np.column_stack``.
 
 The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package

@@ -263,10 +263,9 @@ def test_determinism(tmp_path):
 def test_overfit_sanity():
     table = table_of(generated(GeneratorConfig(n_samples=1, n_ris_elements=32),
                                seed=2))
-    features = build_features(table, Scenario.BOTH)
     labels = table.label
     cfg = TrainConfig(learning_rate=0.5, weight_decay=0.0, batch_size=1)
-    _, history = train(features, labels, cfg)
+    _, history = train(*build_features(table, Scenario.BOTH), labels, cfg)
     final_loss = history[-1][3]
     _record("overfit-sanity", final_loss < 1e-3,
             f"single-sample loss {final_loss:.2e} after {history[-1][1]} epochs")

@@ -410,6 +410,21 @@ def test_models_do_not_depend_on_the_cpu_count(workspace, tmp_path,
     assert written[1] == written[2]
 
 
+def test_models_do_not_depend_on_the_cpu_count_with_avx2_kernels(tmp_path):
+    # OpenBLAS picks its kernels as it loads: SkylakeX ones on an AVX-512
+    # CPU. With those it picks on an AVX2 CPU, a fit on two BLAS threads
+    # writes other model bytes than one on a single thread, so the check
+    # above holds there only if every fit runs on one thread.
+    test = "tests/test_cli.py::test_models_do_not_depend_on_the_cpu_count"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path / "run"), test],
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
                                                        monkeypatch, capsys,

@@ -4,9 +4,15 @@ generate -> train -> eval -> curves for one small config and seed.
 The hashes were recorded with the four scenarios trained one after another
 in the calling process; the test runs the chain on one and on two allowed
 CPUs. A change that alters any hash changes output bytes: it must say why
-and record the new hashes here. The bytes come from floating-point sums, so
-they hold for the stack they were recorded on: numpy 2.4, OpenBLAS 0.3.31,
-x86-64.
+and record the new hashes here. The bytes come from floating-point sums and
+elementary functions, so they hold for the stack and the host they were
+recorded on: numpy 2.4 and its bundled OpenBLAS 0.3.31 on x86-64, with
+numpy dispatching its X86_V4 (AVX-512) loops, which fix the bytes of
+float64 exp, log and arctan2, and OpenBLAS running a SkylakeX-class core,
+which fixes those of the matrix products. On a CPU without AVX-512 (numpy
+stops at X86_V3, OpenBLAS picks Haswell kernels) the record is expected to
+differ: that is another host, not a regression. CI's "Check the machine"
+step prints both.
 
 The chain runs a 64-element surface. A second record pins the dataset files
 of the default GeneratorConfig, whose 8000-element surface is what every

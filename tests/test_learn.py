@@ -103,18 +103,47 @@ def test_init_params_scales_with_fan_in():
 
 
 def test_standardization_zscores_and_handles_constants():
-    features = np.array([[1.0, 5.0, 2.0],
-                         [3.0, 5.0, 4.0],
-                         [5.0, 5.0, 9.0]])
-    stats = fit_standardization(features)
+    image = np.array([[1.0, 5.0],
+                      [3.0, 5.0],
+                      [5.0, 5.0]])
+    rate = np.array([2.0, 4.0, 9.0])
+    stats = fit_standardization(image, rate)
     np.testing.assert_allclose(stats.mean, [3.0, 5.0, 5.0])
-    out = stats.apply(features)
+    out_image, out_rate = stats.apply(image, rate)
+    out = np.column_stack([out_image, out_rate])
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=0), [1.0, 0.0, 1.0], atol=1e-12)
     # a zero-spread column maps to exactly zero, not NaN
     np.testing.assert_array_equal(out[:, 1], np.zeros(3))
     with pytest.raises(ValueError):
-        fit_standardization(np.zeros((0, 3)))
+        fit_standardization(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError):
+        fit_standardization(image, rate[:-1])
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_the_pair_standardizes_as_the_matrix_did(scenario):
+    # the statistics and z-scores of the pair equal, byte for byte, those of
+    # the (N, d+1) matrix with the rate as its last column, which numpy sums
+    # down each column row by row
+    for seed in LIVE_COLUMN_SEEDS:
+        for fraction in (0.5, 0.7, 0.9):
+            train_table, _ = split_dataset(_generated_table(seed), fraction,
+                                           seed)
+            image, rate = build_features(train_table, scenario)
+            matrix = np.column_stack([image, rate])
+            stats = fit_standardization(image, rate)
+            assert stats.mean.tobytes() == matrix.mean(axis=0).tobytes()
+            assert stats.std.tobytes() == matrix.std(axis=0).tobytes()
+
+            scale = np.divide(1.0, stats.std, out=np.zeros_like(stats.std),
+                              where=stats.std > 0)
+            got_image, got_rate = stats.apply(image, rate)
+            assert got_image.shape == image.shape
+            # a zero-stride block stays one
+            assert (got_image.strides[0] == 0) == (image.strides[0] == 0)
+            assert (np.column_stack([got_image, got_rate]).tobytes()
+                    == ((matrix - stats.mean) * scale).tobytes())
 
 
 # ---------------------------------------------------------------- softmax
@@ -322,35 +351,35 @@ def test_sgd_step_arithmetic():
 
 
 def _blob_problem(n=60, d_img=6, seed=7):
-    # three well-separated gaussian blobs + an informative rate feature
+    # three well-separated gaussian blobs + an informative rate feature:
+    # (image block, rate column, labels)
     rng = np.random.default_rng(seed)
     centers = np.array([[3.0, 0, 0, 0, 0, 0],
                         [0, 3.0, 0, 0, 0, 0],
                         [0, 0, 3.0, 0, 0, 0]])
-    rows, labels = [], []
+    images, rates, labels = [], [], []
     for i in range(n):
         cls = i % 3
-        image = centers[cls] + 0.3 * rng.normal(size=d_img)
-        rate = float(cls) + 0.1 * rng.normal()
-        rows.append(np.concatenate([image, [rate]]))
+        images.append(centers[cls] + 0.3 * rng.normal(size=d_img))
+        rates.append(float(cls) + 0.1 * rng.normal())
         labels.append((-1, 0, 1)[cls])
-    return np.stack(rows), np.array(labels)
+    return np.stack(images), np.array(rates), np.array(labels)
 
 
 def test_training_is_bit_reproducible():
-    features, labels = _blob_problem()
+    image, rate, labels = _blob_problem()
     cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=10, seed=5)
-    params_a, history_a = train(features, labels, cfg)
-    params_b, history_b = train(features, labels, cfg)
+    params_a, history_a = train(image, rate, labels, cfg)
+    params_b, history_b = train(image, rate, labels, cfg)
     for (_, a), (_, b) in zip(params_a.arrays(), params_b.arrays()):
         np.testing.assert_array_equal(a, b)
     assert history_a == history_b
 
 
 def test_training_history_shape_and_progress():
-    features, labels = _blob_problem()
+    image, rate, labels = _blob_problem()
     cfg = TrainConfig(learning_rate=0.1, batch_size=10, seed=5)
-    params, history = train(features, labels, cfg)
+    params, history = train(image, rate, labels, cfg)
     per_epoch = math.ceil(len(labels) / cfg.batch_size)
     assert len(history) == cfg.epochs * per_epoch
     assert [row[0] for row in history] == list(range(1, len(history) + 1))
@@ -365,24 +394,26 @@ def test_training_history_shape_and_progress():
 
 def test_single_sample_overfits_quickly():
     rng = np.random.default_rng(8)
-    features = np.concatenate([rng.normal(size=6), [2.0]])[None, :]
+    image = rng.normal(size=(1, 6))
     labels = np.array([1])
     cfg = TrainConfig(learning_rate=0.5, weight_decay=0.0, batch_size=1,
                       seed=0)
-    _, history = train(features, labels, cfg)
+    _, history = train(image, np.array([2.0]), labels, cfg)
     assert history[-1][3] < 1e-3
 
 
 def test_train_validates_inputs():
-    features, labels = _blob_problem(n=9)
+    image, rate, labels = _blob_problem(n=9)
     with pytest.raises(ValueError):
-        train(features, np.array([5] * 9), TrainConfig())
+        train(image, rate, np.array([5] * 9), TrainConfig())
     with pytest.raises(ValueError):
-        train(features, labels[:-1], TrainConfig())
+        train(image, rate, labels[:-1], TrainConfig())
+    with pytest.raises(ValueError):
+        train(image, rate[:-1], labels, TrainConfig())
 
 
-# The scenarios without a camera give an all-zero image block, the others a
-# dense one; a ragged last batch and zero weight decay are covered too.
+# The scenarios without a camera give a zero-stride zero image block, the
+# others a dense one; a ragged last batch and zero weight decay are covered too.
 ORACLE_CONFIGS = (
     EXPERIMENT_TRAIN_CONFIG,
     TrainConfig(learning_rate=0.05, weight_decay=0.0, batch_size=7, epochs=3,
@@ -390,19 +421,22 @@ ORACLE_CONFIGS = (
 )
 
 
-def _scenario_training_set(small_table, scenario):
-    train_table, _ = split_dataset(small_table, 0.7, SMALL_SEED)
+def _standardized(train_table, scenario):
     raw = build_features(train_table, scenario)
-    return fit_standardization(raw).apply(raw), train_table.label
+    return fit_standardization(*raw).apply(*raw)
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=("experiment", "ragged"))
 @pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.CAMERA_ONLY),
                          ids=("zero_image_block", "dense_image_block"))
 def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
-    features, labels = _scenario_training_set(small_table, scenario)
-    assert features[:, :-1].any() == (scenario is Scenario.CAMERA_ONLY)
-    params, history = train(features, labels, cfg)
+    # the reference takes the pair as one (N, d+1) matrix
+    train_table, _ = split_dataset(small_table, 0.7, SMALL_SEED)
+    image, rate = _standardized(train_table, scenario)
+    labels = train_table.label
+    assert image.any() == (scenario is Scenario.CAMERA_ONLY)
+    params, history = train(image, rate, labels, cfg)
+    features = np.column_stack([image, rate])
     want_params, want_history = oracles.reference_train(features, labels, cfg)
     for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
         assert got.shape == want.shape, name
@@ -411,9 +445,9 @@ def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
             == [tuple(map(repr, row)) for row in want_history])
 
     label_indices = np.array([label_to_index(l) for l in labels])
-    for p in (params, want_params, init_params(features.shape[1] - 1,
+    for p in (params, want_params, init_params(image.shape[1],
                                                np.random.default_rng(1))):
-        assert (repr(accuracy(p, features, label_indices))
+        assert (repr(accuracy(p, image, rate, label_indices))
                 == repr(oracles.reference_accuracy(p, features, label_indices)))
 
 
@@ -421,12 +455,13 @@ def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
 def test_live_column_accuracy_keeps_the_history(seed):
     # train's accuracy pass skips the all-zero columns; the reference's
     # multiplies every column
-    features, labels = _blob_problem(n=45, d_img=6, seed=seed)
-    features = np.insert(features, [0, 2, 2, 5, 6], 0.0, axis=1)
-    assert (~features.any(axis=0)).sum() == 5
+    image, rate, labels = _blob_problem(n=45, d_img=6, seed=seed)
+    image = np.insert(image, [0, 2, 2, 5, 6], 0.0, axis=1)
+    assert (~image.any(axis=0)).sum() == 5
     cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=4, seed=seed)
-    params, history = train(features, labels, cfg)
-    want_params, want_history = oracles.reference_train(features, labels, cfg)
+    params, history = train(image, rate, labels, cfg)
+    want_params, want_history = oracles.reference_train(
+        np.column_stack([image, rate]), labels, cfg)
     for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
         assert got.tobytes() == want.tobytes(), f"{name} differs"
     assert ([tuple(map(repr, row)) for row in history]
@@ -444,22 +479,21 @@ def _generated_table(seed):
 
 def _generated_training_set(scenario, fraction, seed):
     train_table, _ = split_dataset(_generated_table(seed), fraction, seed)
-    raw = build_features(train_table, scenario)
-    features = fit_standardization(raw).apply(raw)
-    live = features[:, :-1].any(axis=0)
+    image, rate = _standardized(train_table, scenario)
+    live = image.any(axis=0)
     assert 0 < live.sum() < live.size  # some dead columns, some live
-    return features, train_table.label, replace(EXPERIMENT_TRAIN_CONFIG,
-                                                seed=seed)
+    return image, rate, train_table.label, replace(EXPERIMENT_TRAIN_CONFIG,
+                                                   seed=seed)
 
 
 def _blob_training_set(dead):
     # the blob problem with five dead columns inserted, or with all dead
-    features, labels = _blob_problem(n=45, d_img=6, seed=11)
-    features = np.insert(features, [0, 2, 2, 5, 6], 0.0, axis=1)
+    image, rate, labels = _blob_problem(n=45, d_img=6, seed=11)
+    image = np.insert(image, [0, 2, 2, 5, 6], 0.0, axis=1)
     if dead == "all":
-        features[:, :-1] = 0.0
-    return features, labels, TrainConfig(learning_rate=0.1, batch_size=8,
-                                         epochs=4, seed=12)
+        image[:] = 0.0
+    return image, rate, labels, TrainConfig(learning_rate=0.1, batch_size=8,
+                                            epochs=4, seed=12)
 
 
 LIVE_COLUMN_CASES = {
@@ -477,10 +511,10 @@ LIVE_COLUMN_CASES = {
 def test_train_matches_the_direct_live_column_loop(case):
     # train keeps the accuracy pass's pre-activations from step to step; the
     # reference recomputes them from the live columns after every step
-    features, labels, cfg = LIVE_COLUMN_CASES[case]()
-    params, history = train(features, labels, cfg)
+    image, rate, labels, cfg = LIVE_COLUMN_CASES[case]()
+    params, history = train(image, rate, labels, cfg)
     want_params, want_history = oracles.reference_live_column_train(
-        features, labels, cfg)
+        np.column_stack([image, rate]), labels, cfg)
     for (name, got), (_, want) in zip(params.arrays(), want_params.arrays()):
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), f"{name} differs"
@@ -497,6 +531,7 @@ def test_the_training_set_scorer_equals_the_forward_pass(n, d_img, hidden,
     # a fresh forward pass gives, with every image column live or none
     rng = np.random.default_rng(data_seed)
     features = rng.normal(size=(n, d_img + 1))
+    image, rate = features[:, :-1], features[:, -1]
     label_indices = rng.integers(0, 3, size=n)
     draws = [MlpParams(w1=rng.normal(size=(d_img, hidden)),
                        b1=rng.normal(scale=2.0, size=hidden),
@@ -504,14 +539,13 @@ def test_the_training_set_scorer_equals_the_forward_pass(n, d_img, hidden,
                        b2=rng.normal(size=3)) for _ in range(3)]
     tracked = None
     if d_img:
-        tracked = learn._LivePreactivations(features[:, :-1], draws[0].w1)
-    scorer = learn._TrainingSetScorer(features[:, -1], label_indices, hidden,
-                                      tracked)
+        tracked = learn._LivePreactivations(image, draws[0].w1)
+    scorer = learn._TrainingSetScorer(rate, label_indices, hidden, tracked)
     for params in draws:
         if tracked is not None:
-            tracked.pre = features[:, :-1] @ params.w1
+            tracked.pre = image @ params.w1
         assert (repr(scorer.accuracy(params))
-                == repr(accuracy(params, features, label_indices)))
+                == repr(accuracy(params, image, rate, label_indices)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,12 +561,13 @@ def test_tracked_preactivations_follow_the_direct_product(
         schedule_epochs, weight_decay, batch_size, epochs):
     rng = np.random.default_rng(data_seed)
     features = rng.normal(scale=rng.uniform(0.1, 3.0), size=(n, d_img + 1))
+    image, rate = features[:, :-1], features[:, -1]
     # the bits of `dead` zero image columns; column 0 stays live
     for column in range(1, d_img):
         if dead >> column & 1:
-            features[:, column] = 0.0
-    live = features[:, :-1].any(axis=0)
-    x_live = features[:, :-1][:, live]
+            image[:, column] = 0.0
+    live = image.any(axis=0)
+    x_live = image[:, live]
     labels = rng.choice([-1, 0, 1], size=n)
     cfg = TrainConfig(learning_rate=learning_rate,
                       lr_reduction_factor=lr_reduction_factor,
@@ -552,7 +587,7 @@ def test_tracked_preactivations_follow_the_direct_product(
 
     with mock.patch.object(learn._TrainingSetScorer, "accuracy",
                            checking_accuracy):
-        _, history = train(features, labels, cfg)
+        _, history = train(image, rate, labels, cfg)
     assert len(checked) == len(history) == epochs * math.ceil(n / batch_size)
 
 
@@ -604,4 +639,20 @@ def test_model_file_rejects_a_payload_of_the_wrong_length(tmp_path, edit):
     save_model(path, params, Standardization(mean=np.zeros(6), std=np.ones(6)))
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError, match="payload"):
+        load_model(path)
+
+
+def test_model_file_rejects_a_feature_count_other_than_w1_rows_plus_one(
+        tmp_path):
+    # a (4, 5) w1 whose header claims 10 features, with the payload padded
+    # to fit: save_model refuses to write such a pair, so load_model refuses
+    # to read one
+    params = init_params(4, np.random.default_rng(13), n_hidden=5)
+    path = tmp_path / "model.bin"
+    save_model(path, params, Standardization(mean=np.zeros(5), std=np.ones(5)))
+    blob = path.read_bytes()
+    assert blob.count(b'"n_features": 5') == 1
+    path.write_bytes(blob.replace(b'"n_features": 5', b'"n_features": 10')
+                     + np.ones(10).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="n_features 10"):
         load_model(path)

@@ -3,7 +3,9 @@ threshold calibration, the cascade, and the end-to-end experiment runner."""
 
 import json
 import math
+import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import pytest
 from conftest import SMALL_GEN, allow_cpus, table_of
 from risblock import learn, pipeline
 from risblock._files import staged_files
-from risblock.dataset import (GeneratorConfig, detect_visible_ue, pool_image,
+from risblock.dataset import (FeatureTable, GeneratorConfig,
+                              detect_visible_ue, pool_image,
                               pooled_feature_count)
 from risblock.learn import TrainConfig
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
@@ -75,22 +78,25 @@ def test_build_features_masks_per_scenario():
     image[0, 0, 0] = 16.0  # pools to 1.0 in the first feature
     table = table_of([_fake_sample(image, direct_rate=3.0, ris_rate=7.0)])
 
-    none = build_features(table, Scenario.NONE)
-    assert none.shape == (1, 769)
-    np.testing.assert_array_equal(none[0, :-1], np.zeros(768))
-    assert none[0, -1] == 3.0
+    # (image block, rate column); without a camera the block is a
+    # zero-stride view of zeros
+    image, rate = build_features(table, Scenario.NONE)
+    assert image.shape == (1, 768) and image.strides == (0, 0)
+    np.testing.assert_array_equal(image, np.zeros((1, 768)))
+    np.testing.assert_array_equal(rate, [3.0])
 
-    camera = build_features(table, Scenario.CAMERA_ONLY)
-    assert camera[0, 0] == 1.0
-    assert camera[0, -1] == 0.0
+    image, rate = build_features(table, Scenario.CAMERA_ONLY)
+    assert image is table.pooled and image[0, 0] == 1.0
+    np.testing.assert_array_equal(rate, [0.0])
 
-    ris = build_features(table, Scenario.RIS_ONLY)
-    np.testing.assert_array_equal(ris[0, :-1], np.zeros(768))
-    assert ris[0, -1] == 7.0
+    image, rate = build_features(table, Scenario.RIS_ONLY)
+    assert image.shape == (1, 768) and image.strides == (0, 0)
+    np.testing.assert_array_equal(image, np.zeros((1, 768)))
+    np.testing.assert_array_equal(rate, [7.0])
 
-    both = build_features(table, Scenario.BOTH)
-    assert both[0, 0] == 1.0
-    assert both[0, -1] == 7.0
+    image, rate = build_features(table, Scenario.BOTH)
+    assert image is table.pooled
+    np.testing.assert_array_equal(rate, [7.0])
 
     with pytest.raises(ValueError):
         build_features(table.take(NO_ROWS), Scenario.NONE)
@@ -293,33 +299,45 @@ def test_predict_scenario_returns_valid_labels(trained_both):
     assert predicted.shape == (len(test),)
 
 
-@pytest.mark.parametrize("scenario", list(Scenario))
-def test_standardizing_in_place_equals_apply(small_table, scenario):
-    raw = build_features(small_table, scenario)
-    stats = learn.fit_standardization(raw)
-    want = stats.apply(raw)
-    got = raw.copy()
-    assert stats._apply_in_place(got) is got
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.RIS_ONLY))
 def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
-                                                         monkeypatch, scenario):
+                                                         scenario):
+    # predict_scenario reads the zero-stride zero block; a dense zero block
+    # and a zero-width one (the rate column alone) predict the same labels
     train, test, _ = trained_both
     model = train_scenario(train, scenario, FAST_TRAIN)
-    features = model.standardization.apply(build_features(test, scenario))
-    assert not features[:, :-1].any()
-    probs, _, _ = learn._forward_batch(model.params, features)
-    full_width = np.array([learn.index_to_label(int(i))
-                           for i in np.argmax(probs, axis=1)])
+    image, rate = model.standardization.apply(*build_features(test, scenario))
+    assert not image.any()
+    for params, block in ((model.params, np.zeros(image.shape)),
+                          (replace(model.params, w1=model.params.w1[:0]),
+                           np.zeros((len(test), 0)))):
+        probs, _, _ = learn._forward_batch(params, block, rate)
+        assert (predict_scenario(test, model).tolist()
+                == [learn.index_to_label(int(i))
+                    for i in np.argmax(probs, axis=1)])
 
-    def no_image_block(table, scenario):
-        raise AssertionError("predict_scenario built an image block")
 
-    monkeypatch.setattr(pipeline, "build_features", no_image_block)
-    assert predict_scenario(test, model).tolist() == full_width.tolist()
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_a_scenario_without_a_camera_makes_no_image_sized_array(scenario):
+    # 1400 training rows, the size of n=2000 at the default split: the
+    # pooled block is 8.6 MB, and only the camera scenarios may hold copies
+    # of it while they fit
+    rng = np.random.default_rng(3)
+    n = 1400
+    table = FeatureTable(pooled=rng.random((n, 768)),
+                         visible=rng.random(n) < 0.3,
+                         direct_rate=rng.random(n), ris_rate=rng.random(n),
+                         label=rng.choice([-1, 0, 1], size=n))
+    tracemalloc.start()
+    try:
+        train_scenario(table, scenario, replace(FAST_TRAIN, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if scenario in pipeline.IMAGE_SCENARIOS:
+        assert peak > table.pooled.nbytes
+    else:
+        assert peak < table.pooled.nbytes / 2
 
 
 # ---------------------------------------------------------------- reports

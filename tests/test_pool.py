@@ -5,7 +5,7 @@ import multiprocessing
 import pytest
 
 from conftest import allow_cpus
-from risblock._pool import _openblas_threads, fork_map
+from risblock._pool import _openblas_threads, fork_map, one_blas_thread
 
 
 def _blas_threads():
@@ -22,6 +22,18 @@ def test_workers_take_their_share_of_blas_threads(monkeypatch, cpus):
     # more than the caller had
     share = [min(count, cpus // 2) for count in before]
     assert list(fork_map(lambda _: _blas_threads(), range(2))) == [share, share]
+    assert _blas_threads() == before
+
+
+def test_one_blas_thread_gives_back_the_callers_count():
+    before = _blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    with one_blas_thread():
+        assert _blas_threads() == [1] * len(before)
+    assert _blas_threads() == before
+    with pytest.raises(RuntimeError), one_blas_thread():
+        raise RuntimeError("a fit failed")
     assert _blas_threads() == before
 
 
