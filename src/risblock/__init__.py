@@ -15,15 +15,14 @@ from risblock.channel import (ArrayGeometry, MultipathComponent,
 from risblock.dataset import (FeatureTable, GeneratorConfig, Sample,
                               generate_sample, load_dataset, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
-                            argmax_index, backward, cross_entropy,
+                            backward, class_indices, cross_entropy,
                             fit_standardization, forward, grad_check,
-                            index_to_label, init_params, label_to_index,
-                            load_model, lr_schedule, save_model, sgd_step,
-                            softmax, train)
+                            init_params, load_model, lr_schedule, save_model,
+                            sgd_step, softmax, train)
 from risblock.pipeline import (EvalReport, Scenario, ScenarioModel,
                                calibrate_rate_threshold, cascade_predict,
                                evaluate_scenario, run_experiment,
-                               split_dataset, train_scenario)
+                               train_scenario)
 from risblock.scene import (Blocker, LinkStatus, Scene, SceneLayout,
                             Trajectory, generate_trajectory, link_status,
                             los_blocked, random_scene, render_image,

@@ -10,12 +10,12 @@ a rebound name; only the items and the results cross a pipe. A caller that
 stops early closes the iterator, which cancels the items not yet started and
 waits for the running ones.
 
-Each worker also caps the OpenBLAS it inherited at its share of the CPUs.
-OpenBLAS starts one thread per CPU by default, so two training workers on
-two CPUs would otherwise run four BLAS threads, and the four scenarios then
-trained slower than one after another. The pipeline runs each fit, inline
-or in a worker, in `one_blas_thread()`: with the kernels OpenBLAS picks on an
-AVX2 CPU, a product on two threads rounds otherwise than on one.
+Each worker runs the OpenBLAS it inherited on one thread. OpenBLAS starts
+one thread per CPU by default, so two training workers on two CPUs would
+otherwise run four BLAS threads, and the four scenarios then trained slower
+than one after another. The pipeline also runs each fit, inline or in a
+worker, in `one_blas_thread()`: with the kernels OpenBLAS picks on an AVX2
+CPU, a product on two threads rounds otherwise than on one.
 """
 
 import ctypes
@@ -32,10 +32,11 @@ _BLAS_THREADS = (("scipy_openblas_get_num_threads64_",
                  ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
-def _install(function, blas_threads):
+def _install(function):
     global _function
     _function = function
-    _cap_blas_threads(blas_threads)
+    for _, set_ in _openblas_threads():
+        set_(1)
 
 
 def _call(item):
@@ -65,13 +66,6 @@ def _openblas_threads():
     return controls
 
 
-def _cap_blas_threads(count):
-    """Lower every loaded OpenBLAS to at most count threads; raise none."""
-    for get, set_ in _openblas_threads():
-        if get() > count:
-            set_(count)
-
-
 @contextmanager
 def one_blas_thread():
     """Run the block on one thread of every loaded OpenBLAS, then restore."""
@@ -90,8 +84,7 @@ def fork_map(function, items):
     """Iterator over function(item) for each item, in input order, computed
     on every allowed CPU. Run it to its end or close it."""
     items = list(items)
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(cpus, len(items))
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers <= 1:
         for item in items:
             yield function(item)
@@ -109,5 +102,5 @@ def fork_map(function, items):
     # for the running ones. Each result is let go once it is yielded.
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_install,
-                             initargs=(function, cpus // workers)) as pool:
+                             initargs=(function,)) as pool:
         yield from pool.map(_call, items)

@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -270,10 +271,16 @@ def cmd_train(args):
     return 0
 
 
+def _is_finite_number(value):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
 def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
     """A scenario's model with its history and train metadata. The metadata
     must name the dataset hash and the seed that eval was given, else the
-    test split would overlap the rows the model was trained on."""
+    test split would overlap the rows the model was trained on; for both it
+    must also hold a finite rate threshold and an accuracy in [0, 1]."""
     name = scenario.value
     model_path = models_dir / f"model_{name}.bin"
     meta_path = models_dir / f"train_meta_{name}.json"
@@ -290,6 +297,17 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
                 f"{meta_path} records {key} {meta.get(key)!r}, but eval was "
                 f"given {key} {given!r}; evaluate with the dataset and seed "
                 f"the models were trained on")
+    if scenario is Scenario.BOTH:
+        threshold = meta.get("rate_threshold")
+        accuracy = meta.get("threshold_accuracy")
+        for key, valid, wanted in (
+                ("rate_threshold", _is_finite_number(threshold),
+                 "a finite number"),
+                ("threshold_accuracy", _is_finite_number(accuracy)
+                 and 0 <= accuracy <= 1, "a number in [0, 1]")):
+            if not valid:
+                raise ConfigError(f"{meta_path} records {key} "
+                                  f"{meta.get(key)!r}; it must be {wanted}")
     params, stats = load_model(model_path)
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats,
@@ -330,7 +348,8 @@ def cmd_gradcheck(args):
         rate = float(rng.normal())
         label = int(rng.integers(0, 3))
         weight_decay = float(rng.choice([0.0, 2e-3]))
-        error = grad_check(params, ((image, rate), label), h=1e-5,
+        error = grad_check(params, image[None], np.array([rate]),
+                           np.array([label]), h=1e-5,
                            weight_decay=weight_decay)
         worst = max(worst, error)
     passed = worst <= GRADCHECK_TOLERANCE

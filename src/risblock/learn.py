@@ -6,11 +6,13 @@ units by default); the rate feature is appended to the hidden activations,
 so the output layer sees hidden+1 inputs and emits 3 logits — absent, clear,
 blocked. All math is float64 numpy and bit-deterministic for a fixed seed.
 
-The inputs travel as a pair, an (N, d) image block and an (N,) rate column;
-without a camera the block is a zero-stride np.broadcast_to(0.0, (N, d)).
+Every function takes a batch in one convention: an (N, d) image block, an
+(N,) rate column and, where labels are needed, (N,) class indices. Without a
+camera the block is a zero-stride np.broadcast_to(0.0, (N, d)).
 
-Labels on the wire are {-1, 0, 1} (absent, clear, blocked); class indices
-inside the model are {0, 1, 2} in that order. Features are standardized with
+Labels on the wire are {-1, 0, 1} (absent, clear, blocked); class_indices
+maps them to the model's class indices {0, 1, 2}, in that order, and a
+prediction maps back as argmax - 1. Features are standardized with
 training-split statistics kept alongside the weights, the d image columns
 then the rate; a constant feature gets scale 0 so masked-out blocks stay
 exactly zero through the whole chain.
@@ -24,7 +26,6 @@ from functools import reduce
 import numpy as np
 
 LABELS = (-1, 0, 1)
-_LABEL_TO_INDEX = {-1: 0, 0: 1, 1: 2}
 
 DEFAULT_HIDDEN_UNITS = 64
 N_CLASSES = 3
@@ -34,19 +35,15 @@ PROBABILITY_FLOOR = 1e-12
 MODEL_MAGIC = "risblock-mlp 1"
 
 
-def label_to_index(label):
-    """Map a link-status value in {-1, 0, 1} to a class index in {0, 1, 2}."""
-    try:
-        return _LABEL_TO_INDEX[int(label)]
-    except KeyError:
-        raise ValueError(f"unknown label {label!r}; expected one of {LABELS}") from None
-
-
-def index_to_label(index):
-    """Inverse of label_to_index."""
-    if index not in (0, 1, 2):
-        raise ValueError(f"class index must be 0, 1 or 2, got {index!r}")
-    return LABELS[index]
+def class_indices(labels):
+    """The class indices {0, 1, 2} of link-status labels {-1, 0, 1}: label + 1,
+    as int64. Any other value raises ValueError."""
+    labels = np.asarray(labels)
+    unknown = ~np.isin(labels, LABELS)
+    if unknown.any():
+        raise ValueError(f"unknown label {labels[unknown][0].item()!r}; "
+                         f"expected one of {LABELS}")
+    return labels.astype(np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -216,27 +213,17 @@ def softmax(logits):
     return expz
 
 
-def _forward_batch(params, image, rate):
-    """Probabilities of the rows of an (image block, rate column) pair plus
-    the caches backprop needs: (probs, z_in, pre)."""
+def forward(params, image, rate):
+    """Class probabilities (absent, clear, blocked) of the rows of an (image
+    block, rate column) pair, plus the caches backprop needs:
+    (probs, z_in, pre)."""
+    image, rate = _pair(image, rate)
     pre = image @ params.w1
     pre += params.b1  # in place: one N x hidden temporary fewer
     hidden = np.maximum(pre, 0.0)
     z_in = np.concatenate([hidden, rate[:, None]], axis=1)
     logits = z_in @ params.w2 + params.b2
     return softmax(logits), z_in, pre
-
-
-def forward(params, image_features, rate_feature):
-    """Class probabilities (absent, clear, blocked) for one sample."""
-    image_features = np.asarray(image_features, dtype=np.float64).ravel()
-    if image_features.shape[0] != params.n_image_features:
-        raise ValueError(
-            f"expected {params.n_image_features} image features, "
-            f"got {image_features.shape[0]}")
-    probs, _, _ = _forward_batch(params, image_features[None, :],
-                                 np.array([float(rate_feature)]))
-    return probs[0]
 
 
 def cross_entropy(b, label_index):
@@ -246,19 +233,19 @@ def cross_entropy(b, label_index):
     return -math.log(max(float(np.asarray(b)[label_index]), PROBABILITY_FLOOR))
 
 
-def argmax_index(b):
-    """Index of the largest probability; ties go to the lowest index."""
-    b = np.asarray(b)
-    if b.size == 0:
-        raise ValueError("argmax_index of an empty vector")
-    return int(np.argmax(b))
+def _mean_loss(probs, label_indices):
+    """Mean cross-entropy of a batch, one math.log per row: np.log's bytes
+    depend on numpy's SIMD dispatch."""
+    return float(np.mean([cross_entropy(p, int(i))
+                          for p, i in zip(probs, label_indices)]))
 
 
-def _gradients(params, image, rate, label_indices, weight_decay):
+def backward(params, image, rate, label_indices, weight_decay):
     """Batch probabilities, the gradient of mean cross-entropy (+ L2 pull
-    on weights) and the loss gradient at the hidden pre-activations:
-    (probs, gradient MlpParams, dhidden)."""
-    probs, z_in, pre = _forward_batch(params, image, rate)
+    on weights, biases undecayed) and the loss gradient at the hidden
+    pre-activations: (probs, gradient MlpParams, dhidden)."""
+    image, rate = _pair(image, rate)
+    probs, z_in, pre = forward(params, image, rate)
     n = rate.shape[0]
     dz = probs.copy()
     dz[np.arange(n), label_indices] -= 1.0
@@ -270,22 +257,6 @@ def _gradients(params, image, rate, label_indices, weight_decay):
     gw1 = image.T @ dhidden + weight_decay * params.w1
     gb1 = dhidden.sum(axis=0)
     return probs, MlpParams(w1=gw1, b1=gb1, w2=gw2, b2=gb2), dhidden
-
-
-def backward(params, batch, weight_decay=0.0):
-    """Gradients for a batch of ((image_features, rate_feature), label_index).
-
-    Returns an MlpParams carrying the gradient arrays: mean cross-entropy
-    over the batch plus weight_decay * w on each weight matrix (biases
-    undecayed).
-    """
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    image = np.stack([np.asarray(feats[0], dtype=np.float64).ravel()
-                      for feats, _ in batch])
-    rate = np.array([float(feats[1]) for feats, _ in batch])
-    labels = np.array([int(label) for _, label in batch])
-    return _gradients(params, image, rate, labels, weight_decay)[1]
 
 
 def lr_schedule(epoch, cfg):
@@ -383,8 +354,8 @@ def train(image, rate, labels, cfg):
     writes into buffers made once per fit (see _TrainingSetScorer).
     """
     image, rate = _pair(image, rate)
-    label_indices = np.array([label_to_index(l) for l in labels])
-    if label_indices.shape[0] != rate.shape[0]:
+    label_indices = class_indices(labels)
+    if label_indices.shape != rate.shape:
         raise ValueError("labels and features must have equal length")
 
     rng = np.random.default_rng(cfg.seed)
@@ -409,11 +380,9 @@ def train(image, rate, labels, cfg):
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
             batch_labels = label_indices[take]
-            probs, grads, dhidden = _gradients(net, image[take], rate[take],
-                                               batch_labels, cfg.weight_decay)
-            batch_loss = float(np.mean([
-                cross_entropy(probs[i], int(batch_labels[i]))
-                for i in range(take.shape[0])]))
+            probs, grads, dhidden = backward(net, image[take], rate[take],
+                                             batch_labels, cfg.weight_decay)
+            batch_loss = _mean_loss(probs, batch_labels)
             if tracked is None:
                 grads = replace(grads, w1=0.0 + cfg.weight_decay * params.w1)
             params = sgd_step(params, grads, lr)
@@ -431,49 +400,42 @@ def train(image, rate, labels, cfg):
 def accuracy(params, image, rate, label_indices):
     """Fraction of the rows of an (image block, rate column) pair whose
     argmax class matches the label index."""
-    probs, _, _ = _forward_batch(params, *_pair(image, rate))
+    probs, _, _ = forward(params, image, rate)
     return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
 
 
-def _decayed_loss(params, image_features, rate_feature, label_index,
-                  weight_decay):
-    loss = cross_entropy(forward(params, image_features, rate_feature),
-                         label_index)
-    if weight_decay:
-        loss += 0.5 * weight_decay * (float(np.sum(params.w1 ** 2))
-                                      + float(np.sum(params.w2 ** 2)))
-    return loss
+def _decayed_loss(params, image, rate, label_indices, weight_decay):
+    return (_mean_loss(forward(params, image, rate)[0], label_indices)
+            + 0.5 * weight_decay * (float(np.sum(params.w1 ** 2))
+                                    + float(np.sum(params.w2 ** 2))))
 
 
-def grad_check(params, sample, h=1e-5, weight_decay=0.0):
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(params, image, rate, label_indices, h=1e-5, weight_decay=0.0):
+    """Max relative error between the analytic and the central-difference
+    gradients of the batch's mean loss.
 
-    sample is ((image_features, rate_feature), label_index). Every parameter
-    is perturbed by +-h; the relative error denominator is floored at 1e-4 so
-    near-zero gradient pairs compare absolutely. Zero parameters to check
-    yields 0.0.
+    Every parameter is perturbed by +-h; the relative error denominator is
+    floored at 1e-4 so near-zero gradient pairs compare absolutely. Zero
+    parameters to check yields 0.0.
     """
     if h <= 0:
         raise ValueError("h must be > 0")
     if sum(a.size for _, a in params.arrays()) == 0:
         return 0.0
-    (image_features, rate_feature), label_index = sample
-    analytic = backward(params, [sample], weight_decay)
-    fields = dict(params.arrays())
+    analytic = dict(backward(params, image, rate, label_indices,
+                             weight_decay)[1].arrays())
     worst = 0.0
     for name, values in params.arrays():
-        grad = dict(analytic.arrays())[name]
-        flat = values.ravel()
-        for i in range(flat.size):
-            def loss_at(offset, _name=name, _i=i):
-                bumped = dict(fields)
-                arr = bumped[_name].copy()
-                arr.ravel()[_i] += offset
-                bumped[_name] = arr
-                return _decayed_loss(MlpParams(**bumped), image_features,
-                                     rate_feature, label_index, weight_decay)
-            numeric = (loss_at(h) - loss_at(-h)) / (2.0 * h)
-            a = float(grad.ravel()[i])
+        for i in range(values.size):
+            losses = []
+            for offset in (h, -h):
+                bumped = values.copy()
+                bumped.ravel()[i] += offset
+                losses.append(_decayed_loss(replace(params, **{name: bumped}),
+                                            image, rate, label_indices,
+                                            weight_decay))
+            numeric = (losses[0] - losses[1]) / (2.0 * h)
+            a = float(analytic[name].ravel()[i])
             err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-4)
             worst = max(worst, err)
     return worst

@@ -2,8 +2,9 @@
 cascade predictor, and the four-scenario evaluation.
 
 Every stage reads a dataset's `FeatureTable` (see risblock.dataset), never
-its images. The four scenarios differ only in which features reach the
-classifier:
+its images. The split is `split_rows`, row numbers that
+`load_dataset(rows=)` or `FeatureTable.take` turn into the two sides. The
+four scenarios differ only in which features reach the classifier:
 
     none    direct-link rate only (zero image block)
     camera  pooled image only (zero rate column)
@@ -12,7 +13,8 @@ classifier:
 
 The classifier reads an (image block, rate column) pair; a scenario without a
 camera gets a zero-stride zero block, so no image-sized array is made for it.
-The first three scenarios train the perceptron on these features. "both"
+The first three scenarios train the perceptron on these features and predict
+with `learn.forward`, the label being argmax - 1. "both"
 instead runs the cascade: stage 1 declares the link clear when the camera
 sees the terminal (any channel-2 evidence); stage 2 separates absent from
 blocked by thresholding the surface-assisted rate, with the threshold
@@ -42,7 +44,7 @@ from risblock._pool import fork_map, one_blas_thread
 from risblock.dataset import (MANIFEST_NAME, config_record, load_dataset,
                               read_manifest, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
-                            fit_standardization, label_to_index)
+                            class_indices, fit_standardization)
 from risblock.scene import LinkStatus
 
 SPLIT_STREAM_TAG = 202
@@ -98,16 +100,6 @@ def split_rows(n, train_fraction=0.7, seed=0):
     order = rng.permutation(n)
     n_train = min(max(int(train_fraction * n), 1), n - 1)
     return order[:n_train], order[n_train:]
-
-
-def split_dataset(table, train_fraction=0.7, seed=0):
-    """The two sides of split_rows(len(table), train_fraction, seed), each
-    taken from `table` in the split's row order.
-
-    `table` is a FeatureTable, or anything else with len() and take().
-    """
-    train_rows, test_rows = split_rows(len(table), train_fraction, seed)
-    return table.take(train_rows), table.take(test_rows)
 
 
 def calibrate_rate_threshold(ris_rates, labels):
@@ -245,9 +237,9 @@ def predict_scenario(table, model):
     if model.scenario is Scenario.BOTH:
         return cascade_predict(table, model.rate_threshold)
     image, rate = build_features(table, model.scenario)
-    probs, _, _ = learn._forward_batch(
-        model.params, *model.standardization.apply(image, rate))
-    return np.array(learn.LABELS)[np.argmax(probs, axis=1)]
+    probs, _, _ = learn.forward(model.params,
+                                *model.standardization.apply(image, rate))
+    return np.argmax(probs, axis=1) - 1
 
 
 def evaluate_scenario(test_table, model):
@@ -255,11 +247,9 @@ def evaluate_scenario(test_table, model):
     if len(test_table) == 0:
         raise ValueError("test set must be non-empty")
     started = time.perf_counter()
-    predicted = predict_scenario(test_table, model)
-    true = test_table.label
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    for t, p in zip(true, predicted):
-        confusion[label_to_index(t), label_to_index(p)] += 1
+    cells = (3 * class_indices(test_table.label)
+             + class_indices(predict_scenario(test_table, model)))
+    confusion = np.bincount(cells, minlength=9).reshape(3, 3)
     accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalReport(accuracy=accuracy, confusion=confusion,
                       eval_time_s=time.perf_counter() - started)

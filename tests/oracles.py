@@ -13,12 +13,17 @@ pass over the live image columns for the accuracy curve, where ``train``
 keeps those columns' pre-activations from step to step. Both keep numpy
 and the package's operation order because ``train`` must match them byte
 for byte; they share only the parameter container, the initialisation,
-the learning-rate schedule, the loss and the SGD step with the package.
+the learning-rate schedule, the loss and the SGD step with the package,
+and keep their own label-to-class mapping.
 Their softmax is ``reference_softmax``, numpy's last-axis max and sum
 reduces, where the package reduces over the class columns one at a
 time. They take the image block and the rate as one (N, d+1) matrix, so
 their slicing is independent of ``train``'s; the tests join ``train``'s
 (image block, rate column) pair with ``np.column_stack``.
+
+``reference_confusion`` counts the confusion matrix one row at a time
+through its own label table, where ``evaluate_scenario`` takes one
+``np.bincount`` of the package's class indices.
 
 The dataset references (``reference_images_bytes``, ``reference_content_hash``)
 serialize every image at once through one stacked array, where the package
@@ -45,7 +50,7 @@ import numpy as np
 from risblock.channel import MultipathComponent
 from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
-                            label_to_index, lr_schedule, sgd_step)
+                            lr_schedule, sgd_step)
 from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
                             NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
                             LinkStatus, SynthesizedPaths, Trajectory, _bearing,
@@ -119,6 +124,18 @@ def naive_ris_ue(paths, carrier_hz, doppler_hz, n_elements, spacing):
     return naive_bs_ue(paths, carrier_hz, doppler_hz, n_elements, spacing)
 
 
+# link-status label -> class index, as a table, where the package adds 1
+CLASS_INDEX = {-1: 0, 0: 1, 1: 2}
+
+
+def reference_confusion(true_labels, predicted_labels):
+    """(3, 3) int64 counts, rows true / cols predicted, one row at a time."""
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for true, predicted in zip(true_labels, predicted_labels):
+        confusion[CLASS_INDEX[int(true)], CLASS_INDEX[int(predicted)]] += 1
+    return confusion
+
+
 def reference_softmax(logits):
     """Stable softmax over the last axis through numpy's max and sum reduces."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -162,7 +179,7 @@ def reference_accuracy(params, features, label_indices):
 def reference_train(features, labels, cfg):
     """(params, history) of the three-pass minibatch SGD loop."""
     features = np.asarray(features, dtype=np.float64)
-    label_indices = np.array([label_to_index(l) for l in labels])
+    label_indices = np.array([CLASS_INDEX[int(l)] for l in labels])
     rng = np.random.default_rng(cfg.seed)
     params = init_params(features.shape[1] - 1, rng)
     n = features.shape[0]
@@ -192,7 +209,7 @@ def reference_live_column_train(features, labels, cfg):
     forward pass runs over the live image columns, those with a nonzero
     value, and their rows of w1."""
     features = np.asarray(features, dtype=np.float64)
-    label_indices = np.array([label_to_index(l) for l in labels])
+    label_indices = np.array([CLASS_INDEX[int(l)] for l in labels])
     rng = np.random.default_rng(cfg.seed)
     params = init_params(features.shape[1] - 1, rng)
     live = features[:, :-1].any(axis=0)

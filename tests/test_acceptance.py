@@ -151,8 +151,9 @@ def test_gradient_correctness():
         rate = float(rng.normal())
         label = int(rng.integers(0, 3))
         weight_decay = 0.0 if k % 2 == 0 else 2e-3
-        worst = max(worst, grad_check(params, ((image, rate), label),
-                                      h=1e-5, weight_decay=weight_decay))
+        worst = max(worst, grad_check(params, image[None], np.array([rate]),
+                                      np.array([label]), h=1e-5,
+                                      weight_decay=weight_decay))
     _record("gradient-correctness", worst <= 1e-4,
             f"max relative error {worst:.3e} over 20 draws")
 

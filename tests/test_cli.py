@@ -611,6 +611,28 @@ def test_eval_requires_every_history(workspace, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rate_threshold", float("nan")), ("rate_threshold", None),
+    ("rate_threshold", "0.5"), ("rate_threshold", True),
+    ("threshold_accuracy", 1.5), ("threshold_accuracy", None)])
+def test_eval_refuses_a_both_threshold_that_is_not_a_number(
+        workspace, tmp_path, capsys, key, value):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    meta_path = models / "train_meta_both.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 2
+    assert (f"{meta_path} records {key} {value!r}; it must be"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_writes_no_report_when_a_model_file_is_corrupt(workspace,
                                                             tmp_path, capsys):
     # ris comes after none and camera: every model loads before any report
@@ -631,10 +653,13 @@ def test_eval_writes_no_report_when_a_model_file_is_corrupt(workspace,
 
 
 def test_gradcheck_reports_pass(capsys):
-    assert main(["gradcheck", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "gradcheck: max relative error" in out
-    assert "PASS" in out
+    # each draw is checked as a one-row batch; the errors are those the
+    # one-sample check printed
+    for seed, error in ((0, "1.913e-07"), (1, "5.811e-08"), (2, "8.894e-08"),
+                        (3, "1.014e-07")):
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == (
+            f"gradcheck: max relative error {error} over 20 draws -> PASS\n")
 
 
 # ---------------------------------------------------------------- curves

@@ -1,5 +1,6 @@
-"""Classifier ops: forward/loss/backward hand values, gradient checking,
-training determinism, and the model file format."""
+"""Classifier ops: the label mapping, forward/loss/backward hand values on
+batches, gradient checking, training determinism, and the model file
+format."""
 
 import functools
 import math
@@ -15,13 +16,12 @@ from conftest import SMALL_SEED, generated, table_of
 from risblock import learn
 from risblock.dataset import GeneratorConfig
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
-                            accuracy, argmax_index, backward, cross_entropy,
+                            accuracy, backward, class_indices, cross_entropy,
                             fit_standardization, forward, grad_check,
-                            index_to_label, init_params, label_to_index,
-                            load_model, lr_schedule, save_model, sgd_step,
-                            softmax, train)
+                            init_params, load_model, lr_schedule, save_model,
+                            sgd_step, softmax, train)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
-                               build_features, split_dataset)
+                               build_features, split_rows)
 
 
 def _zeros_params(d_img=2, hidden=2, classes=3):
@@ -29,22 +29,24 @@ def _zeros_params(d_img=2, hidden=2, classes=3):
                      w2=np.zeros((hidden + 1, classes)), b2=np.zeros(classes))
 
 
-def _random_sample(rng, d_img):
-    return ((rng.normal(size=d_img), float(rng.normal())),
-            int(rng.integers(0, 3)))
+def _random_batch(rng, n, d_img):
+    """(image block, rate column, class indices) of n random rows."""
+    return (rng.normal(size=(n, d_img)), rng.normal(size=n),
+            rng.integers(0, 3, size=n))
 
 
 # ---------------------------------------------------------------- labels
 
 
 def test_label_mapping_round_trips():
-    for label in (-1, 0, 1):
-        assert index_to_label(label_to_index(label)) == label
-    assert label_to_index(-1) == 0 and label_to_index(1) == 2
-    with pytest.raises(ValueError):
-        label_to_index(2)
-    with pytest.raises(ValueError):
-        index_to_label(3)
+    indices = class_indices(np.array([-1, 0, 1, 1, -1]))
+    assert indices.dtype == np.int64
+    assert indices.tolist() == [0, 1, 2, 2, 0]
+    # a prediction maps back as argmax - 1
+    assert (indices - 1).tolist() == [-1, 0, 1, 1, -1]
+    for bad in (2, -2, 0.5):
+        with pytest.raises(ValueError, match=f"unknown label {bad!r}"):
+            class_indices(np.array([0, bad, 1]))
 
 
 # ---------------------------------------------------------------- configs
@@ -128,8 +130,8 @@ def test_the_pair_standardizes_as_the_matrix_did(scenario):
     # down each column row by row
     for seed in LIVE_COLUMN_SEEDS:
         for fraction in (0.5, 0.7, 0.9):
-            train_table, _ = split_dataset(_generated_table(seed), fraction,
-                                           seed)
+            table = _generated_table(seed)
+            train_table = table.take(split_rows(len(table), fraction, seed)[0])
             image, rate = build_features(train_table, scenario)
             matrix = np.column_stack([image, rate])
             stats = fit_standardization(image, rate)
@@ -170,8 +172,7 @@ def test_softmax_is_shift_invariant_at_the_argmax():
     rng = np.random.default_rng(2)
     for _ in range(100):
         logits = rng.normal(size=3)
-        assert (argmax_index(softmax(logits))
-                == argmax_index(softmax(logits + 17.3)))
+        assert np.argmax(softmax(logits)) == np.argmax(softmax(logits + 17.3))
 
 
 _ANY_LOGIT = st.floats(-1e307, 1e307)  # no difference of two overflows
@@ -205,21 +206,26 @@ def test_softmax_equals_the_reference_reduce_bit_for_bit(rows):
 
 
 def test_forward_with_zero_params_is_uniform():
-    probs = forward(_zeros_params(), np.zeros(2), 0.0)
-    np.testing.assert_array_equal(probs, np.full(3, 1.0 / 3.0))
+    probs, _, _ = forward(_zeros_params(), np.ones((4, 2)), np.arange(4.0))
+    np.testing.assert_array_equal(probs, np.full((4, 3), 1.0 / 3.0))
 
 
 def test_forward_logit_hand_value():
     params = MlpParams(w1=np.zeros((2, 2)), b1=np.zeros(2),
                        w2=np.zeros((3, 3)),
                        b2=np.array([0.0, 0.0, math.log(2.0)]))
-    probs = forward(params, np.zeros(2), 0.0)
-    np.testing.assert_allclose(probs, [0.25, 0.25, 0.5], rtol=1e-12)
+    probs, _, _ = forward(params, np.zeros((1, 2)), np.zeros(1))
+    np.testing.assert_allclose(probs, [[0.25, 0.25, 0.5]], rtol=1e-12)
 
 
 def test_forward_rejects_wrong_width():
+    params = _zeros_params(d_img=2)
     with pytest.raises(ValueError):
-        forward(_zeros_params(d_img=2), np.zeros(3), 0.0)
+        forward(params, np.zeros((1, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match="image block"):
+        forward(params, np.zeros(2), np.zeros(1))  # one row, not a block
+    with pytest.raises(ValueError, match="rate column"):
+        forward(params, np.zeros((2, 2)), np.zeros(3))
 
 
 # ---------------------------------------------------------------- loss
@@ -245,14 +251,6 @@ def test_cross_entropy_is_nonnegative():
         assert cross_entropy(probs, int(rng.integers(0, 3))) >= 0.0
 
 
-def test_argmax_examples():
-    assert argmax_index(np.array([0.2, 0.5, 0.3])) == 1
-    assert argmax_index(np.full(3, 1.0 / 3.0)) == 0  # ties: lowest index
-    assert argmax_index(np.array([0.1, 0.1, 0.8])) == 2
-    with pytest.raises(ValueError):
-        argmax_index(np.array([]))
-
-
 # ---------------------------------------------------------------- backward
 
 
@@ -260,7 +258,8 @@ def test_gradient_vanishes_at_a_confident_correct_prediction():
     params = MlpParams(w1=np.zeros((2, 2)), b1=np.zeros(2),
                        w2=np.zeros((3, 3)),
                        b2=np.array([50.0, 0.0, 0.0]))
-    grads = backward(params, [((np.zeros(2), 0.0), 0)], weight_decay=0.0)
+    _, grads, _ = backward(params, np.zeros((1, 2)), np.zeros(1),
+                           np.array([0]), weight_decay=0.0)
     for _, g in grads.arrays():
         if g.size:
             assert np.max(np.abs(g)) <= 1e-9
@@ -269,55 +268,56 @@ def test_gradient_vanishes_at_a_confident_correct_prediction():
 def test_duplicating_the_batch_leaves_gradients_unchanged():
     rng = np.random.default_rng(4)
     params = init_params(6, rng, n_hidden=4)
-    batch = [_random_sample(rng, 6) for _ in range(3)]
-    single = backward(params, batch, weight_decay=2e-3)
-    doubled = backward(params, batch + batch, weight_decay=2e-3)
+    image, rate, indices = _random_batch(rng, 3, 6)
+    _, single, _ = backward(params, image, rate, indices, weight_decay=2e-3)
+    _, doubled, _ = backward(params, np.tile(image, (2, 1)), np.tile(rate, 2),
+                             np.tile(indices, 2), weight_decay=2e-3)
     for (_, a), (_, b) in zip(single.arrays(), doubled.arrays()):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def test_backward_rejects_empty_batch():
     with pytest.raises(ValueError):
-        backward(_zeros_params(), [])
+        backward(_zeros_params(), np.zeros((0, 2)), np.zeros(0),
+                 np.zeros(0, dtype=np.int64), weight_decay=0.0)
 
 
 def test_grad_check_passes_on_random_draws():
     rng = np.random.default_rng(5)
-    for _ in range(5):
+    for n in (1, 1, 4, 4, 9):  # one-row and multi-row batches
         params = init_params(6, rng, n_hidden=5)
-        sample = _random_sample(rng, 6)
+        batch = _random_batch(rng, n, 6)
         for weight_decay in (0.0, 2e-3):
-            assert grad_check(params, sample, h=1e-5,
+            assert grad_check(params, *batch, h=1e-5,
                               weight_decay=weight_decay) <= 1e-4
 
 
 def test_grad_check_detects_a_corrupted_gradient():
-    # redo the comparison with one analytic entry shifted by +1: the relative
-    # error at that entry must blow past the pass threshold
+    # a backward pass whose gradient is off by +1 in one entry of one array:
+    # grad_check's relative error must blow past the pass threshold
     rng = np.random.default_rng(6)
     params = init_params(4, rng, n_hidden=3)
-    (image, rate), label = _random_sample(rng, 4)
-    grads = backward(params, [((image, rate), label)], weight_decay=0.0)
-    corrupted = float(grads.w1.ravel()[0]) + 1.0
+    batch = _random_batch(rng, 5, 4)
+    assert grad_check(params, *batch) <= 1e-4
+    for name in ("w1", "b1", "w2", "b2"):
+        def corrupted(*args, _name=name):
+            probs, grads, dhidden = backward(*args)
+            wrong = getattr(grads, _name).copy()
+            wrong.ravel()[-1] += 1.0
+            return probs, replace(grads, **{_name: wrong}), dhidden
 
-    h = 1e-5
-    def loss_with_first_weight(offset):
-        w1 = params.w1.copy()
-        w1.ravel()[0] += offset
-        bumped = MlpParams(w1=w1, b1=params.b1, w2=params.w2, b2=params.b2)
-        return cross_entropy(forward(bumped, image, rate), label)
-
-    numeric = (loss_with_first_weight(h) - loss_with_first_weight(-h)) / (2 * h)
-    err = abs(corrupted - numeric) / max(abs(corrupted) + abs(numeric), 1e-4)
-    assert err > 1e-2
+        with mock.patch.object(learn, "backward", corrupted):
+            assert grad_check(params, *batch) > 1e-2, name
 
 
 def test_grad_check_zero_parameter_edge():
     empty = MlpParams(w1=np.zeros((0, 0)), b1=np.zeros(0),
                       w2=np.zeros((1, 0)), b2=np.zeros(0))
-    assert grad_check(empty, ((np.zeros(0), 0.0), 0)) == 0.0
+    assert grad_check(empty, np.zeros((1, 0)), np.zeros(1),
+                      np.array([0])) == 0.0
     with pytest.raises(ValueError):
-        grad_check(_zeros_params(), ((np.zeros(2), 0.0), 0), h=0.0)
+        grad_check(_zeros_params(), np.zeros((1, 2)), np.zeros(1),
+                   np.array([0]), h=0.0)
 
 
 # ---------------------------------------------------------------- schedule
@@ -431,7 +431,8 @@ def _standardized(train_table, scenario):
                          ids=("zero_image_block", "dense_image_block"))
 def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
     # the reference takes the pair as one (N, d+1) matrix
-    train_table, _ = split_dataset(small_table, 0.7, SMALL_SEED)
+    train_table = small_table.take(
+        split_rows(len(small_table), 0.7, SMALL_SEED)[0])
     image, rate = _standardized(train_table, scenario)
     labels = train_table.label
     assert image.any() == (scenario is Scenario.CAMERA_ONLY)
@@ -444,7 +445,7 @@ def test_train_matches_the_three_pass_reference(small_table, scenario, cfg):
     assert ([tuple(map(repr, row)) for row in history]
             == [tuple(map(repr, row)) for row in want_history])
 
-    label_indices = np.array([label_to_index(l) for l in labels])
+    label_indices = class_indices(labels)
     for p in (params, want_params, init_params(image.shape[1],
                                                np.random.default_rng(1))):
         assert (repr(accuracy(p, image, rate, label_indices))
@@ -478,7 +479,8 @@ def _generated_table(seed):
 
 
 def _generated_training_set(scenario, fraction, seed):
-    train_table, _ = split_dataset(_generated_table(seed), fraction, seed)
+    table = _generated_table(seed)
+    train_table = table.take(split_rows(len(table), fraction, seed)[0])
     image, rate = _standardized(train_table, scenario)
     live = image.any(axis=0)
     assert 0 < live.sum() < live.size  # some dead columns, some live

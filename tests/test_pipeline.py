@@ -9,19 +9,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import SMALL_GEN, allow_cpus, table_of
 from risblock import learn, pipeline
 from risblock._files import staged_files
 from risblock.dataset import (FeatureTable, GeneratorConfig,
                               detect_visible_ue, pool_image,
                               pooled_feature_count)
-from risblock.learn import TrainConfig
+from risblock.learn import MlpParams, Standardization, TrainConfig
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
                                build_features, calibrate_rate_threshold,
                                cascade_predict, evaluate_scenario,
                                predict_scenario, report_to_dict,
-                               run_experiment, split_dataset, train_scenario,
+                               run_experiment, split_rows, train_scenario,
                                train_scenarios, write_report_files)
 from risblock.scene import LinkStatus
 
@@ -113,37 +115,31 @@ def test_table_labels_are_ints():
 # ---------------------------------------------------------------- split
 
 
-# split_dataset takes rows with take(); a row-number array stands in for a
-# table, so each side shows which rows it holds and in what order
-
-
 def test_split_sizes_and_partition():
-    rows = np.arange(10)
-    train, test = split_dataset(rows, train_fraction=0.7, seed=3)
+    train, test = split_rows(10, train_fraction=0.7, seed=3)
     assert len(train) == 7 and len(test) == 3
-    assert sorted(np.concatenate([train, test]).tolist()) == rows.tolist()
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(10))
 
 
 def test_split_is_deterministic_and_shuffled():
-    rows = np.arange(50)
-    first = [side.tolist() for side in split_dataset(rows, seed=9)]
-    second = [side.tolist() for side in split_dataset(rows, seed=9)]
+    first = [side.tolist() for side in split_rows(50, seed=9)]
+    second = [side.tolist() for side in split_rows(50, seed=9)]
     assert first == second
-    other = [side.tolist() for side in split_dataset(rows, seed=10)]
+    other = [side.tolist() for side in split_rows(50, seed=10)]
     assert other != first
-    assert first[0] != rows[:35].tolist()  # the cut is over a shuffle
+    assert first[0] != list(range(35))  # the cut is over a shuffle
 
 
 def test_split_keeps_both_sides_non_empty():
-    train, test = split_dataset(np.arange(5), train_fraction=0.1, seed=0)
+    train, test = split_rows(5, train_fraction=0.1, seed=0)
     assert len(train) == 1 and len(test) == 4
 
 
 def test_split_takes_table_rows_in_permutation_order(small_table):
-    rows = np.arange(len(small_table))
-    train_rows, test_rows = split_dataset(rows, seed=4)
-    train, test = split_dataset(small_table, seed=4)
-    for side, taken in ((train, train_rows), (test, test_rows)):
+    # a side of the split is table.take of its rows, in the split's order
+    train_rows, test_rows = split_rows(len(small_table), seed=4)
+    for taken in (train_rows, test_rows):
+        side = small_table.take(taken)
         assert side.pooled.tobytes() == small_table.pooled[taken].tobytes()
         for column in ("visible", "direct_rate", "ris_rate", "label"):
             np.testing.assert_array_equal(getattr(side, column),
@@ -152,9 +148,9 @@ def test_split_takes_table_rows_in_permutation_order(small_table):
 
 def test_split_validates_arguments():
     with pytest.raises(ValueError):
-        split_dataset([1], train_fraction=0.7)
+        split_rows(1, train_fraction=0.7)
     with pytest.raises(ValueError):
-        split_dataset(list(range(4)), train_fraction=1.0)
+        split_rows(4, train_fraction=1.0)
 
 
 # ---------------------------------------------------------------- threshold
@@ -250,7 +246,8 @@ def test_the_cascade_can_only_miss_blocked_rows_below_the_cut(small_table):
 
 @pytest.fixture(scope="module")
 def trained_both(small_table):
-    train, test = split_dataset(small_table, seed=1)
+    train, test = (small_table.take(rows)
+                   for rows in split_rows(len(small_table), seed=1))
     model = train_scenario(train, Scenario.BOTH, FAST_TRAIN)
     return train, test, model
 
@@ -299,6 +296,55 @@ def test_predict_scenario_returns_valid_labels(trained_both):
     assert predicted.shape == (len(test),)
 
 
+def test_predict_scenario_breaks_ties_toward_the_lowest_class():
+    # zero weights: the logits are b2 on every row, so the tied classes show
+    # which one wins; the label is the class index - 1
+    n, d = 4, 2
+    table = FeatureTable(pooled=np.zeros((n, d)), visible=np.zeros(n, bool),
+                         direct_rate=np.arange(n, dtype=np.float64),
+                         ris_rate=np.zeros(n), label=np.zeros(n, np.int64))
+    stats = Standardization(mean=np.zeros(d + 1), std=np.ones(d + 1))
+    for b2, label in (([0.0, 0.0, 0.0], -1), ([0.0, 1.0, 1.0], 0),
+                      ([0.0, 0.0, 1.0], 1)):
+        params = MlpParams(w1=np.zeros((d, 2)), b1=np.zeros(2),
+                           w2=np.zeros((3, 3)), b2=np.array(b2))
+        model = pipeline.ScenarioModel(scenario=Scenario.NONE, params=params,
+                                       standardization=stats, history=())
+        assert predict_scenario(table, model).tolist() == [label] * n
+
+
+# a non-empty subset of the labels
+_CLASS_SETS = st.sets(st.sampled_from((-1, 0, 1)), min_size=1).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), true_classes=_CLASS_SETS, predicted_classes=_CLASS_SETS)
+def test_the_confusion_equals_a_per_row_count(data, true_classes,
+                                              predicted_classes):
+    # true and predicted labels each drawn from a subset of the classes, so
+    # a test set may lack a class and a model may never predict one. The
+    # cascade predicts them: clear where visible, then blocked where the
+    # rate reaches the threshold of 0.5, else absent
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(true_classes),
+                                        st.sampled_from(predicted_classes)),
+                              min_size=1, max_size=60))
+    true, predicted = (np.array(side) for side in zip(*rows))
+    n = len(rows)
+    table = FeatureTable(pooled=np.zeros((n, 0)), visible=predicted == 0,
+                         direct_rate=np.zeros(n),
+                         ris_rate=(predicted == 1).astype(np.float64),
+                         label=true)
+    model = pipeline.ScenarioModel(scenario=Scenario.BOTH, params=None,
+                                   standardization=None, history=(),
+                                   rate_threshold=0.5)
+    assert predict_scenario(table, model).tolist() == predicted.tolist()
+    report = evaluate_scenario(table, model)
+    want = oracles.reference_confusion(true, predicted)
+    assert report.confusion.dtype == want.dtype
+    assert report.confusion.tolist() == want.tolist()
+    assert report.accuracy == float(np.trace(want) / n)
+
+
 @pytest.mark.parametrize("scenario", (Scenario.NONE, Scenario.RIS_ONLY))
 def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
                                                          scenario):
@@ -311,10 +357,9 @@ def test_rate_only_prediction_matches_the_full_width_pass(trained_both,
     for params, block in ((model.params, np.zeros(image.shape)),
                           (replace(model.params, w1=model.params.w1[:0]),
                            np.zeros((len(test), 0)))):
-        probs, _, _ = learn._forward_batch(params, block, rate)
+        probs, _, _ = learn.forward(params, block, rate)
         assert (predict_scenario(test, model).tolist()
-                == [learn.index_to_label(int(i))
-                    for i in np.argmax(probs, axis=1)])
+                == [learn.LABELS[i] for i in np.argmax(probs, axis=1)])
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))

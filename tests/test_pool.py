@@ -18,10 +18,10 @@ def test_workers_take_their_share_of_blas_threads(monkeypatch, cpus):
     if not before:
         pytest.skip("no OpenBLAS is loaded in this process")
     allow_cpus(monkeypatch, cpus)
-    # two items, so two workers: each may use cpus // 2 threads, and never
-    # more than the caller had
-    share = [min(count, cpus // 2) for count in before]
-    assert list(fork_map(lambda _: _blas_threads(), range(2))) == [share, share]
+    # two items, so two workers: each runs its BLAS on one thread, whatever
+    # the CPU count, and the caller keeps its own count
+    one = [1] * len(before)
+    assert list(fork_map(lambda _: _blas_threads(), range(2))) == [one, one]
     assert _blas_threads() == before
 
 
