@@ -24,8 +24,7 @@ from risblock.pipeline import (EvalReport, Scenario, ScenarioModel,
                                evaluate_scenario, run_experiment,
                                train_scenario)
 from risblock.scene import (Blocker, LinkStatus, Scene, SceneLayout,
-                            Trajectory, generate_trajectory, link_status,
-                            los_blocked, random_scene, render_image,
-                            synthesize_mpcs)
+                            generate_trajectory, link_status, los_blocked,
+                            random_scene, render_image, synthesize_mpcs)
 
 __version__ = "0.1.0"

@@ -62,7 +62,6 @@ class PropagationConfig:
     carrier_frequency_hz: float
     speed_mps: float = 0.0
     snr_linear: float = 1.0
-    speed_of_light_mps: float = SPEED_OF_LIGHT_MPS
 
     def __post_init__(self):
         if not (math.isfinite(self.carrier_frequency_hz) and self.carrier_frequency_hz > 0):
@@ -74,7 +73,7 @@ class PropagationConfig:
 
     @property
     def wavelength_m(self):
-        return self.speed_of_light_mps / self.carrier_frequency_hz
+        return SPEED_OF_LIGHT_MPS / self.carrier_frequency_hz
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class RisConfig:
 
 def doppler_spread(cfg):
     """Doppler spread f_s = f * v / c for the configured carrier and speed."""
-    return cfg.carrier_frequency_hz * cfg.speed_mps / cfg.speed_of_light_mps
+    return cfg.carrier_frequency_hz * cfg.speed_mps / SPEED_OF_LIGHT_MPS
 
 
 def phase_term(carrier_hz, doppler_hz, delay_s, sampling_time_s, azimuth_rad,

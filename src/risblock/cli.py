@@ -1,13 +1,14 @@
 """Command-line front end: generate | train | eval | gradcheck | curves.
 
 Configuration is an INI-style file with [generator], [layout], [training]
-and [experiment] sections; the keys come from the config dataclasses,
-which check their own values, and unknown keys are rejected with their line
-number. The seed resolves in order: --seed flag, RISBLOCK_SEED environment
-variable, [experiment] seed, then 0; a negative seed from any of them is a
-config error. Exit codes: 0 success, 1 runtime failure, 2 config/validation
-error. Each command writes its output set through
-`risblock._files.staged_files`: all of it, or none of it.
+and [experiment] sections, which `load_config` parses once into a `Config`
+(generator config, training config, seed); the keys come from the config
+dataclasses, which check their own values, and unknown keys are rejected
+with their line number. The seed resolves in order: --seed flag,
+RISBLOCK_SEED environment variable, [experiment] seed, then 0; a negative
+seed from any of them is a config error. Exit codes: 0 success, 1 runtime
+failure, 2 config/validation error. Each command writes its output set
+through `risblock._files.staged_files`: all of it, or none of it.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
@@ -84,11 +86,18 @@ def _line_of(text, pattern, after=0):
     return 0
 
 
+Config = namedtuple("Config", "generator training seed")
+
+
 def load_config(path):
-    """Parse and validate an INI config; values stay as {section: {key: str}}.
+    """Parse and validate an INI config into a Config: the generator config
+    (with its [layout]), the training config and the [experiment] seed.
+    With no path, the defaults.
 
     Every section is checked, whichever the command reads, so a bad value
     fails the first command given the file, before it writes anything."""
+    if not path:
+        return Config(GeneratorConfig(), EXPERIMENT_TRAIN_CONFIG, 0)
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -100,6 +109,7 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
+    values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         header = _line_of(text, rf"\[{re.escape(section)}\]")
         if section not in _SECTIONS:
@@ -107,31 +117,35 @@ def load_config(path):
                 f"{path}:{header}: unknown section [{section}] "
                 f"(expected one of {sorted(_SECTIONS)})")
         allowed = _SECTIONS[section]
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in allowed:
                 line = _line_of(text, rf"{re.escape(key)}\s*[=:]", after=header)
                 raise ConfigError(
                     f"{path}:{line}: unknown key '{key}' in section "
                     f"[{section}] (expected one of {sorted(allowed)})")
-    config = {section: dict(parser[section]) for section in parser.sections()}
-    generator_from_config(config)
-    training_from_config(config)
-    _checked_seed(_values(config, "experiment").get("seed", 0),
-                  f"[experiment] seed in {path}")
-    return config
+            try:
+                values[section][key] = allowed[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} "
+                                  f"as {allowed[key].__name__}") from exc
 
-
-def _values(config, section):
-    """The section's values of a loaded config, each parsed as _SECTIONS says."""
-    parsers = _SECTIONS[section]
-    values = {}
-    for key, raw in config.get(section, {}).items():
-        try:
-            values[key] = parsers[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as "
-                              f"{parsers[key].__name__}") from exc
-    return values
+    generator = values["generator"]
+    if "image_height" in generator or "image_width" in generator:
+        height, width, channels = GeneratorConfig.image_dims
+        generator["image_dims"] = (generator.pop("image_height", height),
+                                   generator.pop("image_width", width), channels)
+    try:
+        generator = GeneratorConfig(**generator,
+                                    layout=_layout(values["layout"]))
+    except ValueError as exc:
+        raise ConfigError(f"invalid generator config: {exc}") from exc
+    try:
+        training = replace(EXPERIMENT_TRAIN_CONFIG, **values["training"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid training config: {exc}") from exc
+    return Config(generator, training,
+                  _checked_seed(values["experiment"].get("seed", 0),
+                                f"[experiment] seed in {path}"))
 
 
 def _layout(values):
@@ -147,25 +161,6 @@ def _layout(values):
         else:
             changes[key] = value
     return replace(layout, **changes)
-
-
-def generator_from_config(config):
-    values = _values(config, "generator")
-    if "image_height" in values or "image_width" in values:
-        height, width, channels = GeneratorConfig.image_dims
-        values["image_dims"] = (values.pop("image_height", height),
-                                values.pop("image_width", width), channels)
-    try:
-        return GeneratorConfig(**values, layout=_layout(_values(config, "layout")))
-    except ValueError as exc:
-        raise ConfigError(f"invalid generator config: {exc}") from exc
-
-
-def training_from_config(config):
-    try:
-        return replace(EXPERIMENT_TRAIN_CONFIG, **_values(config, "training"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid training config: {exc}") from exc
 
 
 def _checked_seed(seed, source):
@@ -185,8 +180,7 @@ def resolve_seed(args, config):
         except ValueError as exc:
             raise ConfigError(f"RISBLOCK_SEED must be an integer, got {env!r}") from exc
         return _checked_seed(seed, "RISBLOCK_SEED")
-    # load_config has checked the [experiment] seed
-    return _values(config, "experiment").get("seed", 0)
+    return config.seed  # load_config has checked it
 
 
 def _history_csv_text(history):
@@ -203,10 +197,9 @@ def _read_history_csv(path):
 
 
 def cmd_generate(args):
-    config = load_config(args.config) if args.config else {}
-    gen_cfg = generator_from_config(config)
+    config = load_config(args.config)
     seed = resolve_seed(args, config)
-    n = args.n if args.n is not None else gen_cfg.n_samples
+    n = args.n if args.n is not None else config.generator.n_samples
     if n < 1:
         raise ConfigError("--n must be >= 1")
     out_dir = Path(args.out)
@@ -214,7 +207,7 @@ def cmd_generate(args):
     def progress(written):
         print(f"{written}/{n} samples written", file=sys.stderr, flush=True)
 
-    manifest = save_dataset(out_dir, gen_cfg, seed, n, progress)
+    manifest = save_dataset(out_dir, config.generator, seed, n, progress)
     counts = manifest["class_counts"]
     print(f"wrote {n} samples to {out_dir} (seed {seed}, "
           f"absent/clear/blocked = {counts['-1']}/{counts['0']}/{counts['1']})")
@@ -230,10 +223,9 @@ def _split_rows(dataset_dir, train_cfg, seed):
 
 
 def cmd_train(args):
-    config = load_config(args.config) if args.config else {}
-    train_cfg = training_from_config(config)
+    config = load_config(args.config)
     seed = resolve_seed(args, config)
-    train_rows, _ = _split_rows(args.dataset, train_cfg, seed)
+    train_rows, _ = _split_rows(args.dataset, config.training, seed)
     train_table, manifest = load_dataset(args.dataset, rows=train_rows)
     scenarios = [Scenario(args.scenario)] if args.scenario else list(Scenario)
     try:
@@ -241,7 +233,7 @@ def cmd_train(args):
     except ValueError as exc:
         raise ConfigError(f"cannot train on {args.dataset}: {exc}") from exc
     trained = {}
-    with closing(fit_scenarios(train_table, scenarios, train_cfg,
+    with closing(fit_scenarios(train_table, scenarios, config.training,
                                seed)) as fits:
         for scenario, model in fits:
             trained[scenario] = model
@@ -291,6 +283,8 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
             raise ConfigError(f"missing {path}; eval needs the {kind} file "
                               f"that `risblock train` writes for each scenario")
     meta = json.loads(meta_path.read_text("ascii"))
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path} does not hold a JSON object")
     for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
         if meta.get(key) != given:
             raise ConfigError(
@@ -317,17 +311,17 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
 
 
 def cmd_eval(args):
-    config = load_config(args.config) if args.config else {}
-    train_cfg = training_from_config(config)
+    config = load_config(args.config)
     seed = resolve_seed(args, config)
-    _, test_rows = _split_rows(args.dataset, train_cfg, seed)
+    _, test_rows = _split_rows(args.dataset, config.training, seed)
     test_table, manifest = load_dataset(args.dataset, rows=test_rows)
     models_dir = Path(args.models)
     # every model loads before any report is written
     models = {scenario: _load_scenario_model(models_dir, scenario,
                                              manifest["content_hash"], seed)
               for scenario in Scenario}
-    reports = evaluate_scenarios(test_table, models, Path(args.out))
+    with staged_files(Path(args.out)) as stage:
+        reports = evaluate_scenarios(stage, test_table, models)
     for scenario, report in reports.items():
         print(f"{scenario.value}: accuracy {report.accuracy:.3f} "
               f"({int(report.confusion.sum())} test samples)")

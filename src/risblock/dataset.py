@@ -5,8 +5,7 @@ Every sample is generated from its own RNG stream derived as
 SeedSequence([root_seed, stream_tag, index]), so the output is independent
 of generation order. A sample holds the rendered scene image, the
 direct-link data rate, the surface-assisted data rate with co-phased
-elements, the ternary label, the trajectory step it was taken from, and the
-seed material.
+elements, the ternary label, and the trajectory step it was taken from.
 
 `save_dataset` cuts the indices into contiguous ranges, about
 RANGES_PER_WORKER per CPU in the process's affinity mask, and maps them with
@@ -155,7 +154,6 @@ class Sample:
     ris_rate: float
     label: LinkStatus
     location_index: int
-    seed_used: tuple
 
     def __post_init__(self):
         if self.direct_rate < 0 or self.ris_rate < 0:
@@ -172,10 +170,10 @@ def generate_sample(cfg, seed, index):
     """Scene, trajectory step, channels, co-phasing, rates, render — one sample."""
     rng = sample_rng(seed, index)
     scene = random_scene(cfg.layout, rng)
-    trajectory = generate_trajectory(scene, cfg.trajectory_steps, cfg.speed_mps,
-                                     cfg.step_time_s, cfg.absent_probability, rng)
-    location_index = int(rng.integers(0, trajectory.n_steps))
-    ue = trajectory.positions[location_index]
+    walk = generate_trajectory(scene, cfg.trajectory_steps, cfg.speed_mps,
+                               cfg.step_time_s, cfg.absent_probability, rng)
+    location_index = int(rng.integers(0, len(walk)))
+    ue = walk[location_index]
     status = link_status(scene, ue)
 
     prop = cfg.propagation()
@@ -200,8 +198,7 @@ def generate_sample(cfg, seed, index):
 
     image = render_image(scene, ue, status, cfg.image_dims)
     return Sample(image=image, direct_rate=direct_rate, ris_rate=ris_rate,
-                  label=status, location_index=location_index,
-                  seed_used=(int(seed), SAMPLE_STREAM_TAG, int(index)))
+                  label=status, location_index=location_index)
 
 
 # what a range task returns of a sample once its image is written

@@ -62,8 +62,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
+        if not 0 < self.lr_reduction_factor <= 1:
+            raise ValueError("lr_reduction_factor must lie in (0, 1]")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.epochs < 1:
@@ -477,8 +481,11 @@ def load_model(path):
         header = json.loads(fh.readline().decode("ascii"))
         payload = fh.read()
     names = ("w1", "b1", "w2", "b2")
-    d = int(header["n_features"])
-    shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
+    try:
+        d = int(header["n_features"])
+        shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model header has no {exc} entry") from None
     if len(shapes[0]) != 2 or d != shapes[0][0] + 1:
         raise ValueError(f"model header gives n_features {d}, not w1's rows "
                          f"+ 1 for a w1 of shape {list(shapes[0])}")

@@ -225,13 +225,6 @@ def fit_scenarios(train_table, scenarios, train_cfg, seed):
         yield from zip(longest_first, models)
 
 
-def train_scenarios(train_table, scenarios, train_cfg, seed):
-    """{scenario: model} in Scenario order; see fit_scenarios."""
-    models = dict(fit_scenarios(train_table, scenarios, train_cfg, seed))
-    return {scenario: models[scenario] for scenario in Scenario
-            if scenario in models}
-
-
 def predict_scenario(table, model):
     """Predicted labels ({-1, 0, 1}) for every row of a FeatureTable."""
     if model.scenario is Scenario.BOTH:
@@ -291,17 +284,12 @@ def write_report_files(stage, report, model):
          for i, cls in enumerate(CLASS_NAMES))))
 
 
-def evaluate_scenarios(test_table, models, out_dir):
-    """Evaluate each {scenario: model} on the test rows and write its report
-    files, then timings.json, all of them or none (see risblock._files).
-    timings.json gives each scenario's evaluation seconds as eval_s, and its
-    fit seconds as train_s if the model was fitted in this process. Returns
-    {scenario: report} in the models' order."""
-    with staged_files(out_dir) as stage:
-        return _evaluate_staged(stage, test_table, models)
-
-
-def _evaluate_staged(stage, test_table, models):
+def evaluate_scenarios(stage, test_table, models):
+    """Evaluate each {scenario: model} on the test rows and stage its report
+    files, then timings.json (see risblock._files). timings.json gives each
+    scenario's evaluation seconds as eval_s, and its fit seconds as train_s
+    if the model was fitted in this process. Returns {scenario: report} in
+    the models' order."""
     reports, timings = {}, {}
     for scenario, model in models.items():
         reports[scenario] = evaluate_scenario(test_table, model)
@@ -347,9 +335,10 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     train_table = table.take(slice(None, len(train_rows)))
     test_table = table.take(slice(len(train_rows), None))
 
-    models = train_scenarios(train_table, list(Scenario), train_cfg, seed)
+    fits = dict(fit_scenarios(train_table, list(Scenario), train_cfg, seed))
+    models = {scenario: fits[scenario] for scenario in Scenario}
     with staged_files(out_dir) as stage:
-        reports = _evaluate_staged(stage, test_table, models)
+        reports = evaluate_scenarios(stage, test_table, models)
         stage.write("experiment_manifest.json", json_text({
             "seed": int(seed),
             "dataset_hash": manifest["content_hash"],

@@ -5,7 +5,8 @@ base station, a reflective surface, and axis-aligned rectangular blockers.
 The surface is placed so its link to the station is never obstructed; only
 the direct station -> terminal segment can be blocked. A link has one of
 three statuses: the terminal is absent, present with clear line of sight, or
-present but blocked.
+present but blocked. A terminal's walk is the tuple of its positions, None
+at each step where it is absent.
 
 Path synthesis turns the geometry into multipath components for the three
 channel blocks. The first path of each list is the geometric line-of-sight
@@ -37,7 +38,7 @@ from itertools import islice
 
 import numpy as np
 
-from risblock.channel import TWO_PI, MultipathComponent
+from risblock.channel import SPEED_OF_LIGHT_MPS, TWO_PI, MultipathComponent
 
 
 class LinkStatus(IntEnum):
@@ -154,19 +155,6 @@ def link_status(scene, ue_position):
     return LinkStatus.UNBLOCKED
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Walk of a terminal: one entry per step, None where it is absent."""
-
-    positions: tuple
-    speed_mps: float
-    step_time_s: float
-
-    @property
-    def n_steps(self):
-        return len(self.positions)
-
-
 def _random_free_point(scene, rng, max_tries=64):
     x0, y0, x1, y1 = scene.walk_region
     point = None
@@ -179,7 +167,8 @@ def _random_free_point(scene, rng, max_tries=64):
 
 def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probability,
                         rng):
-    """Random-waypoint walk with per-step absence.
+    """Random-waypoint walk with per-step absence: the tuple of its n_steps
+    positions, None where the terminal is absent.
 
     Each step first draws an absence coin; absent steps record None and leave
     the walker in place, so any two successive recorded positions differ by
@@ -221,8 +210,7 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
             candidate = current
         current = candidate
         positions.append(current)
-    return Trajectory(positions=tuple(positions), speed_mps=speed_mps,
-                      step_time_s=step_time_s)
+    return tuple(positions)
 
 
 PATH_SAMPLING_TIME_S = 1e-3
@@ -300,7 +288,7 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
         if n < 1:
             raise ValueError(f"{name} must be >= 1")
     wavelength = prop_cfg.wavelength_m
-    c = prop_cfg.speed_of_light_mps
+    c = SPEED_OF_LIGHT_MPS
     bs, ris = scene.bs_position, scene.ris_position
     present = not (status == LinkStatus.ABSENT or ue_position is None)
 

@@ -47,13 +47,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from risblock.channel import MultipathComponent
+from risblock.channel import SPEED_OF_LIGHT_MPS, MultipathComponent
 from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
                             lr_schedule, sgd_step)
 from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
                             NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
-                            LinkStatus, SynthesizedPaths, Trajectory, _bearing,
+                            LinkStatus, SynthesizedPaths, _bearing,
                             _los_component, _random_free_point)
 
 TWO_PI = 2.0 * math.pi
@@ -295,7 +295,7 @@ def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
                               n_bs_ris, n_ris_ue, rng):
     """Path synthesis with one rng.uniform call per drawn value."""
     wavelength = prop_cfg.wavelength_m
-    c = prop_cfg.speed_of_light_mps
+    c = SPEED_OF_LIGHT_MPS
     bs, ris = scene.bs_position, scene.ris_position
     if status == LinkStatus.ABSENT or ue_position is None:
         bs_ue = []
@@ -351,5 +351,4 @@ def reference_generate_trajectory(scene, n_steps, speed_mps, step_time_s,
             candidate = current
         current = candidate
         positions.append((float(current[0]), float(current[1])))
-    return Trajectory(positions=tuple(positions), speed_mps=speed_mps,
-                      step_time_s=step_time_s)
+    return tuple(positions)

@@ -2,6 +2,7 @@
 validation, seed resolution, exit codes, and byte-level reproducibility."""
 
 import argparse
+import configparser
 import importlib.metadata
 import importlib.util
 import json
@@ -18,8 +19,7 @@ import pytest
 import risblock
 from conftest import allow_cpus
 from risblock import dataset, pipeline
-from risblock.cli import (_SECTIONS, generator_from_config, load_config, main,
-                          resolve_seed, training_from_config)
+from risblock.cli import _SECTIONS, Config, load_config, main, resolve_seed
 from risblock.dataset import GeneratorConfig, load_dataset, pool_image
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
                                run_experiment, split_rows)
@@ -243,6 +243,24 @@ def test_every_section_is_checked_before_anything_is_written(workspace,
     assert "invalid generator config" in capsys.readouterr().err
     assert not (tmp_path / "models").exists()
 
+    # each would make the fit non-finite or have SGD climb the loss
+    for line in ("learning_rate = nan", "learning_rate = inf",
+                 "weight_decay = nan", "weight_decay = inf",
+                 "weight_decay = -5", "lr_reduction_factor = nan",
+                 "lr_reduction_factor = -1"):
+        config.write_text(f"[training]\n{line}\n", encoding="ascii")
+        assert main(["train", "--config", str(config), "--seed", "5",
+                     "--dataset", str(workspace / "dataset"),
+                     "--out", str(tmp_path / "models")]) == 2, line
+        assert "invalid training config" in capsys.readouterr().err, line
+        assert not (tmp_path / "models").exists(), line
+        assert main(["eval", "--config", str(config), "--seed", "5",
+                     "--dataset", str(workspace / "dataset"),
+                     "--models", str(workspace / "models"),
+                     "--out", str(tmp_path / "reports")]) == 2, line
+        assert "invalid training config" in capsys.readouterr().err, line
+        assert not (tmp_path / "reports").exists(), line
+
 
 def test_training_seed_is_not_a_key(workspace, tmp_path, capsys):
     # each scenario trains with a seed mixed from the root seed, so a
@@ -267,14 +285,23 @@ def _readme_config_block():
 
 
 def test_readme_config_block_is_the_schema(tmp_path):
-    config_path = tmp_path / "readme.ini"
-    config_path.write_text(_readme_config_block(), encoding="ascii")
-    config = load_config(config_path)
-    assert {section: set(values) for section, values in config.items()} == {
+    block = _readme_config_block()
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert {section: set(parser[section]) for section in parser.sections()} == {
         section: set(keys) for section, keys in _SECTIONS.items()}
-    assert generator_from_config(config) == GeneratorConfig()
-    assert training_from_config(config) == EXPERIMENT_TRAIN_CONFIG
+    config_path = tmp_path / "readme.ini"
+    config_path.write_text(block, encoding="ascii")
+    config = load_config(config_path)
+    assert config.generator == GeneratorConfig()
+    assert config.training == EXPERIMENT_TRAIN_CONFIG
+    assert config.seed == 0
     assert resolve_seed(argparse.Namespace(seed=None), config) == 0
+
+
+def test_no_config_file_gives_the_defaults():
+    assert load_config(None) == Config(GeneratorConfig(),
+                                       EXPERIMENT_TRAIN_CONFIG, 0)
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):
@@ -647,6 +674,44 @@ def test_eval_writes_no_report_when_a_model_file_is_corrupt(workspace,
     assert code == 1
     assert "model payload is" in capsys.readouterr().err
     assert list(out.glob("report_*.json")) == []
+
+
+def test_eval_refuses_train_metadata_that_is_not_an_object(workspace,
+                                                          tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    meta_path = models / "train_meta_none.json"
+    meta_path.write_text("[1, 2]\n")
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 2
+    assert (f"{meta_path} does not hold a JSON object"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["shapes", "shapes.w1", "shapes.b1",
+                                 "shapes.w2", "shapes.b2", "n_features"])
+def test_eval_names_the_model_file_whose_header_lacks_a_key(
+        workspace, tmp_path, capsys, key):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    model = models / "model_camera.bin"
+    magic, header, payload = model.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    *table, key = key.split(".")
+    del (header[table[0]] if table else header)[key]
+    model.write_bytes(b"\n".join((magic, json.dumps(header).encode(), payload)))
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 1
+    assert (f"{model}: model header has no '{key}' entry"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -71,6 +71,15 @@ def test_train_config_validates_and_sorts():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(train_fraction=1.0)
+    for key, value in (("learning_rate", math.nan), ("learning_rate", math.inf),
+                       ("weight_decay", math.nan), ("weight_decay", math.inf),
+                       ("weight_decay", -5.0), ("lr_reduction_factor", math.nan),
+                       ("lr_reduction_factor", -1.0),
+                       ("lr_reduction_factor", 0.0),
+                       ("lr_reduction_factor", 1.5)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+    assert TrainConfig(weight_decay=0.0, lr_reduction_factor=1.0)
 
 
 def test_params_validate_shapes():

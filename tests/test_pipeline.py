@@ -22,9 +22,9 @@ from risblock.learn import MlpParams, Standardization, TrainConfig
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, _mixed_seed,
                                build_features, calibrate_rate_threshold,
                                cascade_predict, evaluate_scenario,
-                               predict_scenario, report_to_dict,
-                               run_experiment, split_rows, train_scenario,
-                               train_scenarios, write_report_files)
+                               fit_scenarios, predict_scenario,
+                               report_to_dict, run_experiment, split_rows,
+                               train_scenario, write_report_files)
 from risblock.scene import LinkStatus
 
 FAST_TRAIN = TrainConfig(learning_rate=0.2, epochs=2)
@@ -440,8 +440,7 @@ def test_submission_order_keeps_each_scenario_seed(small_table, monkeypatch,
     monkeypatch.setattr(pipeline, "train_scenario", recording)
     seeds = dict(zip(Scenario, SCENARIO_SEEDS_AT_5))
     for chosen in (list(Scenario), [Scenario.RIS_ONLY, Scenario.CAMERA_ONLY]):
-        got = train_scenarios(small_table, chosen, FAST_TRAIN, 5)
-        assert list(got) == [s for s in Scenario if s in chosen]
+        got = dict(fit_scenarios(small_table, chosen, FAST_TRAIN, 5))
         assert got == {s: seeds[s] for s in chosen}
     if cpus == 1:
         # the image scenarios, the longest fits, go first
@@ -466,7 +465,7 @@ def experiment_run(tmp_path_factory):
 
 def test_run_experiment_writes_everything(experiment_run):
     out, results = experiment_run
-    assert set(results) == set(Scenario)
+    assert list(results) == list(Scenario)
     for scenario in Scenario:
         name = scenario.value
         assert (out / f"report_{name}.json").exists()

@@ -96,7 +96,7 @@ def test_link_status_classification():
 def test_zero_speed_walker_stays_put():
     rng = np.random.default_rng(1)
     traj = generate_trajectory(_open_scene(), 10, 0.0, 0.1, 0.0, rng)
-    present = [p for p in traj.positions if p is not None]
+    present = [p for p in traj if p is not None]
     assert len(present) == 10
     assert all(p == present[0] for p in present)
 
@@ -104,14 +104,14 @@ def test_zero_speed_walker_stays_put():
 def test_always_absent_probability():
     rng = np.random.default_rng(2)
     traj = generate_trajectory(_open_scene(), 12, 5.0, 0.1, 1.0, rng)
-    assert all(p is None for p in traj.positions)
+    assert traj == (None,) * 12
 
 
 def test_step_length_and_presence_without_absence():
     rng = np.random.default_rng(3)
     speed, dt = 5.0, 0.1
     traj = generate_trajectory(_open_scene(), 100, speed, dt, 0.0, rng)
-    present = [p for p in traj.positions if p is not None]
+    present = [p for p in traj if p is not None]
     assert len(present) == 100
     for a, b in zip(present, present[1:]):
         assert math.hypot(b[0] - a[0], b[1] - a[1]) <= speed * dt + 1e-9
@@ -123,7 +123,7 @@ def test_absent_steps_do_not_teleport_the_walker():
     rng = np.random.default_rng(4)
     speed, dt = 8.0, 0.1
     traj = generate_trajectory(_open_scene(), 200, speed, dt, 0.5, rng)
-    present = [p for p in traj.positions if p is not None]
+    present = [p for p in traj if p is not None]
     assert 0 < len(present) < 200
     for a, b in zip(present, present[1:]):
         assert math.hypot(b[0] - a[0], b[1] - a[1]) <= speed * dt + 1e-9
@@ -134,7 +134,7 @@ def test_walker_respects_zone_and_blockers():
     scene = _open_scene(blockers=(blk,), ue_zone=(2.0, 2.0, 9.0, 9.0))
     rng = np.random.default_rng(5)
     traj = generate_trajectory(scene, 300, 6.0, 0.1, 0.1, rng)
-    for p in traj.positions:
+    for p in traj:
         if p is None:
             continue
         assert 2.0 <= p[0] <= 9.0 and 2.0 <= p[1] <= 9.0
@@ -296,6 +296,7 @@ def test_walk_draws_and_steps_as_on_arrays(seed, n_steps, speed, absent):
     got = generate_trajectory(scene, n_steps, speed, 0.1, absent, rng)
     want = oracles.reference_generate_trajectory(scene, n_steps, speed, 0.1,
                                                  absent, reference_rng)
+    assert type(got) is tuple and len(got) == n_steps
     assert repr(got) == repr(want)
     assert rng.random() == reference_rng.random()
 
