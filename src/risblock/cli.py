@@ -183,17 +183,32 @@ def resolve_seed(args, config):
     return config.seed  # load_config has checked it
 
 
+_HISTORY_COLUMNS = (("iteration", int), ("epoch", int), ("lr", float),
+                    ("loss", float), ("accuracy", float))
+
+
 def _history_csv_text(history):
-    return csv_text(("iteration", "epoch", "lr", "loss", "accuracy"), (
+    return csv_text([name for name, _ in _HISTORY_COLUMNS], (
         (it, epoch, float(lr), float(loss), float(acc))
         for it, epoch, lr, loss, acc in history))
 
 
-def _read_history_csv(path):
+def _read_csv(path, columns):
+    """The rows of a CSV file as tuples, one value per (name, type) in
+    columns. A missing column, or a row whose values do not parse as those
+    types, raises ValueError naming the file."""
     with open(path, newline="", encoding="ascii") as fh:
-        return tuple((int(row["iteration"]), int(row["epoch"]),
-                      float(row["lr"]), float(row["loss"]),
-                      float(row["accuracy"])) for row in csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        for name, _ in columns:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {name} column")
+        try:
+            return tuple(tuple(kind(row[name]) for name, kind in columns)
+                         for row in reader)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: line {reader.line_num} does not hold "
+                             f"{', '.join(name for name, _ in columns)}"
+                             ) from None
 
 
 def cmd_generate(args):
@@ -305,7 +320,7 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
     params, stats = load_model(model_path)
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats,
-                         history=_read_history_csv(history_path),
+                         history=_read_csv(history_path, _HISTORY_COLUMNS),
                          rate_threshold=meta.get("rate_threshold"),
                          threshold_accuracy=meta.get("threshold_accuracy"))
 
@@ -360,10 +375,8 @@ def cmd_curves(args):
         path = results_dir / f"curve_{scenario.value}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing curve file {path}")
-        with open(path, newline="", encoding="ascii") as fh:
-            rows = [(int(r["iteration"]), float(r["accuracy"]))
-                    for r in csv.DictReader(fh)]
-        series[scenario.value] = rows
+        series[scenario.value] = _read_csv(
+            path, (("iteration", int), ("accuracy", float)))
 
     iterations = [tuple(it for it, _ in pts) for pts in series.values()]
     if len(set(iterations)) != 1:

@@ -52,7 +52,7 @@ import os
 from collections import namedtuple
 from contextlib import closing
 from dataclasses import dataclass, field, fields, asdict
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -130,14 +130,17 @@ class GeneratorConfig:
             raise ValueError("step_time_s must be > 0")
         object.__setattr__(self, "image_dims", tuple(self.image_dims))
         check_dataset_image_dims(self.image_dims)
-        self.propagation()  # bad physical parameters fail here, not mid-run
-        self.geometry()
+        self.propagation  # bad physical parameters fail here, not mid-run
+        self.geometry
 
+    # cached once per config outside the fields, so asdict never sees them
+    @cached_property
     def propagation(self):
         return PropagationConfig(carrier_frequency_hz=self.carrier_frequency_hz,
                                  speed_mps=self.speed_mps,
                                  snr_linear=self.snr_linear)
 
+    @cached_property
     def geometry(self):
         return ArrayGeometry(
             n_bs_antennas=self.n_bs_antennas,
@@ -176,8 +179,8 @@ def generate_sample(cfg, seed, index):
     ue = walk[location_index]
     status = link_status(scene, ue)
 
-    prop = cfg.propagation()
-    geom = cfg.geometry()
+    prop = cfg.propagation
+    geom = cfg.geometry
     if status == LinkStatus.ABSENT:
         # No terminal: both channels to it are zero vectors, so the direct and
         # the co-phased gain are 0 for any station->surface channel and both
@@ -515,11 +518,21 @@ def _parse_features(text, n):
 
 
 def read_manifest(dataset_dir):
-    """A dataset directory's manifest, once its n_samples is an int >= 1
-    and its image_dims pass check_dataset_image_dims and equal its config's
-    (else ValueError)."""
+    """A dataset directory's manifest, once it is a JSON object holding
+    every entry its readers use, its n_samples is an int >= 1 and its
+    image_dims pass check_dataset_image_dims and equal its config's (else
+    ValueError naming the file)."""
     path = Path(dataset_dir) / MANIFEST_NAME
     manifest = json.loads(path.read_text("ascii"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key in ("n_samples", "seed", "image_dims", "config", "class_counts",
+                "content_hash", "samples"):
+        if key not in manifest:
+            raise ValueError(f"{path}: {key} missing")
+    if not isinstance(manifest["config"], dict) or (
+            "image_dims" not in manifest["config"]):
+        raise ValueError(f"{path}: config.image_dims missing")
     n = manifest["n_samples"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"{path}: n_samples {n!r} is not an int >= 1")
@@ -580,6 +593,9 @@ def load_dataset(dataset_dir, verify=True, rows=None):
         raise ValueError(f"manifest lists {len(manifest['samples'])} samples, "
                          f"its n_samples says {n}")
     for i, meta in enumerate(manifest["samples"]):
+        if not isinstance(meta, dict) or "label" not in meta:
+            raise ValueError(f"{dataset_dir / MANIFEST_NAME}: "
+                             f"samples[{i}].label missing")
         if int(meta["label"]) != label[i]:
             raise ValueError(f"sample {i}: manifest label {meta['label']} "
                              f"differs from features.csv label {label[i]}")

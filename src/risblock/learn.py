@@ -279,53 +279,56 @@ def sgd_step(params, grads, lr):
                      b2=params.b2 - lr * grads.b2)
 
 
-class _LivePreactivations:
-    """The training set's live-column pre-activations P = x_live @ w1[live],
-    kept from step to step instead of recomputed.
-
-    An SGD step moves w1 by -lr * (x_b.T @ dhidden + weight_decay * w1),
-    where x_b holds the batch rows. Its dead columns are zero, so P moves by
-    -lr * (G[:, batch] @ dhidden + weight_decay * P), with the Gram matrix
-    G = x_live @ x_live.T computed once: n_train x batch x hidden
-    multiply-adds a step, against n_train x live x hidden for the product.
-    """
-
-    def __init__(self, x_live, w1_live):
-        self.gram = x_live @ x_live.T
-        self.pre = x_live @ w1_live
-
-    def step(self, take, dhidden, lr, weight_decay):
-        """Follow one sgd_step of w1 on the batch rows `take`."""
-        self.pre *= 1.0 - lr * weight_decay
-        self.pre -= lr * (self.gram[take].T @ dhidden)
-
-
 class _TrainingSetScorer:
-    """The accuracy of each step's network on the whole training set, in
-    buffers made once per fit.
+    """The accuracy of each step's network on the whole training set, from
+    arrays made once per fit.
 
-    z holds the output layer's inputs: the hidden block, rewritten in place
-    every step, then the rate column, written once. logits holds z @ w2 + b2.
-    The hidden block is max(P + b1, 0) with P from `tracked`, or, without
-    one (an all-zero image block), max(0.0 + b1, 0) on every row: what the
-    forward pass gives those rows, without its temporaries.
+    A dead image column, all zeros, adds nothing to the hidden layer, so
+    the pre-activations P = x_live @ w1[live] of the live ones are followed
+    from step to step, not multiplied again. A step moves w1 by
+    -lr * (x_b.T @ dhidden + weight_decay * w1), x_b the batch rows, so P
+    moves by -lr * (G[batch].T @ dhidden + weight_decay * P), with the Gram
+    matrix G = x_live @ x_live.T made once (15.7 MB at 1400 rows, 98 MB at
+    3500): n_train x batch x hidden multiply-adds a step, not n_train x
+    live x hidden. P drifts from the product in its last bits, but only
+    each row's argmax is recorded, which moves only if its top two classes
+    lie within rounding of each other.
+
+    With no live column (no camera) every image @ w1 and image.T @ dhidden
+    is exactly 0.0, so `width`, the image columns the SGD passes use, is 0;
+    G is not built and P is one (1, hidden) row of zeros that never moves.
+    Otherwise `width` is the whole block: the SGD passes fix the model bytes.
+    z holds the output layer's inputs, the hidden block then the rate column
+    (written once); logits holds z @ w2 + b2.
     """
 
-    def __init__(self, rate, label_indices, n_hidden, tracked):
-        self.z = np.empty((rate.shape[0], n_hidden + 1))
+    def __init__(self, image, rate, label_indices, params):
+        live = image.any(axis=0)
+        self.width = image.shape[1] if live.any() else 0
+        self.z = np.empty((rate.shape[0], params.n_hidden + 1))
         self.z[:, -1] = rate
         self.logits = np.empty((rate.shape[0], N_CLASSES))
         self.label_indices = label_indices
-        self.tracked = tracked
+        if self.width:
+            x_live = image[:, live]
+            self.gram = x_live @ x_live.T
+            self.pre = x_live @ params.w1[live]
+            self.hidden = self.z[:, :-1]
+        else:
+            self.pre = np.zeros((1, params.n_hidden))
+            self.hidden = np.empty_like(self.pre)
+
+    def step(self, take, dhidden, lr, weight_decay):
+        """Follow one sgd_step of w1 on the batch rows `take`."""
+        if self.width:
+            self.pre *= 1.0 - lr * weight_decay
+            self.pre -= lr * (self.gram[take].T @ dhidden)
 
     def accuracy(self, params):
         """Fraction of the training rows whose argmax class is their label."""
-        hidden = self.z[:, :-1]
-        if self.tracked is None:
-            hidden[:] = np.maximum(0.0 + params.b1, 0.0)
-        else:
-            np.add(self.tracked.pre, params.b1, out=hidden)
-            np.maximum(hidden, 0.0, out=hidden)
+        np.add(self.pre, params.b1, out=self.hidden)
+        np.maximum(self.hidden, 0.0, out=self.hidden)
+        self.z[:, :-1] = self.hidden  # no work when hidden is z's own view
         np.matmul(self.z, params.w2, out=self.logits)
         self.logits += params.b2
         probs = softmax(self.logits)
@@ -339,23 +342,12 @@ def train(image, rate, labels, cfg):
     Returns (params, history) where history holds one row per iteration:
     (iteration, epoch, lr, batch_loss, train_accuracy). The batch loss is the
     mean cross-entropy before the step; the accuracy is measured on the full
-    training set after it. The parameters are drawn from cfg.seed, and the
-    same seed also fixes the shuffling, so a run is bit-reproducible.
+    training set after it (see _TrainingSetScorer). The parameters are drawn
+    from cfg.seed, and the same seed also fixes the shuffling, so a run is
+    bit-reproducible.
 
-    When the image block is all zeros (the scenarios without a camera), every
-    image @ w1 and image.T @ dhidden product is exactly 0.0. The passes then
-    run on the rate column with a zero-width w1 and w1 moves by its weight
-    decay alone: the same values without the image-block matmuls.
-
-    Otherwise the accuracy pass reads only the live image columns, those
-    with a nonzero value, and follows their pre-activations from step to
-    step (see _LivePreactivations) instead of multiplying them again; its
-    Gram matrix is 15.7 MB at 1400 rows and 98 MB at 3500, freed when the
-    fit ends. The tracked values drift from the direct product in their last
-    bits, but only each row's argmax is recorded, which moves only if its
-    top two classes lie within rounding of each other. The SGD passes stay
-    full width: they fix the model bytes. Either way the accuracy pass
-    writes into buffers made once per fit (see _TrainingSetScorer).
+    The SGD passes run on the scorer's `width` image columns, all or none;
+    the rows of w1 past them meet only zeros and move by weight decay alone.
     """
     image, rate = _pair(image, rate)
     label_indices = class_indices(labels)
@@ -364,41 +356,27 @@ def train(image, rate, labels, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(image.shape[1], rng)
-
-    live = image.any(axis=0)
-    if live.any():
-        tracked = _LivePreactivations(image[:, live], params.w1[live])
-        net = params
-    else:
-        tracked = None
-        image = image[:, :0]
-        net = replace(params, w1=params.w1[:0])
-    scorer = _TrainingSetScorer(rate, label_indices, params.n_hidden, tracked)
+    scorer = _TrainingSetScorer(image, rate, label_indices, params)
+    image, rest = image[:, :scorer.width], params.w1[scorer.width:]
+    params = replace(params, w1=params.w1[:scorer.width])
 
     n = rate.shape[0]
     history = []
-    iteration = 0
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_schedule(epoch, cfg)
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
             batch_labels = label_indices[take]
-            probs, grads, dhidden = backward(net, image[take], rate[take],
+            probs, grads, dhidden = backward(params, image[take], rate[take],
                                              batch_labels, cfg.weight_decay)
             batch_loss = _mean_loss(probs, batch_labels)
-            if tracked is None:
-                grads = replace(grads, w1=0.0 + cfg.weight_decay * params.w1)
             params = sgd_step(params, grads, lr)
-            if tracked is None:
-                net = replace(params, w1=params.w1[:0])
-            else:
-                net = params
-                tracked.step(take, dhidden, lr, cfg.weight_decay)
-            iteration += 1
-            history.append((iteration, epoch, lr, batch_loss,
+            rest = rest - lr * (0.0 + cfg.weight_decay * rest)
+            scorer.step(take, dhidden, lr, cfg.weight_decay)
+            history.append((len(history) + 1, epoch, lr, batch_loss,
                             scorer.accuracy(params)))
-    return params, history
+    return replace(params, w1=np.concatenate([params.w1, rest])), history
 
 
 def accuracy(params, image, rate, label_indices):

@@ -234,14 +234,13 @@ def _bearing(src, dst):
     return math.atan2(dst[1] - src[1], dst[0] - src[0]) % TWO_PI
 
 
-def _los_component(src, dst, wavelength_m, speed_of_light, azimuth,
-                   amplitude_scale=1.0):
+def _los_component(src, dst, wavelength_m, azimuth, amplitude_scale=1.0):
     dist = math.hypot(dst[0] - src[0], dst[1] - src[1])
     if dist <= 0:
         raise ValueError("endpoints must be distinct")
     return MultipathComponent(
         amplitude=amplitude_scale * wavelength_m / (4.0 * math.pi * dist),
-        delay_s=dist / speed_of_light,
+        delay_s=dist / SPEED_OF_LIGHT_MPS,
         sampling_time_s=PATH_SAMPLING_TIME_S,
         cyclic_prefix_count=1,
         azimuth_rad=azimuth,
@@ -288,7 +287,6 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
         if n < 1:
             raise ValueError(f"{name} must be >= 1")
     wavelength = prop_cfg.wavelength_m
-    c = SPEED_OF_LIGHT_MPS
     bs, ris = scene.bs_position, scene.ris_position
     present = not (status == LinkStatus.ABSENT or ue_position is None)
 
@@ -306,12 +304,12 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
         penetration = 1.0
         if status == LinkStatus.BLOCKED:
             penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
-        los_direct = _los_component(bs, ue_position, wavelength, c,
+        los_direct = _los_component(bs, ue_position, wavelength,
                                     _bearing(bs, ue_position),
                                     amplitude_scale=penetration)
         bs_ue = [los_direct] + _bounce_components(
             los_direct, islice(bounce_rows, n_bs_ue - 1))
-        los_surface = _los_component(ris, ue_position, wavelength, c,
+        los_surface = _los_component(ris, ue_position, wavelength,
                                      _bearing(ris, ue_position))
         ris_ue = [los_surface] + _bounce_components(
             los_surface, islice(bounce_rows, n_ris_ue - 1))
@@ -319,7 +317,7 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
         bs_ue = []
         ris_ue = []
 
-    los_hop = _los_component(ris, bs, wavelength, c, _bearing(ris, bs))
+    los_hop = _los_component(ris, bs, wavelength, _bearing(ris, bs))
     bs_ris = [los_hop] + _bounce_components(los_hop,
                                             islice(bounce_rows, n_bs_ris - 1))
     departures = [(_bearing(bs, ris), 0.0)] + list(zip(values, values))

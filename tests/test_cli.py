@@ -536,7 +536,18 @@ def _more_blocked(manifest):
     ("class_counts", _more_blocked),
     *(pytest.param("n_samples", lambda manifest, n=n: manifest.update(
         n_samples=n), id=f"n_samples-{type(n).__name__}")
-      for n in ("60", 60.0, True, 0))
+      for n in ("60", 60.0, True, 0)),
+    # an entry the readers use, deleted
+    *(pytest.param(key, lambda manifest, key=key: manifest.pop(key),
+                   id=f"no-{key}")
+      for key in ("n_samples", "seed", "image_dims", "config", "class_counts",
+                  "content_hash", "samples")),
+    pytest.param("config.image_dims",
+                 lambda manifest: manifest["config"].pop("image_dims"),
+                 id="no-config.image_dims"),
+    pytest.param("samples[3].label",
+                 lambda manifest: manifest["samples"][3].pop("label"),
+                 id="no-label"),
 ])
 def test_train_and_eval_refuse_a_manifest_at_odds_with_itself(
         workspace, tmp_path, capsys, field, edit):
@@ -556,6 +567,19 @@ def test_train_and_eval_refuse_a_manifest_at_odds_with_itself(
                 in capsys.readouterr().err)
     assert not (tmp_path / "models").exists()
     assert not (tmp_path / "reports").exists()
+
+
+def test_train_refuses_a_manifest_that_is_not_an_object(workspace, tmp_path,
+                                                       capsys):
+    edited = tmp_path / "edited"
+    shutil.copytree(workspace / "dataset", edited)
+    (edited / "manifest.json").write_text("[1, 2]\n", "ascii")
+    code = main(["train", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(edited), "--out", str(tmp_path / "models")])
+    assert code == 1
+    assert (f"error: {edited / 'manifest.json'}: not a JSON object\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "models").exists()
 
 
 # ---------------------------------------------------------------- eval
@@ -636,6 +660,30 @@ def test_eval_requires_every_history(workspace, tmp_path, capsys):
     assert code == 2
     assert f"missing {models / 'history_camera.csv'}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n", "no iteration column"),
+    ("x,y\n", "no iteration column"),
+    ("iteration,epoch,lr,loss\n1,1,0.1,0.5\n", "no accuracy column"),
+    ("iteration,epoch,lr,loss,accuracy\n1,1,0.1,0.5,0.4\n2,1,0.1,0.5\n",
+     "line 3 does not hold iteration, epoch, lr, loss, accuracy"),
+    ("iteration,epoch,lr,loss,accuracy\n1.5,1,0.1,0.5,0.4\n",
+     "line 2 does not hold iteration, epoch, lr, loss, accuracy")],
+    ids=["a,b", "x,y", "no-accuracy", "short-row", "float-iteration"])
+def test_eval_names_the_history_file_it_cannot_read(workspace, tmp_path,
+                                                    capsys, text, message):
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    history = models / "history_ris.csv"
+    history.write_text(text, encoding="ascii")
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 1
+    assert f"error: {history}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -755,6 +803,22 @@ def test_curves_grid_mismatch_fails(workspace, tmp_path, capsys):
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="ascii")
     assert main(["curves", "--results", str(clipped)]) == 1
     assert "disagree on iteration grids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y\n1,2\n", "no iteration column"),
+    ("iteration,accuracy\n1,0.5\n2,half\n",
+     "line 3 does not hold iteration, accuracy")], ids=["x,y", "bad-accuracy"])
+def test_curves_names_the_curve_file_it_cannot_read(workspace, tmp_path,
+                                                    capsys, text, message):
+    results = tmp_path / "results"
+    shutil.copytree(workspace / "reports", results)
+    curve = results / "curve_camera.csv"
+    curve.write_text(text, encoding="ascii")
+    out = tmp_path / "curves"
+    assert main(["curves", "--results", str(results), "--out", str(out)]) == 1
+    assert f"error: {curve}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_each_command_pools_only_the_images_it_uses(workspace, tmp_path,
@@ -891,6 +955,20 @@ def test_no_tracked_file_is_ignored():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "", f"tracked but ignored:\n{proc.stdout}"
+
+
+def test_importing_the_cli_loads_no_pool_or_logging_module():
+    # the pool and the loader's hashing thread import these where they are
+    # first used: each costs start-up time on every command that needs none
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, risblock.cli; print(sorted("
+         "{'concurrent.futures', 'multiprocessing', 'logging'} & "
+         "set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_runs_without_entry_point():

@@ -45,8 +45,8 @@ def test_generator_config_validates():
         with pytest.raises(ValueError, match=re.escape(str(dims))):
             GeneratorConfig(image_dims=dims)
     cfg = GeneratorConfig()
-    assert cfg.propagation().carrier_frequency_hz == cfg.carrier_frequency_hz
-    assert cfg.geometry().n_ris_elements == cfg.n_ris_elements
+    assert cfg.propagation.carrier_frequency_hz == cfg.carrier_frequency_hz
+    assert cfg.geometry.n_ris_elements == cfg.n_ris_elements
 
 
 def test_sample_rng_streams_are_distinct():

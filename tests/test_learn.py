@@ -548,13 +548,10 @@ def test_the_training_set_scorer_equals_the_forward_pass(n, d_img, hidden,
                        b1=rng.normal(scale=2.0, size=hidden),
                        w2=rng.normal(size=(hidden + 1, 3)),
                        b2=rng.normal(size=3)) for _ in range(3)]
-    tracked = None
-    if d_img:
-        tracked = learn._LivePreactivations(image, draws[0].w1)
-    scorer = learn._TrainingSetScorer(rate, label_indices, hidden, tracked)
+    scorer = learn._TrainingSetScorer(image, rate, label_indices, draws[0])
     for params in draws:
-        if tracked is not None:
-            tracked.pre = image @ params.w1
+        if d_img:
+            scorer.pre = image @ params.w1
         assert (repr(scorer.accuracy(params))
                 == repr(accuracy(params, image, rate, label_indices)))
 
@@ -591,7 +588,7 @@ def test_tracked_preactivations_follow_the_direct_product(
     def checking_accuracy(scorer, params):
         # called once after every step, with the tracked pre-activations
         direct = x_live @ params.w1[live]
-        np.testing.assert_allclose(scorer.tracked.pre, direct, rtol=0,
+        np.testing.assert_allclose(scorer.pre, direct, rtol=0,
                                    atol=1e-9 * np.abs(direct).max())
         checked.append(scorer_accuracy(scorer, params))
         return checked[-1]
