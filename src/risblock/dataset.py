@@ -20,6 +20,17 @@ and none on more. It writes through `risblock._files.staged_files`, the
 manifest last, so a failed run leaves no dataset. `taskset -c 0` gives a
 serial run.
 
+A range task makes its samples one write chunk at a time (`_generate`).
+Each sample of the chunk is drawn as before, from its own stream and in the
+same order: its scene, walk, location, link status and, for a present
+terminal, its one `rng.uniform` of path values (`_draw_sample`). Then the
+channel stage of the chunk's present samples runs in blocks of at most
+BLOCK_RAMP_ENTRIES ramp entries (`scene.path_tables`, then
+`channel.link_rates`): at the default 8000 elements a block holds one
+sample, and with 64 elements all of a chunk's present samples. Absent
+samples never reach it: both their rates are 0.0. `generate_sample` is
+this run on one index, and gives the bytes the dataset holds.
+
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
 (raw little-endian float32, N x H x W x C, C order) and `features.csv`
@@ -59,12 +70,10 @@ import numpy as np
 
 from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map
-from risblock.channel import (ArrayGeometry, PropagationConfig, channel_bs_ris,
-                              channel_bs_ue, channel_ris_ue, co_phase_ris,
-                              data_rate, effective_gain)
-from risblock.scene import (LinkStatus, SceneLayout, generate_trajectory,
-                            link_status, random_scene, render_image,
-                            synthesize_mpcs)
+from risblock.channel import ArrayGeometry, PropagationConfig, link_rates
+from risblock.scene import (LinkStatus, SceneLayout, draw_paths,
+                            generate_trajectory, link_status, path_tables,
+                            random_scene, render_image)
 
 # tag mixed into every per-sample SeedSequence, decoupling sample streams
 # from any other consumer of the same root seed
@@ -85,6 +94,16 @@ RANGES_PER_WORKER = 8
 # block freed in a worker was then larger than the per-sample temporaries,
 # so those were mapped and faulted in afresh for every sample.
 WRITE_CHUNK_IMAGES = 32
+
+# ramp entries (paths x rows x columns of the three steering sums) per block
+# of present samples whose channels are computed together. Serial, caps
+# interleaved, the channel stage took 0.42 ms a present sample with 512
+# elements and 1.37 ms with 2000 at 2**17, against 0.49 and 1.85 ms at
+# 2**15; with 64 elements every cap from 2**14 up made a chunk's present
+# samples one block and took the same time. A sample of the default 8000
+# elements has 80,005 entries, so at 2**17 a block still holds one sample
+# and the default's memory stays as it was.
+BLOCK_RAMP_ENTRIES = 2 ** 17
 
 # images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
 # the table being filled even with two chunks alive, one pooled, one hashed.
@@ -170,7 +189,21 @@ def sample_rng(seed, index):
 
 
 def generate_sample(cfg, seed, index):
-    """Scene, trajectory step, channels, co-phasing, rates, render — one sample."""
+    """Scene, trajectory step, channels, co-phasing, rates, render — one
+    sample: what makes a dataset's samples, run on one index, so it is the
+    sample the dataset holds there."""
+    return next(_generate(cfg, seed, [index]))
+
+
+# what _draw_sample takes of a sample from its stream; paths is None for an
+# absent terminal
+_Draw = namedtuple("_Draw", "scene ue status location_index paths")
+
+
+def _draw_sample(cfg, seed, index):
+    """Everything sample `index` draws from its own stream, in the order it
+    draws it: the scene, the walk, the location, the link status and, for a
+    present terminal, its path values (scene.draw_paths)."""
     rng = sample_rng(seed, index)
     scene = random_scene(cfg.layout, rng)
     walk = generate_trajectory(scene, cfg.trajectory_steps, cfg.speed_mps,
@@ -178,30 +211,56 @@ def generate_sample(cfg, seed, index):
     location_index = int(rng.integers(0, len(walk)))
     ue = walk[location_index]
     status = link_status(scene, ue)
+    paths = None
+    if status != LinkStatus.ABSENT:
+        paths = draw_paths(scene, ue, status, cfg.propagation,
+                           cfg.n_paths_direct, cfg.n_paths_hop,
+                           cfg.n_paths_surface, rng)
+    return _Draw(scene, ue, status, location_index, paths)
 
-    prop = cfg.propagation
+
+def _block_samples(cfg):
+    """Present samples per channel block: as many as BLOCK_RAMP_ENTRIES
+    allows, at least one. A sample's ramp entries are the paths x rows x
+    columns of its three steering sums."""
     geom = cfg.geometry
-    if status == LinkStatus.ABSENT:
-        # No terminal: both channels to it are zero vectors, so the direct and
-        # the co-phased gain are 0 for any station->surface channel and both
-        # rates are log1p(0) = 0.0. Nothing below draws from rng, so skipping
-        # the paths leaves the image unchanged.
-        direct_rate = ris_rate = 0.0
-    else:
-        paths = synthesize_mpcs(scene, ue, status, prop, cfg.n_paths_direct,
-                                cfg.n_paths_hop, cfg.n_paths_surface, rng)
-        h_direct = channel_bs_ue(paths.bs_ue, prop, geom)
-        h_hop = channel_bs_ris(paths.bs_ris, prop, geom, paths.bs_ris_departures)
-        h_surface = channel_ris_ue(paths.ris_ue, prop, geom)
+    entries = (cfg.n_paths_direct * geom.n_bs_antennas
+               + (cfg.n_paths_hop * geom.n_bs_antennas + cfg.n_paths_surface)
+               * geom.n_ris_elements)
+    return max(1, BLOCK_RAMP_ENTRIES // entries)
 
-        direct_rate = data_rate(h_direct, prop.snr_linear)
-        surface = co_phase_ris(h_direct, h_hop, h_surface)
-        gain = effective_gain(h_direct, h_surface, surface, h_hop)
-        ris_rate = data_rate(gain, prop.snr_linear)
 
-    image = render_image(scene, ue, status, cfg.image_dims)
-    return Sample(image=image, direct_rate=direct_rate, ris_rate=ris_rate,
-                  label=status, location_index=location_index)
+def _generate(cfg, seed, indices):
+    """The Samples of indices, in order, one at a time.
+
+    Each index is drawn from its own stream (_draw_sample); then the
+    channels, co-phasing and rates of the present samples are computed
+    _block_samples(cfg) at a time (channel.link_rates), and each image is
+    rendered as its sample is taken. _draw_sample and link_rates are looked
+    up as module globals when this runs, so a rebound one (a test's patch,
+    a tracer's wrapper) is the one called.
+    """
+    draws = [_draw_sample(cfg, seed, i) for i in indices]
+    # No terminal: both channels to it are zero vectors, so the direct and
+    # the co-phased gain are 0 for any station->surface channel and both
+    # rates are log1p(0) = 0.0. Rendering draws nothing from the stream, so
+    # the absent samples never reach the channel code.
+    present = [draw.paths for draw in draws if draw.paths is not None]
+    size = _block_samples(cfg)
+    rates = []
+    for start in range(0, len(present), size):
+        tables = path_tables(present[start:start + size], cfg.n_paths_direct,
+                             cfg.n_paths_hop, cfg.n_paths_surface)
+        rates += zip(*link_rates(tables.bs_ue, tables.bs_ris,
+                                 tables.bs_ris_departures, tables.ris_ue,
+                                 cfg.propagation, cfg.geometry))
+    rates = iter(rates)
+    for draw in draws:
+        direct_rate, ris_rate = (0.0, 0.0) if draw.paths is None else next(rates)
+        yield Sample(image=render_image(draw.scene, draw.ue, draw.status,
+                                        cfg.image_dims),
+                     direct_rate=direct_rate, ris_rate=ris_rate,
+                     label=draw.status, location_index=draw.location_index)
 
 
 # what a range task returns of a sample once its image is written
@@ -296,27 +355,23 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
 
 
 def _write_range(cfg, seed, fd, bounds):
-    """Make the samples of range(*bounds), write their images at their
-    places in the open images.bin `fd`, WRITE_CHUNK_IMAGES at a time, and
-    return their _Records."""
+    """Make the samples of range(*bounds), WRITE_CHUNK_IMAGES at a time
+    (_generate), write their images at their places in the open images.bin
+    `fd`, and return their _Records."""
     start, stop = bounds
     chunk = np.empty((min(WRITE_CHUNK_IMAGES, stop - start), *cfg.image_dims),
                      dtype="<f4")  # as images.bin stores them
     records = []
-    for i in range(start, stop):
-        # generate_sample is looked up as a module global when the range
-        # runs, so a rebound one (a test's patch, a tracer's wrapper) is the
-        # one called
-        s = generate_sample(cfg, seed, i)
-        k = (i - start) % len(chunk)
-        chunk[k] = s.image
-        records.append(_Record(s.direct_rate, s.ris_rate, s.label,
-                               s.location_index))
-        if k == len(chunk) - 1 or i == stop - 1:
-            images = chunk[:k + 1]
-            written = os.pwrite(fd, images, (i - k) * chunk[0].nbytes)
-            if written != images.nbytes:
-                raise OSError(errno.ENOSPC, f"short write to {IMAGES_NAME}")
+    for first in range(start, stop, len(chunk)):
+        last = min(first + len(chunk), stop)
+        for k, s in enumerate(_generate(cfg, seed, range(first, last))):
+            chunk[k] = s.image
+            records.append(_Record(s.direct_rate, s.ris_rate, s.label,
+                                   s.location_index))
+        images = chunk[:last - first]
+        written = os.pwrite(fd, images, first * chunk[0].nbytes)
+        if written != images.nbytes:
+            raise OSError(errno.ENOSPC, f"short write to {IMAGES_NAME}")
     return records
 
 
@@ -519,9 +574,10 @@ def _parse_features(text, n):
 
 def read_manifest(dataset_dir):
     """A dataset directory's manifest, once it is a JSON object holding
-    every entry its readers use, its n_samples is an int >= 1 and its
-    image_dims pass check_dataset_image_dims and equal its config's (else
-    ValueError naming the file)."""
+    every entry its readers use, its n_samples is an int >= 1, its seed an
+    int >= 0, its samples a list, and its image_dims a list of three ints
+    that pass check_dataset_image_dims and equal its config's (else
+    ValueError naming the file and the entry)."""
     path = Path(dataset_dir) / MANIFEST_NAME
     manifest = json.loads(path.read_text("ascii"))
     if not isinstance(manifest, dict):
@@ -536,12 +592,22 @@ def read_manifest(dataset_dir):
     n = manifest["n_samples"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"{path}: n_samples {n!r} is not an int >= 1")
-    image_dims = tuple(manifest["image_dims"])
+    seed = manifest["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"{path}: seed {seed!r} is not an int >= 0")
+    if not isinstance(manifest["samples"], list):
+        raise ValueError(f"{path}: samples is not a list, but "
+                         f"{type(manifest['samples']).__name__}")
+    image_dims = manifest["image_dims"]
+    if not isinstance(image_dims, list):
+        raise ValueError(f"{path}: image_dims {image_dims!r} is not a list "
+                         f"of three ints")
+    image_dims = tuple(image_dims)
     try:
         check_dataset_image_dims(image_dims)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if list(image_dims) != list(manifest["config"]["image_dims"]):
+    if list(image_dims) != manifest["config"]["image_dims"]:
         raise ValueError(f"{path}: image_dims {list(image_dims)} differs from "
                          f"config.image_dims "
                          f"{manifest['config']['image_dims']}")

@@ -25,6 +25,18 @@ bounce's delay stretch, amplitude scale, phase, azimuth and elevation
 station->surface departures. numpy's array draw takes the same doubles in
 the same order as one scalar draw per value.
 
+Synthesis has a per-sample half and a block half, so that the dataset
+generator can do the array work once for many samples. `draw_paths` takes
+what is the sample's own: the geometry of its line-of-sight paths and its
+one draw of path values. `path_tables` turns a block of such draws into a
+channel.PathTable per link, (samples, paths) arrays in place of
+MultipathComponent objects, in a few array passes: a bounce's amplitude is
+CPython's float-times-complex product written out term by term
+(channel.complex_product), numpy's cos and sin give libm's bytes, and
+numpy's mod is Python's %, so the tables hold the values the per-path
+Python gave. `synthesize_mpcs` is the two run on one sample, turned back
+into MultipathComponents.
+
 Rendering produces an H x W x 3 float image in [0, 1]: channel 0 holds the
 blocker occupancy, channel 1 the station and surface markers, and channel 2
 the terminal marker -- drawn only when the status is "unblocked", which makes
@@ -34,11 +46,14 @@ absent and blocked scenes byte-identical on purpose.
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import islice
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from risblock.channel import SPEED_OF_LIGHT_MPS, TWO_PI, MultipathComponent
+from risblock.channel import (SPEED_OF_LIGHT_MPS, TWO_PI, MultipathComponent,
+                              PathTable, complex_product)
 
 
 class LinkStatus(IntEnum):
@@ -230,22 +245,40 @@ class SynthesizedPaths:
     bs_ris_departures: tuple
 
 
+class PathDraw(NamedTuple):
+    """What path synthesis takes of one sample before its block: the
+    (amplitude, delay, azimuth) of each link's line-of-sight path (station
+    ->terminal and surface->terminal when the terminal is present, then
+    station->surface), the bearing of the station->surface departure, and
+    the sample's one draw of bounce and departure values."""
+
+    los: tuple
+    departure: float
+    values: np.ndarray
+
+
+class PathTables(NamedTuple):
+    """The paths of a block of samples: a channel.PathTable per link, and
+    the station->surface departures as a (samples, paths, 2) array of
+    (azimuth, elevation)."""
+
+    bs_ue: PathTable
+    bs_ris: PathTable
+    ris_ue: PathTable
+    bs_ris_departures: np.ndarray
+
+
 def _bearing(src, dst):
     return math.atan2(dst[1] - src[1], dst[0] - src[0]) % TWO_PI
 
 
-def _los_component(src, dst, wavelength_m, azimuth, amplitude_scale=1.0):
+def _los_path(src, dst, wavelength_m, amplitude_scale=1.0):
+    """(amplitude, delay) of the line-of-sight path from src to dst."""
     dist = math.hypot(dst[0] - src[0], dst[1] - src[1])
     if dist <= 0:
         raise ValueError("endpoints must be distinct")
-    return MultipathComponent(
-        amplitude=amplitude_scale * wavelength_m / (4.0 * math.pi * dist),
-        delay_s=dist / SPEED_OF_LIGHT_MPS,
-        sampling_time_s=PATH_SAMPLING_TIME_S,
-        cyclic_prefix_count=1,
-        azimuth_rad=azimuth,
-        elevation_rad=0.0,
-    )
+    return (amplitude_scale * wavelength_m / (4.0 * math.pi * dist),
+            dist / SPEED_OF_LIGHT_MPS)
 
 
 # (low, high) of each value a bounce draws, in draw order: delay stretch,
@@ -256,32 +289,24 @@ _BOUNCE_DRAWS = (NLOS_DELAY_STRETCH, NLOS_AMPLITUDE_SCALE, (0.0, TWO_PI),
 _DEPARTURE_DRAWS = ((0.0, TWO_PI), (-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN))
 
 
-def _bounce_components(los, draws):
-    """One bounce of los per drawn (stretch, scale, phase, azimuth, elevation)."""
-    paths = []
-    for stretch, scale, phase, azimuth, elevation in draws:
-        magnitude = abs(los.amplitude) * scale
-        paths.append(MultipathComponent(
-            amplitude=magnitude * complex(math.cos(phase), math.sin(phase)),
-            delay_s=los.delay_s * stretch,
-            sampling_time_s=PATH_SAMPLING_TIME_S,
-            cyclic_prefix_count=1,
-            azimuth_rad=azimuth % TWO_PI,
-            elevation_rad=elevation,
-        ))
-    return paths
+@lru_cache(maxsize=16)
+def _draw_bounds(n_bounces, n_departures):
+    """(low, high) arrays of the values drawn for n_bounces bounces and
+    n_departures departures, in draw order. Read-only, since every sample
+    with these counts shares them: building them took about as long as the
+    draw."""
+    low, high = np.array(_BOUNCE_DRAWS * n_bounces
+                         + _DEPARTURE_DRAWS * n_departures).reshape(-1, 2).T
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
 
 
-def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
-                    n_ris_ue, rng):
-    """Draw the per-sample multipath components for all three links.
-
-    Path counts are per link, line of sight included. An absent terminal
-    yields empty station->terminal and surface->terminal lists; the
-    station->surface link is always synthesized. Departure angles for the
-    station->surface block are drawn here (geometric for the first path,
-    random for bounces).
-    """
+def draw_paths(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
+               n_ris_ue, rng):
+    """The per-sample half of synthesize_mpcs: a PathDraw of the line-of-
+    sight paths and of the sample's one rng.uniform call, which takes the
+    values in the order the module docstring gives. path_tables turns a
+    block of them into the sample's paths."""
     for name, n in (("n_bs_ue", n_bs_ue), ("n_bs_ris", n_bs_ris),
                     ("n_ris_ue", n_ris_ue)):
         if n < 1:
@@ -293,38 +318,107 @@ def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
     n_bounces = n_bs_ris - 1
     if present:
         n_bounces += (n_bs_ue - 1) + (n_ris_ue - 1)
-    bounds = np.reshape(_BOUNCE_DRAWS * n_bounces
-                        + _DEPARTURE_DRAWS * (n_bs_ris - 1), (-1, 2))
-    values = iter(rng.uniform(bounds[:, 0], bounds[:, 1]).tolist())
-    # zip over one iterator groups it into rows; islice takes only the rows
-    # a link needs, so each link reads its values in draw order
-    bounce_rows = zip(*[values] * len(_BOUNCE_DRAWS))
+    values = rng.uniform(*_draw_bounds(n_bounces, n_bs_ris - 1))
 
+    los = []
     if present:
         penetration = 1.0
         if status == LinkStatus.BLOCKED:
             penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
-        los_direct = _los_component(bs, ue_position, wavelength,
-                                    _bearing(bs, ue_position),
-                                    amplitude_scale=penetration)
-        bs_ue = [los_direct] + _bounce_components(
-            los_direct, islice(bounce_rows, n_bs_ue - 1))
-        los_surface = _los_component(ris, ue_position, wavelength,
-                                     _bearing(ris, ue_position))
-        ris_ue = [los_surface] + _bounce_components(
-            los_surface, islice(bounce_rows, n_ris_ue - 1))
-    else:
-        bs_ue = []
-        ris_ue = []
+        los.append((*_los_path(bs, ue_position, wavelength,
+                               amplitude_scale=penetration),
+                    _bearing(bs, ue_position)))
+        los.append((*_los_path(ris, ue_position, wavelength),
+                    _bearing(ris, ue_position)))
+    los.append((*_los_path(ris, bs, wavelength), _bearing(ris, bs)))
+    return PathDraw(los=tuple(los), departure=_bearing(bs, ris), values=values)
 
-    los_hop = _los_component(ris, bs, wavelength, _bearing(ris, bs))
-    bs_ris = [los_hop] + _bounce_components(los_hop,
-                                            islice(bounce_rows, n_bs_ris - 1))
-    departures = [(_bearing(bs, ris), 0.0)] + list(zip(values, values))
 
-    return SynthesizedPaths(bs_ue=tuple(bs_ue), bs_ris=tuple(bs_ris),
-                            ris_ue=tuple(ris_ue),
-                            bs_ris_departures=tuple(departures))
+def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
+    """The PathTables of a block of PathDraws made with these path counts,
+    all with the terminal present or all with it absent. An absent
+    terminal's links have no paths.
+
+    The links' paths are built side by side, in draw order, as one table
+    whose column slices are the links' tables. A bounce's amplitude is
+    abs(los amplitude) * scale times complex(cos(phase), sin(phase)), as
+    CPython multiplies a float by a complex (channel.complex_product).
+    """
+    n_samples = len(draws)
+    los = np.array([draw.los for draw in draws])     # (samples, links, 3)
+    values = np.stack([draw.values for draw in draws])
+    # path counts in draw order: station->terminal, surface->terminal (when
+    # present), station->surface
+    counts = [n_bs_ue, n_ris_ue, n_bs_ris][-los.shape[1]:]
+    stops = list(accumulate(counts))
+    first = [stop - count for count, stop in zip(counts, stops)]
+    # the link of each bounce, and each bounce's column
+    link = [i for i, count in enumerate(counts) for _ in range(count - 1)]
+    bounce = [column for start, stop in zip(first, stops)
+              for column in range(start + 1, stop)]
+    stretch, scale, phase, azimuth, elevation = values[
+        :, :len(_BOUNCE_DRAWS) * len(link)].reshape(
+            n_samples, len(link), len(_BOUNCE_DRAWS)).transpose(2, 0, 1)
+    los_amplitude, los_delay, los_azimuth = los.transpose(2, 0, 1)
+
+    shape = (n_samples, stops[-1])
+    paths = PathTable(amplitude=np.empty(shape, dtype=np.complex128),
+                      delay_s=np.empty(shape),
+                      sampling_time_s=np.full(shape, PATH_SAMPLING_TIME_S),
+                      cyclic_prefix_count=np.ones(shape, dtype=np.int64),
+                      azimuth_rad=np.empty(shape),
+                      elevation_rad=np.zeros(shape))
+    paths.amplitude[:, first] = los_amplitude
+    paths.amplitude.real[:, bounce], paths.amplitude.imag[:, bounce] = \
+        complex_product(np.abs(los_amplitude)[:, link] * scale, 0.0,
+                        np.cos(phase), np.sin(phase))
+    paths.delay_s[:, first] = los_delay
+    paths.delay_s[:, bounce] = los_delay[:, link] * stretch
+    paths.azimuth_rad[:, first] = los_azimuth
+    paths.azimuth_rad[:, bounce] = np.mod(azimuth, TWO_PI)
+    paths.elevation_rad[:, bounce] = elevation
+    *terminal, hop = [PathTable(*(column[:, start:stop] for column in paths))
+                      for start, stop in zip(first, stops)]
+    if not terminal:
+        terminal = [PathTable.of([[]] * n_samples)] * 2
+
+    departures = np.empty((n_samples, n_bs_ris, 2))
+    departures[:, 0, 0] = [draw.departure for draw in draws]
+    departures[:, 0, 1] = 0.0
+    departures[:, 1:] = values[:, len(_BOUNCE_DRAWS) * len(link):].reshape(
+        n_samples, n_bs_ris - 1, 2)
+    return PathTables(bs_ue=terminal[0], bs_ris=hop, ris_ue=terminal[1],
+                      bs_ris_departures=departures)
+
+
+def _components(table):
+    """The MultipathComponents of the one sample of a PathTable, its line of
+    sight with the float amplitude _los_path gives it."""
+    columns = [column[0].tolist() for column in table]
+    if columns[0]:
+        columns[0][0] = columns[0][0].real
+    return tuple(MultipathComponent(*row) for row in zip(*columns))
+
+
+def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
+                    n_ris_ue, rng):
+    """Draw the per-sample multipath components for all three links.
+
+    Path counts are per link, line of sight included. An absent terminal
+    yields empty station->terminal and surface->terminal lists; the
+    station->surface link is always synthesized. Departure angles for the
+    station->surface block are drawn here (geometric for the first path,
+    random for bounces). This is draw_paths and path_tables run on one
+    sample.
+    """
+    counts = (n_bs_ue, n_bs_ris, n_ris_ue)
+    tables = path_tables([draw_paths(scene, ue_position, status, prop_cfg,
+                                     *counts, rng)], *counts)
+    return SynthesizedPaths(
+        bs_ue=_components(tables.bs_ue), bs_ris=_components(tables.bs_ris),
+        ris_ue=_components(tables.ris_ue),
+        bs_ris_departures=tuple(map(tuple,
+                                    tables.bs_ris_departures[0].tolist())))
 
 
 def _to_pixel(position, bounds, width, height):

@@ -30,6 +30,12 @@ serialize every image at once through one stacked array, where the package
 hashes and writes one sample at a time. They share only the features.csv
 writer with the package.
 
+``reference_path_coefficients`` is the channel module's per-path loop as it
+was before the channels were computed a block of samples at a time: one
+CPython complex product and one ``cmath.exp`` per path, whose bytes the
+block's float64 ufuncs must repeat. It keeps numpy only for the array it
+fills.
+
 The generation references (``reference_accumulate_steering_outer``,
 ``reference_synthesize_mpcs``, ``reference_generate_trajectory``) are the
 package's steering kernel, path synthesis and walk as they were before
@@ -37,7 +43,7 @@ their per-sample overhead was cut: one ``np.exp`` ramp per path and side,
 one ``rng.uniform`` call per drawn value, and a walk on 2-element arrays.
 The package must match them byte for byte and leave its generator in the
 same state; they share the path and trajectory records, the line-of-sight
-component and the draw ranges with it.
+geometry (``_los_path``) and the draw ranges with it.
 """
 
 import cmath
@@ -54,7 +60,7 @@ from risblock.learn import (MlpParams, cross_entropy, init_params,
 from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
                             NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
                             LinkStatus, SynthesizedPaths, _bearing,
-                            _los_component, _random_free_point)
+                            _los_path, _random_free_point)
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,14 +83,39 @@ def naive_accumulate(coeffs, row_rates, col_rates, n_rows, n_cols):
     return out
 
 
+def _phase(carrier_hz, doppler_hz, delay_s, sampling_time_s, azimuth_rad,
+           elevation_rad):
+    return (TWO_PI * carrier_hz * delay_s
+            - TWO_PI * doppler_hz * sampling_time_s * math.cos(azimuth_rad)
+            - elevation_rad)
+
+
 def _coeff(path, k, k_total, carrier_hz, doppler_hz):
-    phi = (TWO_PI * carrier_hz * path.delay_s
-           - TWO_PI * doppler_hz * path.sampling_time_s * math.cos(path.azimuth_rad)
-           - path.elevation_rad)
+    phi = _phase(carrier_hz, doppler_hz, path.delay_s, path.sampling_time_s,
+                 path.azimuth_rad, path.elevation_rad)
     pulse = 0.0
     for d in range(path.cyclic_prefix_count):
         pulse += naive_sinc(d * path.sampling_time_s - path.delay_s)
     return complex(path.amplitude) * cmath.exp(-1j * (k / k_total) * phi) * pulse
+
+
+def reference_path_coefficients(paths, carrier_hz, doppler_hz):
+    """The per-path coefficients of one sample's paths as the channel module
+    computed them before it worked on blocks: one cmath product per path."""
+    n = len(paths)
+    coeffs = np.empty(n, dtype=np.complex128)
+    for i, path in enumerate(paths):
+        phi_k = _phase(carrier_hz, doppler_hz, path.delay_s,
+                       path.sampling_time_s, path.azimuth_rad,
+                       path.elevation_rad)
+        pulse_sum = 0.0
+        for d in range(path.cyclic_prefix_count):
+            pulse_sum += naive_sinc(d * path.sampling_time_s - path.delay_s)
+        # paths are indexed from 1 in the spectral weighting
+        coeffs[i] = (path.amplitude
+                     * cmath.exp(-1j * ((i + 1) / n) * phi_k)
+                     * pulse_sum)
+    return coeffs
 
 
 def _rate(spacing, azimuth, elevation):
@@ -270,6 +301,18 @@ def reference_accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows,
         col_ramp = np.exp(1j * col_rates[k] * cols)
         out += coeffs[k] * np.outer(row_ramp, col_ramp)
     return out
+
+
+def _los_component(src, dst, wavelength_m, azimuth, amplitude_scale=1.0):
+    amplitude, delay = _los_path(src, dst, wavelength_m, amplitude_scale)
+    return MultipathComponent(
+        amplitude=amplitude,
+        delay_s=delay,
+        sampling_time_s=PATH_SAMPLING_TIME_S,
+        cyclic_prefix_count=1,
+        azimuth_rad=azimuth,
+        elevation_rad=0.0,
+    )
 
 
 def _reference_bounces(los, count, rng):

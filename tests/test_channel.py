@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from risblock.channel import (_phasors, _ramps, ArrayGeometry,
-                              MultipathComponent,
-                              PropagationConfig, RisConfig, SPEED_OF_LIGHT_MPS,
-                              accumulate_steering_outer, channel_bs_ris,
-                              channel_bs_ue, channel_ris_ue, co_phase_ris,
-                              data_rate, doppler_spread, effective_gain,
-                              phase_term, ris_matrix, sinc_pulse,
-                              steering_vector)
+from risblock.channel import (_accumulate, _path_coefficients, _phasors,
+                              _ramps, ArrayGeometry, MultipathComponent,
+                              PathTable, PropagationConfig, RisConfig,
+                              SPEED_OF_LIGHT_MPS, accumulate_steering_outer,
+                              channel_bs_ris, channel_bs_ue, channel_ris_ue,
+                              co_phase_ris, data_rate, doppler_spread,
+                              effective_gain, link_rates, phase_term,
+                              ris_matrix, sinc_pulse, steering_vector)
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,6 +274,92 @@ def test_kernel_equals_the_per_path_exp_kernel_bit_for_bit(data, k, n_rows,
     want = oracles.reference_accumulate_steering_outer(coeffs, row_rates,
                                                        col_rates, n_rows, n_cols)
     assert _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_samples=st.integers(1, 4), k=st.integers(0, 6),
+       n_rows=st.sampled_from([1, 1, 2, 7, 64]),
+       n_cols=st.sampled_from([1, 1, 2, 5]))
+def test_block_kernel_equals_the_per_path_exp_kernel_bit_for_bit(
+        data, n_samples, k, n_rows, n_cols):
+    # the coefficient-first broadcast multiply over a block of samples
+    parts = st.lists(_COEFF_PARTS, min_size=n_samples * k,
+                     max_size=n_samples * k)
+    coeffs = np.empty((n_samples, k), dtype=np.complex128)
+    coeffs.real.flat = data.draw(parts)
+    coeffs.imag.flat = data.draw(parts)
+    rates = st.lists(_RATES | st.just(0.0), min_size=n_samples * k,
+                     max_size=n_samples * k)
+    row_rates = np.reshape(data.draw(rates), (n_samples, k))
+    col_rates = np.reshape(data.draw(rates), (n_samples, k))
+    got = _accumulate(coeffs, row_rates, col_rates, n_rows, n_cols)
+    for s in range(n_samples):
+        want = oracles.reference_accumulate_steering_outer(
+            coeffs[s], row_rates[s], col_rates[s], n_rows, n_cols)
+        assert _same_bits(got[s], want)
+
+
+@st.composite
+def _paths_of_a_link(draw, n_samples):
+    """(one list of paths per sample, Doppler spread) of one link: float or
+    complex amplitudes with signed-zero parts, zero delays and delays a tap
+    lands on (sinc(0)), 1-3 taps and a sampling time per path."""
+    k = draw(st.integers(1, 6))
+    samples = []
+    for _ in range(n_samples):
+        paths = []
+        for _ in range(k):
+            sampling = draw(st.floats(1e-7, 2e-3))
+            taps = draw(st.integers(1, 3))
+            paths.append(_path(
+                amplitude=draw(_COEFF_PARTS | st.builds(complex, _COEFF_PARTS,
+                                                        _COEFF_PARTS)),
+                delay_s=draw(st.sampled_from([0.0, sampling, 2 * sampling])
+                             | st.floats(0.0, 2e-6)),
+                sampling_time_s=sampling, cyclic_prefix_count=taps,
+                azimuth_rad=draw(st.floats(0.0, TWO_PI, exclude_max=True)),
+                elevation_rad=draw(st.floats(-math.pi / 2, math.pi / 2))))
+        samples.append(paths)
+    return samples, draw(st.just(0.0) | st.floats(1.0, 5e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_samples=st.integers(1, 4), n_links=st.integers(1, 3),
+       carrier=st.floats(1e8, 1e11))
+def test_block_coefficients_equal_the_cmath_oracle_bit_for_bit(
+        data, n_samples, n_links, carrier):
+    links = [data.draw(_paths_of_a_link(n_samples)) for _ in range(n_links)]
+    got = _path_coefficients([(PathTable.of(samples), doppler)
+                              for samples, doppler in links], carrier)
+    for coeffs, (samples, doppler) in zip(got, links):
+        for row, paths in zip(coeffs, samples):
+            want = oracles.reference_path_coefficients(paths, carrier, doppler)
+            assert _same_bits(row, want)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("amplitude", complex(math.inf, 0.0), "amplitude must be finite"),
+    ("delay_s", -1e-9, "delay_s must be finite"),
+    ("sampling_time_s", 0.0, "sampling_time_s must be finite"),
+    ("cyclic_prefix_count", 0, "cyclic_prefix_count must be an integer"),
+    ("azimuth_rad", TWO_PI, "azimuth_rad must lie"),
+    ("elevation_rad", 2.0, "elevation_rad must lie"),
+])
+def test_a_block_refuses_a_bad_path_as_a_component_would(field, value,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        _path(**{field: value})
+    cfg = PropagationConfig(carrier_frequency_hz=28e9, speed_mps=20.0)
+    geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=4)
+    good = PathTable.of([[_path(amplitude=0.5, delay_s=1e-8)] * 2] * 3)
+    for link in range(3):
+        tables = [good] * 3
+        bad = getattr(good, field).copy()
+        bad[1, 1] = value
+        tables[link] = good._replace(**{field: bad})
+        with pytest.raises(ValueError, match=message):
+            link_rates(tables[0], tables[1], np.zeros((3, 2, 2)), tables[2],
+                       cfg, geom)
 
 
 # ---------------------------------------------------------------- channels

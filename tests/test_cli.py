@@ -149,14 +149,14 @@ def _small_surface(directory):
 def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
                                                         capsys, cpus):
     allow_cpus(monkeypatch, cpus)
-    serial = dataset.generate_sample
+    serial = dataset._draw_sample
 
     def failing(cfg, seed, index):
         if index == 23:
             raise ValueError("sample 23 could not be generated")
         return serial(cfg, seed, index)
 
-    monkeypatch.setattr(dataset, "generate_sample", failing)
+    monkeypatch.setattr(dataset, "_draw_sample", failing)
     out = tmp_path / "d"
     assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
                  "--config", str(_small_surface(tmp_path))]) == 1
@@ -548,6 +548,16 @@ def _more_blocked(manifest):
     pytest.param("samples[3].label",
                  lambda manifest: manifest["samples"][3].pop("label"),
                  id="no-label"),
+    # an entry of the wrong type
+    pytest.param("samples", lambda manifest: manifest.update(samples=5),
+                 id="samples-int"),
+    pytest.param("image_dims", lambda manifest: manifest.update(image_dims=5),
+                 id="image_dims-int"),
+    pytest.param("image_dims",
+                 lambda manifest: manifest["config"].update(image_dims=5),
+                 id="config.image_dims-int"),
+    pytest.param("seed", lambda manifest: manifest.update(seed="x"),
+                 id="seed-str"),
 ])
 def test_train_and_eval_refuse_a_manifest_at_odds_with_itself(
         workspace, tmp_path, capsys, field, edit):

@@ -117,7 +117,7 @@ def test_absent_samples_never_reach_the_channel_code(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("an absent sample reached the channel code")
 
-    for name in ("channel_bs_ris", "co_phase_ris", "effective_gain"):
+    for name in ("path_tables", "link_rates"):
         monkeypatch.setattr(dataset, name, unreachable)
     for i, sample in made.items():
         again = generate_sample(cfg, 11, i)
@@ -357,7 +357,7 @@ def test_load_dataset_leaves_no_thread_running(tmp_path, monkeypatch, spoil,
 
 def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     caller = os.getpid()
-    serial = dataset.generate_sample
+    serial = dataset._draw_sample
 
     def in_a_worker(cfg, seed, index):
         if os.getpid() == caller:
@@ -369,7 +369,7 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     for cpus in (1, 2):
         allow_cpus(monkeypatch, cpus)
         if cpus == 2:
-            monkeypatch.setattr(dataset, "generate_sample", in_a_worker)
+            monkeypatch.setattr(dataset, "_draw_sample", in_a_worker)
         progress = []
         manifest = save_dataset(tmp_path / str(cpus), RANGED_GEN, 9,
                                 progress=progress.append)
@@ -384,14 +384,14 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
     allow_cpus(monkeypatch, cpus)
-    serial = dataset.generate_sample
+    serial = dataset._draw_sample
 
     def failing(cfg, seed, index):
         if index == 23:
             raise ValueError("sample 23 could not be generated")
         return serial(cfg, seed, index)
 
-    monkeypatch.setattr(dataset, "generate_sample", failing)
+    monkeypatch.setattr(dataset, "_draw_sample", failing)
     progress = []
     with pytest.raises(ValueError, match="sample 23 could not be generated"):
         save_dataset(tmp_path / "d", RANGED_GEN, 9, progress=progress.append)
@@ -415,6 +415,27 @@ def test_a_range_task_writes_its_images_and_returns_only_records(tmp_path):
     # each image at its index's place, and nothing before the range written
     blob = (tmp_path / IMAGES_NAME).read_bytes()
     assert blob == bytes(3 * image_bytes) + reference_images_bytes(samples)
+
+
+@pytest.mark.parametrize("n_ris_elements, block_ramp_entries", [
+    (16, None), (64, None), (8000, None),
+    (64, 2000),   # blocks of three present samples, the last one short
+])
+def test_a_chunk_is_its_samples_made_one_at_a_time_bit_for_bit(
+        tmp_path, monkeypatch, n_ris_elements, block_ramp_entries):
+    if block_ramp_entries is not None:
+        monkeypatch.setattr(dataset, "BLOCK_RAMP_ENTRIES", block_ramp_entries)
+    cfg = GeneratorConfig(n_samples=12, n_ris_elements=n_ris_elements)
+    alone = [generate_sample(cfg, 5, i) for i in range(12)]
+    # absent, clear and blocked samples in one chunk
+    assert {int(s.label) for s in alone} == {-1, 0, 1}
+    with open(tmp_path / IMAGES_NAME, "w+b") as images:
+        records = dataset._write_range(cfg, 5, images.fileno(), (0, 12))
+    assert [repr(tuple(r)) for r in records] == [
+        repr((s.direct_rate, s.ris_rate, s.label, s.location_index))
+        for s in alone]
+    assert (tmp_path / IMAGES_NAME).read_bytes() == \
+        reference_images_bytes(alone)
 
 
 @pytest.fixture(scope="module")
