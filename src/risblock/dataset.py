@@ -3,7 +3,14 @@ and the feature table that training and evaluation read back.
 
 Every sample is generated from its own RNG stream derived as
 SeedSequence([root_seed, stream_tag, index]), so the output is independent
-of generation order. A sample holds the rendered scene image, the
+of generation order. `sample_rng` hands SeedSequence the uint32 words it
+would make of that list (each int's 32-bit words, least significant first)
+as one array: the same entropy, so the same stream, without numpy's
+coercion of a list of Python ints, which cost more than half of the
+SeedSequence. How each value is then drawn from the stream, and why that
+gives rng.uniform's doubles, is in the scene module's docstring; the range
+checks rng.uniform made on every draw are made once, by SceneLayout. A
+sample holds the rendered scene image, the
 direct-link data rate, the surface-assisted data rate with co-phased
 elements, the ternary label, and the trajectory step it was taken from.
 
@@ -23,7 +30,7 @@ serial run.
 A range task makes its samples one write chunk at a time (`_generate`).
 Each sample of the chunk is drawn as before, from its own stream and in the
 same order: its scene, walk, location, link status and, for a present
-terminal, its one `rng.uniform` of path values (`_draw_sample`). Then the
+terminal, its one `rng.random` of path values (`_draw_sample`). Then the
 channel stage of the chunk's present samples runs in blocks of at most
 BLOCK_RAMP_ENTRIES ramp entries (`scene.path_tables`, then
 `channel.link_rates`): at the default 8000 elements a block holds one
@@ -182,10 +189,25 @@ class Sample:
             raise ValueError("rates must be >= 0")
 
 
+def _uint32_words(value):
+    """The non-negative int value as SeedSequence splits it: its 32-bit
+    words, least significant first, one word for 0."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
 def sample_rng(seed, index):
-    """Independent per-sample generator; order-free by construction."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), SAMPLE_STREAM_TAG, int(index)]))
+    """Independent per-sample generator; order-free by construction. It is
+    default_rng(SeedSequence([seed, SAMPLE_STREAM_TAG, index])), given the
+    uint32 words that list becomes as one array."""
+    return np.random.default_rng(np.random.SeedSequence(np.array(
+        [*_uint32_words(seed), SAMPLE_STREAM_TAG, *_uint32_words(index)],
+        dtype=np.uint32)))
 
 
 def generate_sample(cfg, seed, index):

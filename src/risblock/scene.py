@@ -22,8 +22,21 @@ never attenuated. Every synthesized path uses a single pulse tap and a fixed
 the order that one draw per value would take them from the stream: each
 bounce's delay stretch, amplitude scale, phase, azimuth and elevation
 (station->terminal, surface->terminal, then station->surface), then the
-station->surface departures. numpy's array draw takes the same doubles in
-the same order as one scalar draw per value.
+station->surface departures.
+
+Every value is taken from the stream as numpy's own uniform draw computes
+it, low + (high - low) * next_double, written out: a scalar draw (a
+blocker's size and centre, a waypoint) is `low + (high - low) *
+rng.random()`, and a sample's path values are `low + span * rng.random(n)`
+over the cached (low, span) arrays of its draw order. rng.random takes the
+same next_double from the stream that rng.uniform does, so the doubles and
+the stream left behind are those of one rng.uniform call per value, without
+its per-call conversion of the bounds, broadcasting and range checks. The
+range checks are what this gives up: rng.uniform refuses a reversed or
+non-finite range when it draws, so SceneLayout refuses one when it is made,
+Scene refuses a walk region that is empty or outside its bounds, and the
+path draw's ranges are constants. A walk tests its points against
+each blocker's (x0, x1, y0, y1) bounds (Blocker.bounds), taken once a walk.
 
 Synthesis has a per-sample half and a block half, so that the dataset
 generator can do the array work once for many samples. `draw_paths` takes
@@ -40,7 +53,11 @@ into MultipathComponents.
 Rendering produces an H x W x 3 float image in [0, 1]: channel 0 holds the
 blocker occupancy, channel 1 the station and surface markers, and channel 2
 the terminal marker -- drawn only when the status is "unblocked", which makes
-absent and blocked scenes byte-identical on purpose.
+absent and blocked scenes byte-identical on purpose. The markers of channel
+1 are stamped once per (bounds, station, surface, size) into a cached
+read-only image, which each render copies before it draws the blockers and
+the terminal: every write is 1.0 onto one channel, so the order of the
+writes does not change the image.
 """
 
 import math
@@ -79,10 +96,24 @@ class Blocker:
         if hx <= 0 or hy <= 0:
             raise ValueError("blocker half_extents must be > 0")
 
-    def contains(self, point):
+    @property
+    def bounds(self):
+        """(x0, x1, y0, y1): the closed rectangle's edges."""
         cx, cy = self.center
         hx, hy = self.half_extents
-        return (cx - hx <= point[0] <= cx + hx) and (cy - hy <= point[1] <= cy + hy)
+        return cx - hx, cx + hx, cy - hy, cy + hy
+
+    def contains(self, point):
+        return _inside_any((self.bounds,), point)
+
+
+def _inside_any(boxes, point):
+    """True when point lies in any of the closed (x0, x1, y0, y1) boxes."""
+    x, y = point
+    for x0, x1, y0, y1 in boxes:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            return True
+    return False
 
 
 def _segment_hits_box(a, b, blocker):
@@ -170,14 +201,21 @@ def link_status(scene, ue_position):
     return LinkStatus.UNBLOCKED
 
 
-def _random_free_point(scene, rng, max_tries=64):
-    x0, y0, x1, y1 = scene.walk_region
-    point = None
+def _uniform(rng, low, high):
+    """rng.uniform(low, high) for a range known to be finite and ordered:
+    the same double, from the same next_double (see the module docstring)."""
+    return low + (high - low) * rng.random()
+
+
+def _random_free_point(region, boxes, rng, max_tries=64):
+    """A uniform point of region (x0, y0, x1, y1) outside every box."""
+    x0, y0, x1, y1 = region
     for _ in range(max_tries):
-        point = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if not any(blk.contains(point) for blk in scene.blockers):
+        point = (_uniform(rng, x0, x1), _uniform(rng, y0, y1))
+        if not _inside_any(boxes, point):
             return point
-    return point
+    raise ValueError(f"walk region {tuple(region)} has no point outside the "
+                     f"blockers in {max_tries} draws")
 
 
 def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probability,
@@ -188,7 +226,8 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
     Each step first draws an absence coin; absent steps record None and leave
     the walker in place, so any two successive recorded positions differ by
     at most speed * step_time. Waypoints (and stepped positions) avoid
-    blocker interiors.
+    blocker interiors; a walk region in which 64 draws find no free point
+    raises ValueError.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -200,8 +239,10 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
     max_step = speed_mps * step_time_s
     # (x, y) pairs of floats; np.hypot as on arrays, since math.hypot
     # computes its own way and may round differently
-    current = _random_free_point(scene, rng)
-    target = _random_free_point(scene, rng)
+    region = scene.walk_region
+    boxes = [blk.bounds for blk in scene.blockers]
+    current = _random_free_point(region, boxes, rng)
+    target = _random_free_point(region, boxes, rng)
     positions = []
     for _ in range(n_steps):
         if rng.random() < absent_probability:
@@ -213,15 +254,15 @@ def generate_trajectory(scene, n_steps, speed_mps, step_time_s, absent_probabili
             dist = float(np.hypot(dx, dy))
             if dist <= max_step:
                 candidate = target
-                target = _random_free_point(scene, rng)
+                target = _random_free_point(region, boxes, rng)
             elif max_step > 0:
                 scale = max_step / dist
                 candidate = (current[0] + dx * scale, current[1] + dy * scale)
             else:
                 candidate = current
-            if not any(blk.contains(candidate) for blk in scene.blockers):
+            if not _inside_any(boxes, candidate):
                 break
-            target = _random_free_point(scene, rng)
+            target = _random_free_point(region, boxes, rng)
             candidate = current
         current = candidate
         positions.append(current)
@@ -291,20 +332,21 @@ _DEPARTURE_DRAWS = ((0.0, TWO_PI), (-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN))
 
 @lru_cache(maxsize=16)
 def _draw_bounds(n_bounces, n_departures):
-    """(low, high) arrays of the values drawn for n_bounces bounces and
-    n_departures departures, in draw order. Read-only, since every sample
-    with these counts shares them: building them took about as long as the
-    draw."""
+    """(low, span) arrays of the values drawn for n_bounces bounces and
+    n_departures departures, in draw order, span being high - low as
+    rng.uniform computes it. Read-only, since every sample with these
+    counts shares them: building them took about as long as the draw."""
     low, high = np.array(_BOUNCE_DRAWS * n_bounces
                          + _DEPARTURE_DRAWS * n_departures).reshape(-1, 2).T
-    low.flags.writeable = high.flags.writeable = False
-    return low, high
+    span = high - low
+    low.flags.writeable = span.flags.writeable = False
+    return low, span
 
 
 def draw_paths(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
                n_ris_ue, rng):
     """The per-sample half of synthesize_mpcs: a PathDraw of the line-of-
-    sight paths and of the sample's one rng.uniform call, which takes the
+    sight paths and of the sample's one rng.random call, which takes the
     values in the order the module docstring gives. path_tables turns a
     block of them into the sample's paths."""
     for name, n in (("n_bs_ue", n_bs_ue), ("n_bs_ris", n_bs_ris),
@@ -318,7 +360,8 @@ def draw_paths(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
     n_bounces = n_bs_ris - 1
     if present:
         n_bounces += (n_bs_ue - 1) + (n_ris_ue - 1)
-    values = rng.uniform(*_draw_bounds(n_bounces, n_bs_ris - 1))
+    low, span = _draw_bounds(n_bounces, n_bs_ris - 1)
+    values = low + span * rng.random(low.size)
 
     los = []
     if present:
@@ -441,6 +484,18 @@ def check_image_dims(dims):
         raise ValueError("dims must be (H >= 8, W >= 8, 3)")
 
 
+@lru_cache(maxsize=16)
+def _markers(bounds, bs_position, ris_position, height, width):
+    """The height x width image of channel 1's station and surface markers
+    alone. Read-only, since every render of these markers shares it."""
+    img = np.zeros((height, width, 3), dtype=np.float32)
+    for pos in (bs_position, ris_position):
+        row, col = _to_pixel(pos, bounds, width, height)
+        _stamp(img, 1, row, col, 1)
+    img.flags.writeable = False
+    return img
+
+
 def render_image(scene, ue_position, status, dims=(64, 64, 3)):
     """Top-down raster of the scene, H x W x 3 float32 in [0, 1].
 
@@ -450,19 +505,14 @@ def render_image(scene, ue_position, status, dims=(64, 64, 3)):
     """
     check_image_dims(dims)
     height, width, _ = dims
-    img = np.zeros((height, width, 3), dtype=np.float32)
-    w, d = scene.bounds
+    img = _markers(tuple(scene.bounds), tuple(scene.bs_position),
+                   tuple(scene.ris_position), height, width).copy()
 
     for blk in scene.blockers:
-        cx, cy = blk.center
-        hx, hy = blk.half_extents
-        r0, c0 = _to_pixel((cx - hx, cy - hy), scene.bounds, width, height)
-        r1, c1 = _to_pixel((cx + hx, cy + hy), scene.bounds, width, height)
+        x0, x1, y0, y1 = blk.bounds
+        r0, c0 = _to_pixel((x0, y0), scene.bounds, width, height)
+        r1, c1 = _to_pixel((x1, y1), scene.bounds, width, height)
         img[r0:r1 + 1, c0:c1 + 1, 0] = 1.0
-
-    for pos in (scene.bs_position, scene.ris_position):
-        row, col = _to_pixel(pos, scene.bounds, width, height)
-        _stamp(img, 1, row, col, 1)
 
     if status == LinkStatus.UNBLOCKED and ue_position is not None:
         row, col = _to_pixel(ue_position, scene.bounds, width, height)
@@ -479,6 +529,12 @@ class SceneLayout:
     sparse layouts with at most one small blocker (the link is usually
     clear). The mix makes the rendered blocker pattern an informative prior
     for the otherwise ambiguous absent/blocked pair.
+
+    Every (low, high) pair a draw uses must be finite and ordered, the
+    counts non-negative and the half sizes positive, and the tallest
+    blocker must leave its centre a y-range: random_scene draws without
+    rng.uniform's range checks, so a layout that passes here never fails
+    mid-run.
     """
 
     bounds: tuple = (40.0, 40.0)
@@ -498,14 +554,43 @@ class SceneLayout:
     def __post_init__(self):
         if not 0 <= self.dense_probability <= 1:
             raise ValueError("dense_probability must lie in [0, 1]")
-        # the blocker-free scene every draw starts from checks the rest
+        # the blocker-free scene every draw starts from checks the bounds,
+        # the two positions and the zone
         Scene(self.bounds, self.bs_position, self.ris_position,
               penetration_loss_db=self.penetration_loss_db,
               ue_zone=self.ue_zone)
+        for name in ("dense_count", "sparse_count"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high:
+                raise ValueError(f"{name} must be (low, high) with "
+                                 f"0 <= low <= high, not {(low, high)}")
+        half_sizes = ("dense_half_width", "dense_half_height",
+                      "sparse_half_size")
+        for name in (*half_sizes, "blocker_x_range"):
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise ValueError(f"{name} must be a finite (low, high) with "
+                                 f"low <= high, not {(low, high)}")
+        for name in half_sizes:
+            if not getattr(self, name)[0] > 0:
+                raise ValueError(f"{name} must start above 0: it draws a "
+                                 f"blocker's half extent")
+        # the tallest blocker's centre y-range; a shorter one's holds it
+        margin = self.blocker_y_margin
+        tallest, name = max((self.dense_half_height[1], "dense_half_height"),
+                            (self.sparse_half_size[1], "sparse_half_size"))
+        low = tallest + margin
+        high = self.bounds[1] - tallest - margin
+        if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+            raise ValueError(
+                f"{name} up to {tallest} with blocker_y_margin {margin} "
+                f"leaves no blocker centre y-range in the depth "
+                f"{self.bounds[1]}")
 
 
 def random_scene(layout, rng):
-    """Draw a scene from the layout's dense/sparse blocker mixture."""
+    """Draw a scene from the layout's dense/sparse blocker mixture, each
+    size and centre with _uniform."""
     dense = rng.random() < layout.dense_probability
     if dense:
         count = int(rng.integers(layout.dense_count[0], layout.dense_count[1] + 1))
@@ -516,14 +601,14 @@ def random_scene(layout, rng):
     blockers = []
     for _ in range(count):
         if dense:
-            hx = rng.uniform(*layout.dense_half_width)
-            hy = rng.uniform(*layout.dense_half_height)
+            hx = _uniform(rng, *layout.dense_half_width)
+            hy = _uniform(rng, *layout.dense_half_height)
         else:
-            hx = rng.uniform(*layout.sparse_half_size)
-            hy = rng.uniform(*layout.sparse_half_size)
-        cx = rng.uniform(*layout.blocker_x_range)
-        cy = rng.uniform(hy + layout.blocker_y_margin,
-                         depth - hy - layout.blocker_y_margin)
+            hx = _uniform(rng, *layout.sparse_half_size)
+            hy = _uniform(rng, *layout.sparse_half_size)
+        cx = _uniform(rng, *layout.blocker_x_range)
+        cy = _uniform(rng, hy + layout.blocker_y_margin,
+                      depth - hy - layout.blocker_y_margin)
         blockers.append(Blocker(center=(cx, cy), half_extents=(hx, hy)))
 
     return Scene(bounds=layout.bounds, bs_position=layout.bs_position,

@@ -37,13 +37,19 @@ block's float64 ufuncs must repeat. It keeps numpy only for the array it
 fills.
 
 The generation references (``reference_accumulate_steering_outer``,
-``reference_synthesize_mpcs``, ``reference_generate_trajectory``) are the
-package's steering kernel, path synthesis and walk as they were before
-their per-sample overhead was cut: one ``np.exp`` ramp per path and side,
-one ``rng.uniform`` call per drawn value, and a walk on 2-element arrays.
-The package must match them byte for byte and leave its generator in the
-same state; they share the path and trajectory records, the line-of-sight
-geometry (``_los_path``) and the draw ranges with it.
+``reference_synthesize_mpcs``, ``reference_path_values``,
+``reference_generate_trajectory``, ``reference_random_scene``,
+``reference_render_image``) are the package's steering kernel, path
+synthesis, walk, scene draw and rendering as they were before their
+per-sample overhead was cut: one ``np.exp`` ramp per path and side, one
+``rng.uniform`` call per drawn value, a walk on 2-element arrays that tests
+each point with ``Blocker.contains``, and a render that stamps the station
+and surface markers on every call. The package must match them byte for
+byte and leave its generator in the same state; they share the scene, path
+and trajectory records, the line-of-sight geometry (``_los_path``) and the
+draw ranges with it. The walk's ``_random_free_point`` is the oracle's own,
+which returns its last rejected point where the package's raises, so the
+tests compare the two only on walks that find free points.
 """
 
 import cmath
@@ -59,8 +65,8 @@ from risblock.learn import (MlpParams, cross_entropy, init_params,
                             lr_schedule, sgd_step)
 from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
                             NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
-                            LinkStatus, SynthesizedPaths, _bearing,
-                            _los_path, _random_free_point)
+                            Blocker, LinkStatus, Scene, SynthesizedPaths,
+                            _bearing, _los_path)
 
 TWO_PI = 2.0 * math.pi
 
@@ -365,6 +371,32 @@ def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
                             bs_ris_departures=tuple(departures))
 
 
+def reference_path_values(n_bounces, n_departures, rng):
+    """A sample's path values, one rng.uniform call per value: each bounce's
+    delay stretch, amplitude scale, phase, azimuth and elevation, then each
+    departure's azimuth and elevation."""
+    values = []
+    for _ in range(n_bounces):
+        values += [rng.uniform(*NLOS_DELAY_STRETCH),
+                   rng.uniform(*NLOS_AMPLITUDE_SCALE),
+                   rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI),
+                   rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)]
+    for _ in range(n_departures):
+        values += [rng.uniform(0.0, TWO_PI),
+                   rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)]
+    return np.array(values, dtype=np.float64)
+
+
+def _random_free_point(scene, rng, max_tries=64):
+    x0, y0, x1, y1 = scene.walk_region
+    point = None
+    for _ in range(max_tries):
+        point = (rng.uniform(x0, x1), rng.uniform(y0, y1))
+        if not any(blk.contains(point) for blk in scene.blockers):
+            return point
+    return point
+
+
 def reference_generate_trajectory(scene, n_steps, speed_mps, step_time_s,
                                   absent_probability, rng):
     """The random-waypoint walk on 2-element arrays."""
@@ -394,3 +426,67 @@ def reference_generate_trajectory(scene, n_steps, speed_mps, step_time_s,
         current = candidate
         positions.append((float(current[0]), float(current[1])))
     return tuple(positions)
+
+
+def reference_random_scene(layout, rng):
+    """Draw a scene from the layout's dense/sparse blocker mixture."""
+    dense = rng.random() < layout.dense_probability
+    if dense:
+        count = int(rng.integers(layout.dense_count[0], layout.dense_count[1] + 1))
+    else:
+        count = int(rng.integers(layout.sparse_count[0], layout.sparse_count[1] + 1))
+
+    depth = layout.bounds[1]
+    blockers = []
+    for _ in range(count):
+        if dense:
+            hx = rng.uniform(*layout.dense_half_width)
+            hy = rng.uniform(*layout.dense_half_height)
+        else:
+            hx = rng.uniform(*layout.sparse_half_size)
+            hy = rng.uniform(*layout.sparse_half_size)
+        cx = rng.uniform(*layout.blocker_x_range)
+        cy = rng.uniform(hy + layout.blocker_y_margin,
+                         depth - hy - layout.blocker_y_margin)
+        blockers.append(Blocker(center=(cx, cy), half_extents=(hx, hy)))
+
+    return Scene(bounds=layout.bounds, bs_position=layout.bs_position,
+                 ris_position=layout.ris_position, blockers=tuple(blockers),
+                 penetration_loss_db=layout.penetration_loss_db,
+                 ue_zone=layout.ue_zone)
+
+
+def _to_pixel(position, bounds, width, height):
+    col = min(max(int(position[0] / bounds[0] * width), 0), width - 1)
+    row = min(max(int(position[1] / bounds[1] * height), 0), height - 1)
+    return row, col
+
+
+def _stamp(img, channel, row, col, half):
+    h, w = img.shape[:2]
+    r0, r1 = max(row - half, 0), min(row + half, h - 1)
+    c0, c1 = max(col - half, 0), min(col + half, w - 1)
+    img[r0:r1 + 1, c0:c1 + 1, channel] = 1.0
+
+
+def reference_render_image(scene, ue_position, status, dims=(64, 64, 3)):
+    """Top-down raster of the scene, H x W x 3 float32 in [0, 1], every
+    marker stamped on every call."""
+    height, width, _ = dims
+    img = np.zeros((height, width, 3), dtype=np.float32)
+
+    for blk in scene.blockers:
+        cx, cy = blk.center
+        hx, hy = blk.half_extents
+        r0, c0 = _to_pixel((cx - hx, cy - hy), scene.bounds, width, height)
+        r1, c1 = _to_pixel((cx + hx, cy + hy), scene.bounds, width, height)
+        img[r0:r1 + 1, c0:c1 + 1, 0] = 1.0
+
+    for pos in (scene.bs_position, scene.ris_position):
+        row, col = _to_pixel(pos, scene.bounds, width, height)
+        _stamp(img, 1, row, col, 1)
+
+    if status == LinkStatus.UNBLOCKED and ue_position is not None:
+        row, col = _to_pixel(ue_position, scene.bounds, width, height)
+        _stamp(img, 2, row, col, 2)
+    return img

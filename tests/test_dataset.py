@@ -56,6 +56,25 @@ def test_sample_rng_streams_are_distinct():
     assert len({int(a), int(b), int(c)}) == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32,
+                                       2 ** 40 + 5, 2 ** 64 + 3]),
+                      st.integers(0, 2 ** 70)),
+       index=st.one_of(st.integers(0, 10_000), st.integers(0, 2 ** 40)))
+def test_sample_rng_is_the_listed_seed_sequence_bit_for_bit(seed, index):
+    got = sample_rng(seed, index)
+    want = np.random.default_rng(np.random.SeedSequence(
+        [seed, dataset.SAMPLE_STREAM_TAG, index]))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random() == want.random()
+
+
+def test_sample_rng_refuses_a_negative_seed_or_index():
+    for seed, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_rng(seed, index)
+
+
 def test_samples_are_order_independent(small_dataset):
     # any sample can be regenerated alone and match the batch output exactly
     samples, _ = small_dataset

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from risblock.channel import PropagationConfig, SPEED_OF_LIGHT_MPS
 from risblock.scene import (Blocker, LinkStatus, Scene, SceneLayout,
-                            generate_trajectory, link_status, los_blocked,
-                            random_scene, render_image, synthesize_mpcs)
+                            draw_paths, generate_trajectory, link_status,
+                            los_blocked, random_scene, render_image,
+                            synthesize_mpcs)
 
 PROP = PropagationConfig(carrier_frequency_hz=28e9, speed_mps=20.0)
 
@@ -139,6 +140,16 @@ def test_walker_respects_zone_and_blockers():
             continue
         assert 2.0 <= p[0] <= 9.0 and 2.0 <= p[1] <= 9.0
         assert not blk.contains(p)
+
+
+def test_a_walk_region_covered_by_a_blocker_is_refused():
+    # the blocker spans x 11..35 and y 3..37, over all of the zone
+    blk = Blocker(center=(23.0, 20.0), half_extents=(12.0, 17.0))
+    scene = Scene(bounds=(40.0, 40.0), bs_position=(2.0, 20.0),
+                  ris_position=(2.0, 37.0), blockers=(blk,),
+                  ue_zone=(12.0, 4.0, 34.0, 36.0))
+    with pytest.raises(ValueError, match=r"walk region \(12.0, 4.0, 34.0, 36.0\)"):
+        generate_trajectory(scene, 4, 20.0, 0.1, 0.0, np.random.default_rng(1))
 
 
 def test_trajectory_is_deterministic():
@@ -286,12 +297,36 @@ def test_synthesis_draws_as_one_value_at_a_time(seed, status, counts, ue):
     assert rng.random() == reference_rng.random()
 
 
+@st.composite
+def _layouts(draw):
+    """SceneLayouts other than the default, whose blockers always leave the
+    strip x > 32 of the zone (x 12..34) free, so every walk finds free
+    points, and never reach the station->surface line at x = 2."""
+    def pair(low, high, width):
+        start = draw(st.floats(low, high))
+        return (start, start + draw(st.floats(0.0, width)))
+
+    def count():
+        start = draw(st.integers(0, 4))
+        return (start, start + draw(st.integers(0, 4)))
+
+    return SceneLayout(
+        dense_probability=draw(st.floats(0.0, 1.0)),
+        dense_count=count(), dense_half_width=pair(0.1, 1.5, 1.0),
+        dense_half_height=pair(0.5, 8.0, 4.0), sparse_count=count(),
+        sparse_half_size=pair(0.1, 2.0, 1.0),
+        blocker_x_range=pair(6.0, 20.0, 9.0),
+        blocker_y_margin=draw(st.floats(0.0, 3.0)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_steps=st.integers(1, 12),
        speed=st.sampled_from([0.0, 1.5, 20.0]),
-       absent=st.sampled_from([0.0, 1.0 / 3.0, 1.0]))
-def test_walk_draws_and_steps_as_on_arrays(seed, n_steps, speed, absent):
-    scene = random_scene(SceneLayout(), np.random.default_rng(seed))
+       absent=st.sampled_from([0.0, 1.0 / 3.0, 1.0]),
+       layout=st.one_of(st.just(SceneLayout()), _layouts()))
+def test_walk_draws_and_steps_as_on_arrays(seed, n_steps, speed, absent,
+                                           layout):
+    scene = random_scene(layout, np.random.default_rng(seed))
     rng, reference_rng = (np.random.default_rng([seed, 2]) for _ in range(2))
     got = generate_trajectory(scene, n_steps, speed, 0.1, absent, rng)
     want = oracles.reference_generate_trajectory(scene, n_steps, speed, 0.1,
@@ -301,7 +336,55 @@ def test_walk_draws_and_steps_as_on_arrays(seed, n_steps, speed, absent):
     assert rng.random() == reference_rng.random()
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), layout=_layouts())
+def test_random_scene_equals_its_oracle_bit_for_bit(seed, layout):
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = random_scene(layout, rng)
+    want = oracles.reference_random_scene(layout, reference_rng)
+    assert repr(got) == repr(want)
+    assert rng.random() == reference_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), status=st.sampled_from(LinkStatus),
+       counts=st.tuples(*[st.integers(1, 6)] * 3))
+def test_path_values_equal_one_uniform_per_value_bit_for_bit(seed, status,
+                                                             counts):
+    scene = random_scene(SceneLayout(), np.random.default_rng(seed))
+    ue = None if status is LinkStatus.ABSENT else (20.0, 20.0)
+    n_bs_ue, n_bs_ris, n_ris_ue = counts
+    n_bounces = n_bs_ris - 1
+    if ue is not None:
+        n_bounces += n_bs_ue - 1 + n_ris_ue - 1
+    rng, reference_rng = (np.random.default_rng([seed, 4]) for _ in range(2))
+    got = draw_paths(scene, ue, status, PROP, *counts, rng).values
+    want = oracles.reference_path_values(n_bounces, n_bs_ris - 1,
+                                         reference_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert rng.random() == reference_rng.random()
+
+
 # ---------------------------------------------------------------- rendering
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), layout=_layouts(),
+       status=st.sampled_from(LinkStatus),
+       ue=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+       height=st.integers(8, 96), width=st.integers(8, 96))
+def test_render_equals_its_oracle_bit_for_bit(seed, layout, status, ue,
+                                              height, width):
+    scene = random_scene(layout, np.random.default_rng(seed))
+    if status is LinkStatus.ABSENT:
+        ue = None
+    dims = (height, width, 3)
+    got = render_image(scene, ue, status, dims)
+    want = oracles.reference_render_image(scene, ue, status, dims)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
 
 
 def test_render_shape_dtype_and_range():
@@ -379,6 +462,25 @@ def test_random_scene_respects_layout():
             assert cy - hy >= layout.blocker_y_margin - 1e-9
             assert cy + hy <= layout.bounds[1] - layout.blocker_y_margin + 1e-9
     assert saw_dense and saw_sparse
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dense_count", (7, 4)),
+    ("sparse_count", (-1, 1)),
+    ("dense_half_width", (1.25, 0.5)),
+    ("dense_half_height", (9.0, 5.0)),
+    ("dense_half_height", (25.0, 30.0)),
+    ("sparse_half_size", (21.0, 22.0)),
+    ("sparse_half_size", (0.0, 2.0)),
+    ("blocker_x_range", (31.0, 7.0)),
+    ("blocker_x_range", (7.0, math.inf)),
+    ("blocker_y_margin", 17.0),
+])
+def test_layout_refuses_a_range_a_draw_could_not_take(field, value):
+    # each of these was accepted, and the dense half height failed in
+    # random_scene's first dense draw with numpy's "high - low < 0"
+    with pytest.raises(ValueError, match=field):
+        SceneLayout(**{field: value})
 
 
 def test_random_scene_is_deterministic():
