@@ -9,13 +9,16 @@ RISBLOCK_SEED environment variable, [experiment] seed, then 0; a negative
 seed from any of them is a config error. Exit codes: 0 success, 1 runtime
 failure, 2 config/validation error. Each command writes its output set
 through `risblock._files.staged_files`: all of it, or none of it.
+
+The files that train and eval read back are checked against their schema
+tables in `risblock._files`. A bad manifest or model file exits 1. Any
+fault in a train_meta file, a truncated one included, exits 2, and so do
+models trained on another dataset or seed than eval was given.
 """
 
 import argparse
 import configparser
 import csv
-import json
-import math
 import os
 import re
 import sys
@@ -26,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from risblock._files import csv_text, json_text, staged_files
+from risblock._files import (checked_json, csv_text, json_text, staged_files,
+                             train_meta_table)
 from risblock.dataset import (GeneratorConfig, load_dataset, read_manifest,
                               save_dataset)
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
@@ -278,16 +282,11 @@ def cmd_train(args):
     return 0
 
 
-def _is_finite_number(value):
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
-
-
 def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
     """A scenario's model with its history and train metadata. The metadata
-    must name the dataset hash and the seed that eval was given, else the
-    test split would overlap the rows the model was trained on; for both it
-    must also hold a finite rate threshold and an accuracy in [0, 1]."""
+    must pass its schema table (risblock._files.train_meta_table) and name
+    the dataset hash and the seed that eval was given, else the test split
+    would overlap the rows the model was trained on."""
     name = scenario.value
     model_path = models_dir / f"model_{name}.bin"
     meta_path = models_dir / f"train_meta_{name}.json"
@@ -297,32 +296,23 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
         if not path.exists():
             raise ConfigError(f"missing {path}; eval needs the {kind} file "
                               f"that `risblock train` writes for each scenario")
-    meta = json.loads(meta_path.read_text("ascii"))
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{meta_path} does not hold a JSON object")
+    try:
+        meta = checked_json(meta_path, meta_path.read_bytes(),
+                            train_meta_table(name))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for key, given in (("dataset_hash", dataset_hash), ("seed", seed)):
-        if meta.get(key) != given:
+        if meta[key] != given:
             raise ConfigError(
-                f"{meta_path} records {key} {meta.get(key)!r}, but eval was "
+                f"{meta_path} records {key} {meta[key]!r}, but eval was "
                 f"given {key} {given!r}; evaluate with the dataset and seed "
                 f"the models were trained on")
-    if scenario is Scenario.BOTH:
-        threshold = meta.get("rate_threshold")
-        accuracy = meta.get("threshold_accuracy")
-        for key, valid, wanted in (
-                ("rate_threshold", _is_finite_number(threshold),
-                 "a finite number"),
-                ("threshold_accuracy", _is_finite_number(accuracy)
-                 and 0 <= accuracy <= 1, "a number in [0, 1]")):
-            if not valid:
-                raise ConfigError(f"{meta_path} records {key} "
-                                  f"{meta.get(key)!r}; it must be {wanted}")
     params, stats = load_model(model_path)
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats,
                          history=_read_csv(history_path, _HISTORY_COLUMNS),
-                         rate_threshold=meta.get("rate_threshold"),
-                         threshold_accuracy=meta.get("threshold_accuracy"))
+                         rate_threshold=meta["rate_threshold"],
+                         threshold_accuracy=meta["threshold_accuracy"])
 
 
 def cmd_eval(args):

@@ -42,6 +42,10 @@ On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
 (raw little-endian float32, N x H x W x C, C order) and `features.csv`
 (columns index, direct_rate, ris_rate, label; floats as repr round-trips).
+`read_manifest` checks the manifest's entries against one schema table,
+`risblock._files.MANIFEST_TABLE`, in one pass over its samples; what the
+table cannot say (the labels, class counts and lengths against the other
+two files, the content hash) `load_dataset` compares afterwards.
 
 A dataset's images are (H, W, 3) with H and W positive multiples of 16
 (`check_dataset_image_dims`): `GeneratorConfig` refuses other sizes, and
@@ -75,7 +79,8 @@ from pathlib import Path
 
 import numpy as np
 
-from risblock._files import csv_text, json_text, staged_files
+from risblock._files import (MANIFEST_TABLE, checked_json, csv_text, json_text,
+                             staged_files)
 from risblock._pool import fork_map
 from risblock.channel import ArrayGeometry, PropagationConfig, link_rates
 from risblock.scene import (LinkStatus, SceneLayout, draw_paths,
@@ -595,42 +600,18 @@ def _parse_features(text, n):
 
 
 def read_manifest(dataset_dir):
-    """A dataset directory's manifest, once it is a JSON object holding
-    every entry its readers use, its n_samples is an int >= 1, its seed an
-    int >= 0, its samples a list, and its image_dims a list of three ints
-    that pass check_dataset_image_dims and equal its config's (else
-    ValueError naming the file and the entry)."""
+    """A dataset directory's manifest, once it passes MANIFEST_TABLE and
+    its image_dims pass check_dataset_image_dims and equal its config's
+    (else ValueError naming the file and the entry)."""
     path = Path(dataset_dir) / MANIFEST_NAME
-    manifest = json.loads(path.read_text("ascii"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    for key in ("n_samples", "seed", "image_dims", "config", "class_counts",
-                "content_hash", "samples"):
-        if key not in manifest:
-            raise ValueError(f"{path}: {key} missing")
-    if not isinstance(manifest["config"], dict) or (
-            "image_dims" not in manifest["config"]):
-        raise ValueError(f"{path}: config.image_dims missing")
-    n = manifest["n_samples"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"{path}: n_samples {n!r} is not an int >= 1")
-    seed = manifest["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"{path}: seed {seed!r} is not an int >= 0")
-    if not isinstance(manifest["samples"], list):
-        raise ValueError(f"{path}: samples is not a list, but "
-                         f"{type(manifest['samples']).__name__}")
+    manifest = checked_json(path, path.read_bytes(), MANIFEST_TABLE)
     image_dims = manifest["image_dims"]
-    if not isinstance(image_dims, list):
-        raise ValueError(f"{path}: image_dims {image_dims!r} is not a list "
-                         f"of three ints")
-    image_dims = tuple(image_dims)
     try:
         check_dataset_image_dims(image_dims)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if list(image_dims) != manifest["config"]["image_dims"]:
-        raise ValueError(f"{path}: image_dims {list(image_dims)} differs from "
+    if image_dims != manifest["config"]["image_dims"]:
+        raise ValueError(f"{path}: image_dims {image_dims} differs from "
                          f"config.image_dims "
                          f"{manifest['config']['image_dims']}")
     return manifest
@@ -681,10 +662,7 @@ def load_dataset(dataset_dir, verify=True, rows=None):
         raise ValueError(f"manifest lists {len(manifest['samples'])} samples, "
                          f"its n_samples says {n}")
     for i, meta in enumerate(manifest["samples"]):
-        if not isinstance(meta, dict) or "label" not in meta:
-            raise ValueError(f"{dataset_dir / MANIFEST_NAME}: "
-                             f"samples[{i}].label missing")
-        if int(meta["label"]) != label[i]:
+        if meta["label"] != label[i]:
             raise ValueError(f"sample {i}: manifest label {meta['label']} "
                              f"differs from features.csv label {label[i]}")
     counts = _class_counts(label)

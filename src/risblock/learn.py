@@ -25,6 +25,8 @@ from functools import reduce
 
 import numpy as np
 
+from risblock._files import MODEL_HEADER_TABLE, checked_json
+
 LABELS = (-1, 0, 1)
 
 DEFAULT_HIDDEN_UNITS = 64
@@ -72,6 +74,8 @@ class TrainConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if min(self.schedule_epochs, default=1) < 1:
+            raise ValueError("schedule_epochs entries must be >= 1")
         object.__setattr__(self, "schedule_epochs",
                            tuple(sorted(int(e) for e in self.schedule_epochs)))
 
@@ -448,32 +452,33 @@ def save_model(path, params, standardization):
 def load_model(path):
     """Read a model file back into (MlpParams, Standardization).
 
-    The header's feature count must be w1's row count + 1, as save_model
-    writes it, and the payload must hold exactly the floats the header's
-    shapes and feature count call for; anything else raises ValueError.
+    The header must pass MODEL_HEADER_TABLE, its feature count must be w1's
+    row count + 1, as save_model writes it, and the payload must hold
+    exactly the floats the header's shapes and feature count call for;
+    anything else raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").strip()
+        magic = fh.readline().decode("ascii", "replace").strip()
         if magic != MODEL_MAGIC:
-            raise ValueError(f"not a model file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("ascii"))
+            raise ValueError(f"{path}: not a model file (magic {magic!r})")
+        header = checked_json(path, fh.readline(), MODEL_HEADER_TABLE)
         payload = fh.read()
     names = ("w1", "b1", "w2", "b2")
-    try:
-        d = int(header["n_features"])
-        shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
-    except KeyError as exc:
-        raise ValueError(f"{path}: model header has no {exc} entry") from None
-    if len(shapes[0]) != 2 or d != shapes[0][0] + 1:
-        raise ValueError(f"model header gives n_features {d}, not w1's rows "
-                         f"+ 1 for a w1 of shape {list(shapes[0])}")
+    d = header["n_features"]
+    shapes = [tuple(header["shapes"][name]) for name in names] + [(d,), (d,)]
+    if d != shapes[0][0] + 1:
+        raise ValueError(f"{path}: model header gives n_features {d}, not "
+                         f"w1's rows + 1 for a w1 of shape {list(shapes[0])}")
     sizes = [math.prod(shape) for shape in shapes]
     if len(payload) != 8 * sum(sizes):
         raise ValueError(
-            f"model payload is {len(payload)} bytes, its header calls for "
-            f"{8 * sum(sizes)}")
+            f"{path}: model payload is {len(payload)} bytes, its header calls "
+            f"for {8 * sum(sizes)}")
     flat = np.frombuffer(payload, dtype="<f8")
     blocks = [block.reshape(shape).copy() for block, shape
               in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    return (MlpParams(**dict(zip(names, blocks[:4]))),
-            Standardization(mean=blocks[4], std=blocks[5]))
+    try:  # shapes that disagree, a negative scale, a non-finite weight
+        return (MlpParams(**dict(zip(names, blocks[:4]))),
+                Standardization(mean=blocks[4], std=blocks[5]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

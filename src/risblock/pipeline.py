@@ -317,11 +317,12 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
     if not (dataset_dir / MANIFEST_NAME).exists():
         save_dataset(dataset_dir, gen_cfg, seed)
     manifest = read_manifest(dataset_dir)
-    # `generate --n` records the count it made beside its config's n_samples
+    # `generate --n` records the count it made beside its config's n_samples.
+    # Compared as JSON text, where 16.0 is not 16 nor true 1
     made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}
     for key, recorded, given in (("seed", manifest["seed"], int(seed)),
                                  ("config", made_by, config_record(gen_cfg))):
-        if recorded != given:
+        if json_text(recorded) != json_text(given):
             raise ValueError(
                 f"{dataset_dir / MANIFEST_NAME} records {key} "
                 f"{recorded!r}, but run_experiment was given {given!r}")

@@ -531,10 +531,11 @@ class SceneLayout:
     for the otherwise ambiguous absent/blocked pair.
 
     Every (low, high) pair a draw uses must be finite and ordered, the
-    counts non-negative and the half sizes positive, and the tallest
-    blocker must leave its centre a y-range: random_scene draws without
-    rng.uniform's range checks, so a layout that passes here never fails
-    mid-run.
+    counts non-negative and the half sizes positive, the tallest blocker
+    must leave its centre a y-range, and every blocker a draw can make must
+    stay inside the bounds and off the station-surface line: random_scene
+    draws without rng.uniform's range checks, so a layout that passes here
+    never fails mid-run.
     """
 
     bounds: tuple = (40.0, 40.0)
@@ -586,6 +587,19 @@ class SceneLayout:
                 f"{name} up to {tallest} with blocker_y_margin {margin} "
                 f"leaves no blocker centre y-range in the depth "
                 f"{self.bounds[1]}")
+        # the rectangle every blocker a draw can make lies in
+        widest, wide = max((self.dense_half_width[1], "dense_half_width"),
+                           (self.sparse_half_size[1], "sparse_half_size"))
+        low, high = self.blocker_x_range
+        area = Blocker(((low + high) / 2, self.bounds[1] / 2),
+                       ((high - low) / 2 + widest, self.bounds[1] / 2 - margin))
+        x0, x1, y0, _ = area.bounds
+        if (_segment_hits_box(self.bs_position, self.ris_position, area)
+                or x0 < 0 or x1 > self.bounds[0] or y0 < 0):
+            raise ValueError(
+                f"blocker_x_range {self.blocker_x_range} with {wide} up to "
+                f"{widest} and blocker_y_margin {margin} lets a blocker cross "
+                f"the station-surface line or leave the bounds {self.bounds}")
 
 
 def random_scene(layout, rng):

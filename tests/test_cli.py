@@ -3,18 +3,22 @@ validation, seed resolution, exit codes, and byte-level reproducibility."""
 
 import argparse
 import configparser
+import contextlib
 import importlib.metadata
 import importlib.util
+import io
 import json
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import venv
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import risblock
 from conftest import allow_cpus
@@ -94,6 +98,26 @@ def test_experiment_checks_the_sample_count_the_dataset_holds(tmp_path):
     recorded = json.loads(
         (tmp_path / "run" / "experiment_manifest.json").read_text())
     assert recorded["n_samples"] == 60
+
+
+@pytest.mark.parametrize("edit", [
+    lambda config: config.update(n_ris_elements=32.0),
+    lambda config: config.update(image_dims=[64, 64, 3.0]),
+    lambda config: config["layout"].update(sparse_count=[0, True]),
+], ids=("float_count", "float_dim", "bool_count"))
+def test_experiment_refuses_a_config_entry_of_another_json_type(
+        workspace, tmp_path, edit):
+    # each equals the config's value in Python (32.0 == 32, True == 1), and
+    # was copied into experiment_manifest.json's generator_config
+    manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
+    edit(manifest["config"])
+    dataset_dir = _linked_copy(workspace / "dataset", tmp_path / "dataset", {
+        "manifest.json": json.dumps(manifest).encode()})
+    with pytest.raises(ValueError, match="records config "):
+        run_experiment(load_config(workspace / "config.ini").generator,
+                       EXPERIMENT_TRAIN_CONFIG, 5, tmp_path / "refused",
+                       dataset_dir=dataset_dir)
+    assert not (tmp_path / "refused").exists()
 
 
 def test_generate_rejects_bad_n(tmp_path, capsys):
@@ -260,6 +284,36 @@ def test_every_section_is_checked_before_anything_is_written(workspace,
                      "--out", str(tmp_path / "reports")]) == 2, line
         assert "invalid training config" in capsys.readouterr().err, line
         assert not (tmp_path / "reports").exists(), line
+
+
+def test_a_layout_whose_blockers_could_cross_the_surface_link_is_refused(
+        tmp_path, capsys):
+    # the station and the surface at x = 10, inside the x range 5..33 that
+    # the default blockers cover: generate used to fail after it had begun
+    config = tmp_path / "moved.ini"
+    config.write_text("[generator]\nn_ris_elements = 16\n\n"
+                      "[layout]\nbs_x = 10\nris_x = 10\n", encoding="ascii")
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(config), "--n", "20",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid generator config: blocker_x_range" in err
+    assert "samples written" not in err
+    assert not out.exists()
+
+
+def test_a_schedule_epoch_below_one_is_refused(workspace, tmp_path, capsys):
+    # it would cut the rate at every epoch from the first, silently
+    config = tmp_path / "schedule.ini"
+    for value in ("-3, 0", "0", "5, 0"):
+        config.write_text(f"[training]\nschedule_epochs = {value}\n",
+                          encoding="ascii")
+        assert main(["train", "--config", str(config), "--seed", "5",
+                     "--dataset", str(workspace / "dataset"),
+                     "--out", str(tmp_path / "models")]) == 2, value
+        err = capsys.readouterr().err
+        assert "invalid training config: schedule_epochs" in err, value
+        assert not (tmp_path / "models").exists(), value
 
 
 def test_training_seed_is_not_a_key(workspace, tmp_path, capsys):
@@ -713,7 +767,7 @@ def test_eval_refuses_a_both_threshold_that_is_not_a_number(
                  "--dataset", str(workspace / "dataset"),
                  "--models", str(models), "--out", str(out)])
     assert code == 2
-    assert (f"{meta_path} records {key} {value!r}; it must be"
+    assert (f"config error: {meta_path}: {key} {value!r} is not"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -745,7 +799,7 @@ def test_eval_refuses_train_metadata_that_is_not_an_object(workspace,
                  "--dataset", str(workspace / "dataset"),
                  "--models", str(models), "--out", str(out)])
     assert code == 2
-    assert (f"{meta_path} does not hold a JSON object"
+    assert (f"config error: {meta_path}: not a JSON object\n"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -759,17 +813,273 @@ def test_eval_names_the_model_file_whose_header_lacks_a_key(
     model = models / "model_camera.bin"
     magic, header, payload = model.read_bytes().split(b"\n", 2)
     header = json.loads(header)
-    *table, key = key.split(".")
-    del (header[table[0]] if table else header)[key]
+    *table, last = key.split(".")
+    del (header[table[0]] if table else header)[last]
     model.write_bytes(b"\n".join((magic, json.dumps(header).encode(), payload)))
     out = tmp_path / "r"
     code = main(["eval", "--config", str(workspace / "config.ini"),
                  "--dataset", str(workspace / "dataset"),
                  "--models", str(models), "--out", str(out)])
     assert code == 1
-    assert (f"{model}: model header has no '{key}' entry"
-            in capsys.readouterr().err)
+    assert f"error: {model}: {key} missing\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- files read back
+#
+# train reads a dataset's manifest.json; eval reads it too, then each
+# train_meta_<scenario>.json and the JSON header line of each model file.
+# A fault in any of them exits 1 (manifest, model) or 2 (train_meta),
+# naming the file, before any output is written.
+
+# each file's entries that a reader uses, as key paths; None stands for
+# any index of a list. The *_REPLACED paths, list items, are replaced only
+MANIFEST_ENTRIES = (
+    ("n_samples",), ("seed",), ("image_dims",), ("config",),
+    ("config", "image_dims"), ("class_counts",), ("class_counts", "-1"),
+    ("class_counts", "0"), ("class_counts", "1"), ("content_hash",),
+    ("samples",), ("samples", None, "label"))
+MANIFEST_REPLACED = (("samples", None), ("image_dims", None))
+TRAIN_META_ENTRIES = (("scenario",), ("dataset_hash",), ("seed",),
+                      ("rate_threshold",), ("threshold_accuracy",))
+MODEL_HEADER_ENTRIES = (("n_features",), ("shapes",),
+                        *(("shapes", name) for name in ("w1", "b1", "w2", "b2")))
+MODEL_HEADER_REPLACED = tuple(("shapes", name, None)
+                              for name in ("w1", "b1", "w2", "b2"))
+
+# a JSON value of each type; an int-valued float stands where an int is wanted
+JSON_VALUES = {
+    type(None): st.none(), bool: st.booleans(),
+    int: st.integers(-2 ** 40, 2 ** 40),
+    float: st.one_of(st.integers(-100, 100).map(float),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+    str: st.text(max_size=4), list: st.lists(st.integers(), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+
+
+def _other_type(value):
+    """A strategy for JSON values of another type than value's. An int
+    stands for a number too, so a float is never replaced by one."""
+    taken = {int, float} if type(value) is float else {type(value)}
+    return st.one_of(*(values for kind, values in JSON_VALUES.items()
+                       if kind not in taken))
+
+
+def _resolve(draw, value, path):
+    """The path with every None replaced by a drawn index of its list."""
+    keys = []
+    for key in path:
+        if key is None:
+            key = draw(st.integers(0, len(value) - 1))
+        keys.append(key)
+        value = value[key]
+    return keys
+
+
+@st.composite
+def _mutations(draw, text, entries, replaced=()):
+    """A mutated copy of the JSON object text: one entry dropped or
+    replaced by another type, the text truncated, or the whole replaced by
+    JSON that is not an object."""
+    kind = draw(st.sampled_from(("drop", "replace", "truncate", "not object")))
+    if kind == "truncate":
+        # text[:-1] drops only the newline after the closing brace
+        return text[:draw(st.integers(0, len(text) - 2))]
+    if kind == "not object":
+        return json.dumps(draw(st.one_of(*(
+            values for json_type, values in JSON_VALUES.items()
+            if json_type is not dict))))
+    value = json.loads(text)
+    paths = entries if kind == "drop" else entries + replaced
+    *parents, last = _resolve(draw, value, draw(st.sampled_from(paths)))
+    parent = value
+    for key in parents:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[last]
+    else:
+        parent[last] = draw(_other_type(parent[last]))
+    return json.dumps(value)
+
+
+def _run(argv):
+    """main(argv)'s exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _linked_copy(source, target, edited):
+    """target: a directory of links to source's files, but for the files
+    of edited ({name: bytes}), written there."""
+    target.mkdir()
+    for path in source.iterdir():
+        if path.name in edited:
+            (target / path.name).write_bytes(edited[path.name])
+        else:
+            (target / path.name).symlink_to(path)
+    return target
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("read_back")
+
+
+def _train_on_manifest(workspace, scratch, manifest_text):
+    """Run train on the workspace dataset with this manifest text: the
+    exit code, stderr, the manifest's path and whether an output exists."""
+    with tempfile.TemporaryDirectory(dir=scratch) as root:
+        dataset_dir = _linked_copy(workspace / "dataset", Path(root) / "ds", {
+            "manifest.json": manifest_text.encode()})
+        out = Path(root) / "models"
+        code, err = _run(["train", "--config", str(workspace / "config.ini"),
+                          "--dataset", str(dataset_dir), "--out", str(out)])
+        return code, err, dataset_dir / "manifest.json", out.exists()
+
+
+def _eval_with_models(workspace, scratch, name, data):
+    """Run eval on the workspace models with the file `name` holding data:
+    the exit code, stderr, that file's path and whether an output exists."""
+    with tempfile.TemporaryDirectory(dir=scratch) as root:
+        models = _linked_copy(workspace / "models", Path(root) / "models",
+                              {name: data})
+        out = Path(root) / "reports"
+        code, err = _run(["eval", "--config", str(workspace / "config.ini"),
+                          "--dataset", str(workspace / "dataset"),
+                          "--models", str(models), "--out", str(out)])
+        return code, err, models / name, out.exists()
+
+
+def _with_header(model_bytes, header_text):
+    magic, _, payload = model_bytes.split(b"\n", 2)
+    return b"\n".join((magic, header_text.encode(), payload))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_train_refuses_any_broken_manifest(workspace, scratch, data):
+    text = (workspace / "dataset" / "manifest.json").read_text("ascii")
+    mutated = data.draw(_mutations(text, MANIFEST_ENTRIES, MANIFEST_REPLACED))
+    code, err, path, written = _train_on_manifest(workspace, scratch, mutated)
+    assert code == 1, err
+    assert f"error: {path}: " in err
+    assert not written
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
+def test_eval_refuses_any_broken_train_meta(workspace, scratch, data,
+                                            scenario):
+    name = f"train_meta_{scenario}.json"
+    text = (workspace / "models" / name).read_text("ascii")
+    mutated = data.draw(_mutations(text, TRAIN_META_ENTRIES))
+    code, err, path, written = _eval_with_models(workspace, scratch, name,
+                                                 mutated.encode())
+    assert code == 2, err
+    assert f"config error: {path}: " in err
+    assert not written
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), scenario=st.sampled_from(SCENARIOS))
+def test_eval_refuses_any_broken_model_header(workspace, scratch, data,
+                                              scenario):
+    name = f"model_{scenario}.bin"
+    blob = (workspace / "models" / name).read_bytes()
+    header = blob.split(b"\n", 2)[1].decode("ascii")
+    if data.draw(st.booleans(), label="truncate the file"):
+        mutated = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        mutated = _with_header(blob, data.draw(_mutations(
+            header + "\n", MODEL_HEADER_ENTRIES, MODEL_HEADER_REPLACED)))
+    code, err, path, written = _eval_with_models(workspace, scratch, name,
+                                                 mutated)
+    assert code == 1, err
+    assert f"error: {path}: " in err
+    assert not written
+
+
+def _edited(edit):
+    """The text edit that applies edit to the JSON object a text holds."""
+    def apply(text):
+        value = json.loads(text)
+        edit(value)
+        return json.dumps(value)
+    return apply
+
+
+# each was accepted, or refused without naming the file and the entry,
+# before the files had schema tables
+@pytest.mark.parametrize("old, new", [(-1, -1.9), (1, True)],
+                         ids=("float", "true"))
+def test_train_names_a_manifest_label_that_is_not_an_int(workspace, scratch,
+                                                         old, new):
+    manifest = json.loads((workspace / "dataset" / "manifest.json").read_text())
+    first = next(i for i, sample in enumerate(manifest["samples"])
+                 if sample["label"] == old)
+    for sample in manifest["samples"]:
+        if sample["label"] == old:
+            sample["label"] = new
+    code, err, path, written = _train_on_manifest(workspace, scratch,
+                                                  json.dumps(manifest))
+    assert code == 1
+    assert f"error: {path}: samples[{first}].label {new!r} is not an int\n" in err
+    assert not written
+
+
+def test_train_names_a_truncated_manifest(workspace, scratch):
+    text = (workspace / "dataset" / "manifest.json").read_text("ascii")
+    code, err, path, written = _train_on_manifest(workspace, scratch,
+                                                  text[:len(text) // 2])
+    assert code == 1
+    assert f"error: {path}: not a JSON object\n" in err
+    assert not written
+
+
+@pytest.mark.parametrize("scenario, edit, message", [
+    ("ris", _edited(lambda meta: meta.pop("scenario")), "scenario missing"),
+    ("none", _edited(lambda meta: meta.update(rate_threshold="x")),
+     "rate_threshold 'x' is not null"),
+    ("camera", _edited(lambda meta: meta.update(scenario="both")),
+     "scenario 'both' is not 'camera'"),
+    ("both", _edited(lambda meta: meta.update(seed=5.0)),
+     "seed 5.0 is not an int >= 0"),
+    ("none", lambda text: text[:-10], "not a JSON object"),
+    ("ris", lambda text: "[" * 100_000 + "]" * 100_000, "not a JSON object"),
+], ids=("no-scenario", "threshold-str", "other-scenario", "seed-float",
+        "truncated", "deep"))
+def test_eval_names_the_train_meta_entry_it_refuses(workspace, scratch,
+                                                    scenario, edit, message):
+    name = f"train_meta_{scenario}.json"
+    text = edit((workspace / "models" / name).read_text("ascii"))
+    code, err, path, written = _eval_with_models(workspace, scratch, name,
+                                                 text.encode())
+    assert code == 2
+    assert f"config error: {path}: {message}\n" in err
+    assert not written
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.update(n_features=769.5),
+     "n_features 769.5 is not an int >= 1"),
+    (lambda header: header.update(shapes=5), "shapes 5 is not a JSON object"),
+    (lambda header: header["shapes"].update(b2=[3, 1]),
+     "shapes.b2 [3, 1] is not a list of ints >= 0, 1 long"),
+    # as many floats, but no model: MlpParams refuses it
+    (lambda header: header["shapes"].update(w2=header["shapes"]["w2"][::-1]),
+     "w2 must have hidden+1 input rows (rate appended)"),
+], ids=("n_features-float", "shapes-int", "b2-rank", "w2-transposed"))
+def test_eval_names_the_model_header_entry_it_refuses(workspace, scratch,
+                                                      edit, message):
+    blob = (workspace / "models" / "model_ris.bin").read_bytes()
+    header = _edited(edit)(blob.split(b"\n", 2)[1])
+    code, err, path, written = _eval_with_models(
+        workspace, scratch, "model_ris.bin", _with_header(blob, header))
+    assert code == 1
+    assert f"error: {path}: {message}\n" in err
+    assert not written
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -4,6 +4,7 @@ format."""
 
 import functools
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -80,6 +81,14 @@ def test_train_config_validates_and_sorts():
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
     assert TrainConfig(weight_decay=0.0, lr_reduction_factor=1.0)
+
+
+@pytest.mark.parametrize("epochs", [(-3, 0), (0,), (5, 0), (-1, 8)])
+def test_train_config_refuses_a_schedule_epoch_below_one(epochs):
+    # lr_schedule would cut the rate at every such entry from epoch 1 on
+    with pytest.raises(ValueError, match="schedule_epochs"):
+        TrainConfig(schedule_epochs=epochs)
+    assert TrainConfig(schedule_epochs=(1, 8)).schedule_epochs == (1, 8)
 
 
 def test_params_validate_shapes():
@@ -663,4 +672,26 @@ def test_model_file_rejects_a_feature_count_other_than_w1_rows_plus_one(
     path.write_bytes(blob.replace(b'"n_features": 5', b'"n_features": 10')
                      + np.ones(10).astype("<f8").tobytes())
     with pytest.raises(ValueError, match="n_features 10"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob.replace(b'"w2": [6, 3]', b'"w2": [3, 6]'),
+     "w2 must have hidden+1 input rows"),
+    # b1 two floats shorter, and so the payload
+    (lambda blob: blob.replace(b'"b1": [5]', b'"b1": [3]')[:-16],
+     "b1 length must equal the hidden width"),
+    (lambda blob: blob[:-8] + np.array([-1.0], "<f8").tobytes(),
+     "std must be nonnegative"),
+], ids=("w2_transposed", "b1_short", "negative_scale"))
+def test_model_file_names_itself_when_its_blocks_make_no_model(tmp_path, edit,
+                                                               message):
+    # the header passes its table and the payload holds the floats it calls
+    # for; only the blocks built from them are refused
+    params = init_params(4, np.random.default_rng(14), n_hidden=5)
+    path = tmp_path / "model.bin"
+    save_model(path, params, Standardization(mean=np.zeros(5), std=np.ones(5)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(f"{path}: {message}")):
         load_model(path)

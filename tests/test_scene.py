@@ -475,12 +475,32 @@ def test_random_scene_respects_layout():
     ("blocker_x_range", (31.0, 7.0)),
     ("blocker_x_range", (7.0, math.inf)),
     ("blocker_y_margin", 17.0),
+    # blockers across the station->surface line at x = 2, or outside the
+    # 40 m bounds: random_scene failed on the first, and render_image
+    # painted the second as a wall on the image's edge
+    ("blocker_x_range", (1.0, 3.0)),
+    ("blocker_x_range", (3.0, 20.0)),
+    ("blocker_x_range", (50.0, 60.0)),
+    ("blocker_x_range", (7.0, 39.0)),
+    ("dense_half_width", (0.5, 6.0)),
+    ("sparse_half_size", (0.8, 9.5)),
+    ("blocker_y_margin", -1.0),
 ])
 def test_layout_refuses_a_range_a_draw_could_not_take(field, value):
     # each of these was accepted, and the dense half height failed in
     # random_scene's first dense draw with numpy's "high - low < 0"
     with pytest.raises(ValueError, match=field):
         SceneLayout(**{field: value})
+
+
+@pytest.mark.parametrize("x", [5.0, 10.0, 20.0, 33.0])
+def test_layout_refuses_a_surface_link_its_blockers_could_cross(x):
+    # the default blockers span x 5..33: a station->surface line there
+    # could be crossed; one at x = 4 or 35 could not
+    with pytest.raises(ValueError, match="blocker_x_range"):
+        SceneLayout(bs_position=(x, 20.0), ris_position=(x, 37.0))
+    for free in (4.0, 35.0):
+        SceneLayout(bs_position=(free, 20.0), ris_position=(free, 37.0))
 
 
 def test_random_scene_is_deterministic():
