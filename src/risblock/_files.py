@@ -90,24 +90,32 @@ def checked_json(path, text, table):
         value = None
     if type(value) is not dict:
         raise ValueError(f"{path}: not a JSON object")
-    _check(path, "", value, table)
+    _check(path, None, value, table)
     return value
 
 
 def _check(path, name, value, spec):
-    """Check the value of the entry `name` against spec."""
+    """Check the value of the entry `name` against spec. name is a chain,
+    None or (parent chain, key or index), made into text only on a fault."""
     entry = _CONTAINERS.get(type(spec), spec)
     if not entry.test(value):
-        raise ValueError(f"{path}: {name} {value!r} is not {entry.wanted}")
+        raise ValueError(f"{path}: {_name(name)} {value!r} is not "
+                         f"{entry.wanted}")
     if type(spec) is list:
         for i, item in enumerate(value):
-            _check(path, f"{name}[{i}]", item, spec[0])
+            _check(path, (name, i), item, spec[0])
     elif type(spec) is dict:
         for key, inner in spec.items():
-            child = f"{name}.{key}" if name else key
             if key not in value:
-                raise ValueError(f"{path}: {child} missing")
-            _check(path, child, value[key], inner)
+                raise ValueError(f"{path}: {_name((name, key))} missing")
+            _check(path, (name, key), value[key], inner)
+
+
+def _name(chain):
+    """A chain's entry name, as samples[3].label."""
+    parent, key = chain
+    key = f"[{key}]" if type(key) is int else f".{key}"
+    return key[1:] if parent is None else _name(parent) + key
 
 
 class Stage:

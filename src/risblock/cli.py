@@ -31,8 +31,7 @@ import numpy as np
 
 from risblock._files import (checked_json, csv_text, json_text, staged_files,
                              train_meta_table)
-from risblock.dataset import (GeneratorConfig, load_dataset, read_manifest,
-                              save_dataset)
+from risblock.dataset import GeneratorConfig, load_dataset, save_dataset
 from risblock.learn import (TrainConfig, init_params, grad_check, load_model,
                             save_model)
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario, ScenarioModel,
@@ -234,18 +233,19 @@ def cmd_generate(args):
     return 0
 
 
-def _split_rows(dataset_dir, train_cfg, seed):
-    """The dataset's (train_rows, test_rows) under train_cfg and seed, so
-    that train and eval each load only their side."""
-    n = read_manifest(dataset_dir)["n_samples"]
-    return split_rows(n, train_cfg.train_fraction, seed)
+def _split_side(train_cfg, seed, side):
+    """load_dataset's rows for side 0 (train) or 1 (test) of the dataset's
+    split under train_cfg and seed, so that train and eval each load only
+    their side."""
+    return lambda manifest: split_rows(manifest["n_samples"],
+                                       train_cfg.train_fraction, seed)[side]
 
 
 def cmd_train(args):
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    train_rows, _ = _split_rows(args.dataset, config.training, seed)
-    train_table, manifest = load_dataset(args.dataset, rows=train_rows)
+    train_table, manifest = load_dataset(
+        args.dataset, rows=_split_side(config.training, seed, 0))
     scenarios = [Scenario(args.scenario)] if args.scenario else list(Scenario)
     try:
         check_trainable(train_table, scenarios)
@@ -318,8 +318,8 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
 def cmd_eval(args):
     config = load_config(args.config)
     seed = resolve_seed(args, config)
-    _, test_rows = _split_rows(args.dataset, config.training, seed)
-    test_table, manifest = load_dataset(args.dataset, rows=test_rows)
+    test_table, manifest = load_dataset(
+        args.dataset, rows=_split_side(config.training, seed, 1))
     models_dir = Path(args.models)
     # every model loads before any report is written
     models = {scenario: _load_scenario_model(models_dir, scenario,

@@ -25,7 +25,10 @@ while later ranges are made, so the files are the same bytes on any CPU
 count. The caller holds no more than WRITE_CHUNK_IMAGES images on one CPU,
 and none on more. It writes through `risblock._files.staged_files`, the
 manifest last, so a failed run leaves no dataset. `taskset -c 0` gives a
-serial run.
+serial run. The pool forks warm: `save_dataset` first loads numpy.random
+(not at the top, which every command would pay) and fills the scene caches
+a range task reads. Forked cold, each worker loaded numpy.random itself:
+its first 32-sample, 64-element range took 19-28 ms of CPU, 10-14 warm.
 
 A range task makes its samples one write chunk at a time (`_generate`).
 Each sample of the chunk is drawn as before, from its own stream and in the
@@ -71,6 +74,7 @@ import json
 import math
 import numbers
 import os
+import threading
 from collections import namedtuple
 from contextlib import closing
 from dataclasses import dataclass, field, fields, asdict
@@ -83,9 +87,9 @@ from risblock._files import (MANIFEST_TABLE, checked_json, csv_text, json_text,
                              staged_files)
 from risblock._pool import fork_map
 from risblock.channel import ArrayGeometry, PropagationConfig, link_rates
-from risblock.scene import (LinkStatus, SceneLayout, draw_paths,
-                            generate_trajectory, link_status, path_tables,
-                            random_scene, render_image)
+from risblock.scene import (LinkStatus, SceneLayout, _draw_bounds, _markers,
+                            draw_paths, generate_trajectory, link_status,
+                            path_tables, random_scene, render_image)
 
 # tag mixed into every per-sample SeedSequence, decoupling sample streams
 # from any other consumer of the same root seed
@@ -357,6 +361,11 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
     size = -(-n // (RANGES_PER_WORKER * len(os.sched_getaffinity(0))))
     bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
     image_bytes = 4 * math.prod(cfg.image_dims)
+    import numpy.random  # noqa: F401 (the pool forks warm: module docstring)
+    _draw_bounds(cfg.n_paths_direct + cfg.n_paths_hop + cfg.n_paths_surface - 3,
+                 cfg.n_paths_hop - 1)
+    _markers(tuple(cfg.layout.bounds), tuple(cfg.layout.bs_position),
+             tuple(cfg.layout.ris_position), *cfg.image_dims[:2])
     with staged_files(out_dir) as stage:
         digest = hashlib.sha256()
         records = []
@@ -541,9 +550,9 @@ def _read_images(images_file, n, image_dims, digest):
     a load at n=2000. On a 2-CPU virtual machine the slowest of a run of
     such loads took up to 0.69 s that way, against at most 0.25 s this way
     and 0.38 s on one thread (BENCH_17.json). The thread is joined when
-    the generator ends or is closed, after it has hashed the whole file;
-    close the generator before the caller returns, so no thread is alive
-    when a pool forks.
+    the generator ends or is closed, after it has hashed the whole file,
+    and what it raised is raised here; close the generator before the
+    caller returns, so no thread is alive when a pool forks.
     """
     image_bytes = 4 * math.prod(image_dims)
     size = os.fstat(images_file.fileno()).st_size
@@ -558,14 +567,23 @@ def _read_images(images_file, n, image_dims, digest):
     if digest is None:
         yield from chunks
         return
-    # imported here, not at the top: concurrent.futures pulls in logging,
-    # about 14 ms of start-up that commands which load no dataset would pay
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as hasher:
-        hashed = hasher.submit(_hash_file, images_file.fileno(), 0, size,
-                               LOAD_CHUNK_IMAGES * image_bytes, digest)
+    failed = []  # what the hashing thread raised
+
+    def hash_file():
+        try:
+            _hash_file(images_file.fileno(), 0, size,
+                       LOAD_CHUNK_IMAGES * image_bytes, digest)
+        except BaseException as exc:
+            failed.append(exc)
+
+    hasher = threading.Thread(target=hash_file, name="dataset-hash")
+    hasher.start()
+    try:
         yield from chunks
-        hashed.result()
+    finally:
+        hasher.join()
+    if failed:
+        raise failed[0]
 
 
 def _parse_features(text, n):
@@ -622,8 +640,8 @@ def load_dataset(dataset_dir, verify=True, rows=None):
 
     The table holds every sample in index order, or with rows (distinct ints
     in [0, N), else ValueError) exactly those samples in rows' order; only
-    their images are pooled. Every check below covers all N samples whatever
-    the rows.
+    their images are pooled; rows may be a function of the manifest that
+    returns them. Every check below covers all N samples whatever the rows.
 
     The manifest must pass read_manifest, images.bin must hold exactly its
     N x H x W x 3 float32 values and features.csv exactly one well-formed
@@ -643,6 +661,8 @@ def load_dataset(dataset_dir, verify=True, rows=None):
     features_text = (dataset_dir / FEATURES_NAME).read_text("ascii")
     n = manifest["n_samples"]
     image_dims = tuple(manifest["image_dims"])
+    if callable(rows):
+        rows = rows(manifest)
     if rows is not None:
         rows = _checked_rows(rows, n)
 

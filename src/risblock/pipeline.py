@@ -42,7 +42,7 @@ from risblock import learn
 from risblock._files import csv_text, json_text, staged_files
 from risblock._pool import fork_map, one_blas_thread
 from risblock.dataset import (MANIFEST_NAME, config_record, load_dataset,
-                              read_manifest, save_dataset)
+                              save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,
                             class_indices, fit_standardization)
 from risblock.scene import LinkStatus
@@ -316,25 +316,28 @@ def run_experiment(gen_cfg, train_cfg, seed, out_dir, dataset_dir=None):
 
     if not (dataset_dir / MANIFEST_NAME).exists():
         save_dataset(dataset_dir, gen_cfg, seed)
-    manifest = read_manifest(dataset_dir)
-    # `generate --n` records the count it made beside its config's n_samples.
-    # Compared as JSON text, where 16.0 is not 16 nor true 1
-    made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}
-    for key, recorded, given in (("seed", manifest["seed"], int(seed)),
-                                 ("config", made_by, config_record(gen_cfg))):
-        if json_text(recorded) != json_text(given):
-            raise ValueError(
-                f"{dataset_dir / MANIFEST_NAME} records {key} "
-                f"{recorded!r}, but run_experiment was given {given!r}")
+    sides = []
+
+    def checked_split(manifest):
+        # `generate --n` records the count it made beside its config's
+        # n_samples. Compared as JSON text, where 16.0 is not 16 nor true 1
+        made_by = {**manifest["config"], "n_samples": manifest["n_samples"]}
+        for key, recorded, given in (("seed", manifest["seed"], int(seed)),
+                                     ("config", made_by,
+                                      config_record(gen_cfg))):
+            if json_text(recorded) != json_text(given):
+                raise ValueError(
+                    f"{dataset_dir / MANIFEST_NAME} records {key} "
+                    f"{recorded!r}, but run_experiment was given {given!r}")
+        sides.extend(split_rows(manifest["n_samples"],
+                                train_cfg.train_fraction, seed))
+        return np.concatenate(sides)
 
     # the loader is the one place that turns images into table rows; it
     # pools them in split order, so each side is a view of the one table
-    train_rows, test_rows = split_rows(manifest["n_samples"],
-                                       train_cfg.train_fraction, seed)
-    table, manifest = load_dataset(
-        dataset_dir, rows=np.concatenate([train_rows, test_rows]))
-    train_table = table.take(slice(None, len(train_rows)))
-    test_table = table.take(slice(len(train_rows), None))
+    table, manifest = load_dataset(dataset_dir, rows=checked_split)
+    train_table = table.take(slice(None, len(sides[0])))
+    test_table = table.take(slice(len(sides[0]), None))
 
     fits = dict(fit_scenarios(train_table, list(Scenario), train_cfg, seed))
     models = {scenario: fits[scenario] for scenario in Scenario}

@@ -1,6 +1,7 @@
 """Shared fixtures: one small generated dataset reused by pipeline/CLI tests,
 ways to hold generated samples and their feature table in memory, and a way
-to pretend the process may run on a given number of CPUs."""
+to pretend the process may run on a given number of CPUs, and a check that
+no child process is left."""
 
 import os
 
@@ -57,3 +58,10 @@ def small_table(small_dataset):
 def allow_cpus(monkeypatch, count):
     """Make the pools see `count` CPUs in the process's affinity mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_processes():
+    """Assert that this process has no child, running or exited and not yet
+    waited for: a pool worker forked by any means counts."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -8,7 +8,6 @@ import importlib.metadata
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import risblock
-from conftest import allow_cpus
+from conftest import allow_cpus, assert_no_child_processes
 from risblock import dataset, pipeline
 from risblock.cli import _SECTIONS, Config, load_config, main, resolve_seed
 from risblock.dataset import GeneratorConfig, load_dataset, pool_image
@@ -188,7 +187,7 @@ def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
     assert "sample 23 could not be generated" in captured.err
     assert "samples written" in captured.err  # ranges before 23 were written
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
     # an existing output directory stays, without a file left in it
     out.mkdir()
@@ -200,7 +199,7 @@ def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
         run_experiment(GeneratorConfig(n_samples=37, n_ris_elements=16),
                        EXPERIMENT_TRAIN_CONFIG, 4, tmp_path / "experiment")
     assert not (tmp_path / "experiment").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 # ---------------------------------------------------------------- config
@@ -528,7 +527,7 @@ def test_a_failing_scenario_fails_train_and_experiment(workspace, tmp_path,
                        tmp_path / "experiment",
                        dataset_dir=workspace / "dataset")
     assert not (tmp_path / "experiment").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 def test_train_checks_the_pooled_grid_before_training(workspace, tmp_path,
@@ -1277,18 +1276,41 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout == "", f"tracked but ignored:\n{proc.stdout}"
 
 
-def test_importing_the_cli_loads_no_pool_or_logging_module():
-    # the pool and the loader's hashing thread import these where they are
-    # first used: each costs start-up time on every command that needs none
+# generate, train and eval on two CPUs in a fresh interpreter; prints the
+# modules of interest loaded by `import risblock.cli`, then after the commands
+_COMMANDS_SCRIPT = """
+import os, sys
+import risblock.cli
+print(sorted({"numpy.random"} & set(sys.modules)))
+os.sched_getaffinity = lambda pid: set(range(2))  # as conftest.allow_cpus
+work = sys.argv[1]
+config = os.path.join(work, "c.ini")
+with open(config, "w") as out:
+    out.write("[generator]\\nn_ris_elements = 16\\n")
+for argv in (["generate", "--n", "60", "--out", work + "/d"],
+             ["train", "--dataset", work + "/d", "--out", work + "/m"],
+             ["eval", "--dataset", work + "/d", "--models", work + "/m",
+              "--out", work + "/r"]):
+    assert risblock.cli.main([*argv, "--config", config]) == 0, argv
+print(sorted({"concurrent.futures", "multiprocessing", "logging"}
+             & set(sys.modules)))
+"""
+
+
+def test_importing_the_cli_loads_no_pool_or_logging_module(tmp_path):
+    # numpy.random is loaded where generation and the split first need it,
+    # and the pools and the loader's hashing thread need none of the three
+    # others: each costs start-up time on every command
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, risblock.cli; print(sorted("
-         "{'concurrent.futures', 'multiprocessing', 'logging'} & "
-         "set(sys.modules)))"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT,
+                           str(tmp_path)],
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # on import risblock.cli
+    assert lines[-1] == "[]"  # after generate, train and eval
+    assert (tmp_path / "r").is_dir()
 
 
 def test_module_runs_without_entry_point():

@@ -4,7 +4,6 @@ loading take."""
 
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -17,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (SMALL_GEN, SMALL_SEED, allow_cpus, generated,
-                      table_of)
+from conftest import (SMALL_GEN, SMALL_SEED, allow_cpus,
+                      assert_no_child_processes, generated, table_of)
 from oracles import reference_content_hash, reference_images_bytes
 from risblock import dataset
 from risblock.cli import main
@@ -348,12 +347,20 @@ def _fail_the_third_pool(monkeypatch):
     monkeypatch.setattr(dataset, "pool_image", pool)
 
 
+def _fail_the_hashing(monkeypatch):
+    def failing(*args):
+        raise OSError("images.bin could not be read")
+    monkeypatch.setattr(dataset, "_hash_file", failing)
+
+
 @pytest.mark.parametrize("spoil, error", [
     (None, None),
     (_flip_a_byte, "hash mismatch"),
     (_truncate_images, "images.bin holds"),
     ("pool", "pooling failed"),
-], ids=("loaded", "hash_mismatch", "truncated", "failed_pooling"))
+    ("hash", "images.bin could not be read"),
+], ids=("loaded", "hash_mismatch", "truncated", "failed_pooling",
+        "failed_hashing"))
 def test_load_dataset_leaves_no_thread_running(tmp_path, monkeypatch, spoil,
                                                error):
     # train forks its fit pool right after loading, and a fork must not
@@ -361,6 +368,8 @@ def test_load_dataset_leaves_no_thread_running(tmp_path, monkeypatch, spoil,
     save_dataset(tmp_path, SMALL_GEN, SMALL_SEED)
     if spoil == "pool":
         _fail_the_third_pool(monkeypatch)
+    elif spoil == "hash":  # raised in the hashing thread, so in the caller
+        _fail_the_hashing(monkeypatch)
     elif spoil is not None:
         spoil(tmp_path)
     before = threading.active_count()
@@ -368,7 +377,8 @@ def test_load_dataset_leaves_no_thread_running(tmp_path, monkeypatch, spoil,
         load_dataset(tmp_path, verify=True)
     else:
         # checked while the traceback, and every frame in it, is still held
-        with pytest.raises((ValueError, MemoryError), match=error) as raised:
+        with pytest.raises((ValueError, MemoryError, OSError),
+                           match=error) as raised:
             load_dataset(tmp_path, verify=True)
         assert raised.traceback
     assert threading.active_count() == before
@@ -417,7 +427,7 @@ def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
     # the ranges before sample 23 were written, but no file is left
     assert progress and progress[-1] <= 23
     assert not (tmp_path / "d").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 def test_a_range_task_writes_its_images_and_returns_only_records(tmp_path):

@@ -3,13 +3,12 @@ writes through it failing while it writes or when a directory sits at one
 of its file names."""
 
 import errno
-import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
-from conftest import allow_cpus
+from conftest import allow_cpus, assert_no_child_processes
 from risblock._files import csv_text, json_text, staged_files
 from risblock.cli import main
 from risblock.dataset import GeneratorConfig
@@ -178,7 +177,7 @@ def test_a_failed_writer_leaves_the_output_directory_as_it_was(
         assert run(workspace, out) == 1
         assert "error:" in capsys.readouterr().err
     assert _snapshot(out) == before
-    assert multiprocessing.active_children() == []
+    assert_no_child_processes()
 
 
 def test_a_failed_writer_removes_the_directory_it_made(workspace, tmp_path,
