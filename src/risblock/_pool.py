@@ -9,9 +9,10 @@ hands over the function unpickled, so it may be a closure over large arrays
 or a rebound name, and the caller's loaded modules: load what tasks need
 first, and join other threads, which fork does not copy. A worker leaves by
 os._exit, so atexit handlers and stdio buffers never run twice. A dead
-worker raises RuntimeError with its wait status. On an error or an early
-close the caller closes every pipe, so a worker stops at its next write, and
-waits for each: none outlives the call.
+worker raises RuntimeError with its wait status. So does an item whose value
+cannot be sent back, naming the item, the value's type and its text. On an
+error or an early close the caller closes every pipe, so a worker stops at
+its next write, and waits for each: none outlives the call.
 
 Not ProcessPoolExecutor nor multiprocessing.Pool: they add threads, queues
 and the imports of multiprocessing, concurrent.futures and logging; a map of
@@ -95,7 +96,8 @@ def fork_map(function, items):
             readers.append(open(read_fd, "rb"))
             pid = os.fork()
             if pid == 0:  # the worker, which never returns
-                _work(function, items[worker::workers], write_fd, readers)
+                _work(function, list(enumerate(items))[worker::workers],
+                      write_fd, readers)
             os.close(write_fd)
             pids.append(pid)
         for index in range(len(items)):
@@ -117,20 +119,28 @@ def fork_map(function, items):
 
 
 def _work(function, items, write_fd, readers):
-    """A forked worker: pickle (False, function(item)) for each item to
-    write_fd, or (True, the exception) and stop; then leave the process."""
+    """A forked worker: pickle (False, function(item)) for each (index,
+    item) to write_fd, or (True, the exception) and stop; then leave."""
     try:
         for reader in readers:  # so that a closed pipe fails the next write
             reader.close()
         for _, set_ in _openblas_threads():
             set_(1)
         with open(write_fd, "wb") as pipe:
-            for item in items:
+            for index, item in items:
                 try:
                     reply = (False, function(item))
                 except BaseException as exc:
                     reply = (True, exc)
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+                try:  # what would not load back would fail the caller
+                    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                    pickle.loads(data)
+                except Exception as exc:
+                    reply = (True, RuntimeError(
+                        f"pool item {index} gave {type(reply[1]).__name__}: "
+                        f"{reply[1]!s:.200}, which cannot be sent: {exc!r}"))
+                    data = pickle.dumps(reply)
+                pipe.write(data)
                 pipe.flush()
                 if reply[0]:
                     break

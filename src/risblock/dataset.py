@@ -34,12 +34,10 @@ A range task makes its samples one write chunk at a time (`_generate`).
 Each sample of the chunk is drawn as before, from its own stream and in the
 same order: its scene, walk, location, link status and, for a present
 terminal, its one `rng.random` of path values (`_draw_sample`). Then the
-channel stage of the chunk's present samples runs in blocks of at most
-BLOCK_RAMP_ENTRIES ramp entries (`scene.path_tables`, then
-`channel.link_rates`): at the default 8000 elements a block holds one
-sample, and with 64 elements all of a chunk's present samples. Absent
-samples never reach it: both their rates are 0.0. `generate_sample` is
-this run on one index, and gives the bytes the dataset holds.
+chunk's present samples go through the channel stage in one call each of
+`scene.path_tables` and `channel.link_rates`, which sizes its own blocks.
+Absent samples never reach it: both their rates are 0.0. `generate_sample`
+is this run on one index, and gives the bytes the dataset holds.
 
 On disk a dataset is three files: `manifest.json` (generation parameters,
 per-sample metadata, class counts, and a sha256 content hash), `images.bin`
@@ -110,16 +108,6 @@ RANGES_PER_WORKER = 8
 # block freed in a worker was then larger than the per-sample temporaries,
 # so those were mapped and faulted in afresh for every sample.
 WRITE_CHUNK_IMAGES = 32
-
-# ramp entries (paths x rows x columns of the three steering sums) per block
-# of present samples whose channels are computed together. Serial, caps
-# interleaved, the channel stage took 0.42 ms a present sample with 512
-# elements and 1.37 ms with 2000 at 2**17, against 0.49 and 1.85 ms at
-# 2**15; with 64 elements every cap from 2**14 up made a chunk's present
-# samples one block and took the same time. A sample of the default 8000
-# elements has 80,005 entries, so at 2**17 a block still holds one sample
-# and the default's memory stays as it was.
-BLOCK_RAMP_ENTRIES = 2 ** 17
 
 # images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
 # the table being filled even with two chunks alive, one pooled, one hashed.
@@ -250,26 +238,15 @@ def _draw_sample(cfg, seed, index):
     return _Draw(scene, ue, status, location_index, paths)
 
 
-def _block_samples(cfg):
-    """Present samples per channel block: as many as BLOCK_RAMP_ENTRIES
-    allows, at least one. A sample's ramp entries are the paths x rows x
-    columns of its three steering sums."""
-    geom = cfg.geometry
-    entries = (cfg.n_paths_direct * geom.n_bs_antennas
-               + (cfg.n_paths_hop * geom.n_bs_antennas + cfg.n_paths_surface)
-               * geom.n_ris_elements)
-    return max(1, BLOCK_RAMP_ENTRIES // entries)
-
-
 def _generate(cfg, seed, indices):
     """The Samples of indices, in order, one at a time.
 
     Each index is drawn from its own stream (_draw_sample); then the
-    channels, co-phasing and rates of the present samples are computed
-    _block_samples(cfg) at a time (channel.link_rates), and each image is
-    rendered as its sample is taken. _draw_sample and link_rates are looked
-    up as module globals when this runs, so a rebound one (a test's patch,
-    a tracer's wrapper) is the one called.
+    channels, co-phasing and rates of the present samples are computed in
+    one channel.link_rates call, and each image is rendered as its sample
+    is taken. _draw_sample and link_rates are looked up as module globals
+    when this runs, so a rebound one (a test's patch, a tracer's wrapper) is
+    the one called.
     """
     draws = [_draw_sample(cfg, seed, i) for i in indices]
     # No terminal: both channels to it are zero vectors, so the direct and
@@ -277,15 +254,13 @@ def _generate(cfg, seed, indices):
     # rates are log1p(0) = 0.0. Rendering draws nothing from the stream, so
     # the absent samples never reach the channel code.
     present = [draw.paths for draw in draws if draw.paths is not None]
-    size = _block_samples(cfg)
-    rates = []
-    for start in range(0, len(present), size):
-        tables = path_tables(present[start:start + size], cfg.n_paths_direct,
-                             cfg.n_paths_hop, cfg.n_paths_surface)
-        rates += zip(*link_rates(tables.bs_ue, tables.bs_ris,
-                                 tables.bs_ris_departures, tables.ris_ue,
-                                 cfg.propagation, cfg.geometry))
-    rates = iter(rates)
+    rates = iter(())
+    if present:
+        tables = path_tables(present, cfg.n_paths_direct, cfg.n_paths_hop,
+                             cfg.n_paths_surface)
+        rates = zip(*link_rates(tables.bs_ue, tables.bs_ris,
+                                tables.bs_ris_departures, tables.ris_ue,
+                                cfg.propagation, cfg.geometry))
     for draw in draws:
         direct_rate, ris_rate = (0.0, 0.0) if draw.paths is None else next(rates)
         yield Sample(image=render_image(draw.scene, draw.ue, draw.status,

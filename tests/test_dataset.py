@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (SMALL_GEN, SMALL_SEED, allow_cpus,
                       assert_no_child_processes, generated, table_of)
 from oracles import reference_content_hash, reference_images_bytes
-from risblock import dataset
+from risblock import channel, dataset
 from risblock.cli import main
 from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
                               GeneratorConfig, build_manifest,
@@ -448,12 +448,13 @@ def test_a_range_task_writes_its_images_and_returns_only_records(tmp_path):
 
 @pytest.mark.parametrize("n_ris_elements, block_ramp_entries", [
     (16, None), (64, None), (8000, None),
-    (64, 2000),   # blocks of three present samples, the last one short
+    # blocks of three of the seven present samples, the last one short
+    (64, 2000), (8000, 3 * 80_005),
 ])
 def test_a_chunk_is_its_samples_made_one_at_a_time_bit_for_bit(
         tmp_path, monkeypatch, n_ris_elements, block_ramp_entries):
     if block_ramp_entries is not None:
-        monkeypatch.setattr(dataset, "BLOCK_RAMP_ENTRIES", block_ramp_entries)
+        monkeypatch.setattr(channel, "BLOCK_RAMP_ENTRIES", block_ramp_entries)
     cfg = GeneratorConfig(n_samples=12, n_ris_elements=n_ris_elements)
     alone = [generate_sample(cfg, 5, i) for i in range(12)]
     # absent, clear and blocked samples in one chunk
@@ -463,6 +464,43 @@ def test_a_chunk_is_its_samples_made_one_at_a_time_bit_for_bit(
     assert [repr(tuple(r)) for r in records] == [
         repr((s.direct_rate, s.ris_rate, s.label, s.location_index))
         for s in alone]
+    assert (tmp_path / IMAGES_NAME).read_bytes() == \
+        reference_images_bytes(alone)
+
+
+def test_a_chunk_computes_its_path_coefficients_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(links, carrier_hz):
+        calls.append(len(links[0][0].delay_s))  # the samples of the call
+        return path_coefficients(links, carrier_hz)
+
+    path_coefficients = channel._path_coefficients
+    monkeypatch.setattr(channel, "_path_coefficients", counted)
+    cfg = GeneratorConfig(n_samples=32)
+    assert cfg.n_ris_elements == 8000  # a block of one sample
+    with open(tmp_path / IMAGES_NAME, "w+b") as images:
+        records = dataset._write_range(cfg, 5, images.fileno(), (0, 32))
+    present = sum(r.label is not LinkStatus.ABSENT for r in records)
+    assert present > 1
+    assert calls == [present]
+
+
+def test_an_all_absent_chunk_never_reaches_the_channel_code_bit_for_bit(
+        tmp_path, monkeypatch):
+    cfg = GeneratorConfig(n_samples=12, n_ris_elements=64,
+                          absent_probability=1.0)
+    alone = [generate_sample(cfg, 5, i) for i in range(12)]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an absent sample reached the channel code")
+
+    for name in ("path_tables", "link_rates"):
+        monkeypatch.setattr(dataset, name, unreachable)
+    with open(tmp_path / IMAGES_NAME, "w+b") as images:
+        records = dataset._write_range(cfg, 5, images.fileno(), (0, 12))
+    assert [repr(tuple(r)) for r in records] == [
+        repr((0.0, 0.0, LinkStatus.ABSENT, s.location_index)) for s in alone]
     assert (tmp_path / IMAGES_NAME).read_bytes() == \
         reference_images_bytes(alone)
 

@@ -122,6 +122,46 @@ def test_a_worker_that_dies_raises_rather_than_hangs(monkeypatch):
     assert_no_child_processes()
 
 
+def test_a_result_that_does_not_pickle_raises_at_its_item(monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    results = fork_map(lambda item: (lambda: item) if item == 1 else item,
+                       range(4))
+    with _deadline():
+        assert next(results) == 0
+        with pytest.raises(RuntimeError, match=(
+                r"^pool item 1 gave function: <function .*<lambda>.*, which "
+                r"cannot be sent: .*(PicklingError|AttributeError)")):
+            next(results)
+    assert_no_child_processes()
+
+
+class _TwoArgumentError(Exception):
+    """Pickles as its args, one message, so loading it back calls
+    __init__ with one argument and fails."""
+
+    def __init__(self, item, why):
+        super().__init__(f"item {item}: {why}")
+
+
+def test_an_exception_that_does_not_load_back_raises_at_its_item(
+        monkeypatch):
+    allow_cpus(monkeypatch, 2)
+
+    def fail_at_2(item):
+        if item == 2:
+            raise _TwoArgumentError(item, "failed")
+        return item
+
+    results = fork_map(fail_at_2, range(6))
+    with _deadline():
+        assert [next(results) for _ in range(2)] == [0, 1]
+        with pytest.raises(RuntimeError, match=(
+                r"^pool item 2 gave _TwoArgumentError: item 2: failed, which "
+                r"cannot be sent: TypeError\(.*missing 1 required")):
+            next(results)
+    assert_no_child_processes()
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_results_larger_than_a_pipe_buffer_come_back_whole(monkeypatch, cpus):
     allow_cpus(monkeypatch, cpus)
