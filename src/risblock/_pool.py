@@ -17,8 +17,8 @@ its next write, and waits for each: none outlives the call.
 Not ProcessPoolExecutor nor multiprocessing.Pool: they add threads, queues
 and the imports of multiprocessing, concurrent.futures and logging; a map of
 16 trivial items took 17 ms with the executor, 7-8 ms here. Round robin will
-do, as a map's items cost about the same: ranges of one size, or scenarios
-longest first, so 2 CPUs pair camera with none and both with ris.
+do, as a map's items cost about the same: write chunks of one size, or
+scenarios longest first, so 2 CPUs pair camera with none and both with ris.
 
 Each worker runs the OpenBLAS it inherited on one thread. OpenBLAS starts
 one thread per CPU by default, so two training workers on two CPUs would

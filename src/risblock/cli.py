@@ -186,8 +186,15 @@ def resolve_seed(args, config):
     return config.seed  # load_config has checked it
 
 
+def _accuracy(text):
+    """An accuracy column's value: a float in [0, 1], else ValueError."""
+    if not 0 <= (value := float(text)) <= 1:  # nan fails too
+        raise ValueError(text)
+    return value
+
+
 _HISTORY_COLUMNS = (("iteration", int), ("epoch", int), ("lr", float),
-                    ("loss", float), ("accuracy", float))
+                    ("loss", float), ("accuracy", _accuracy))
 
 
 def _history_csv_text(history):
@@ -282,11 +289,13 @@ def cmd_train(args):
     return 0
 
 
-def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
+def _load_scenario_model(models_dir, scenario, dataset_hash, seed,
+                         n_image_features):
     """A scenario's model with its history and train metadata. The metadata
     must pass its schema table (risblock._files.train_meta_table) and name
     the dataset hash and the seed that eval was given, else the test split
-    would overlap the rows the model was trained on."""
+    would overlap the rows the model was trained on. The model must read
+    the dataset's n_image_features, else ValueError naming its file."""
     name = scenario.value
     model_path = models_dir / f"model_{name}.bin"
     meta_path = models_dir / f"train_meta_{name}.json"
@@ -308,6 +317,9 @@ def _load_scenario_model(models_dir, scenario, dataset_hash, seed):
                 f"given {key} {given!r}; evaluate with the dataset and seed "
                 f"the models were trained on")
     params, stats = load_model(model_path)
+    if params.n_image_features != n_image_features:
+        raise ValueError(f"{model_path} reads {params.n_image_features} image "
+                         f"features; the dataset gives {n_image_features}")
     return ScenarioModel(scenario=scenario, params=params,
                          standardization=stats,
                          history=_read_csv(history_path, _HISTORY_COLUMNS),
@@ -322,9 +334,9 @@ def cmd_eval(args):
         args.dataset, rows=_split_side(config.training, seed, 1))
     models_dir = Path(args.models)
     # every model loads before any report is written
-    models = {scenario: _load_scenario_model(models_dir, scenario,
-                                             manifest["content_hash"], seed)
-              for scenario in Scenario}
+    models = {scenario: _load_scenario_model(
+        models_dir, scenario, manifest["content_hash"], seed,
+        test_table.pooled.shape[1]) for scenario in Scenario}
     with staged_files(Path(args.out)) as stage:
         reports = evaluate_scenarios(stage, test_table, models)
     for scenario, report in reports.items():
@@ -366,7 +378,7 @@ def cmd_curves(args):
         if not path.exists():
             raise FileNotFoundError(f"missing curve file {path}")
         series[scenario.value] = _read_csv(
-            path, (("iteration", int), ("accuracy", float)))
+            path, (("iteration", int), ("accuracy", _accuracy)))
 
     iterations = [tuple(it for it, _ in pts) for pts in series.values()]
     if len(set(iterations)) != 1:

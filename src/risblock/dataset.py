@@ -14,27 +14,24 @@ sample holds the rendered scene image, the
 direct-link data rate, the surface-assisted data rate with co-phased
 elements, the ternary label, and the trajectory step it was taken from.
 
-`save_dataset` cuts the indices into contiguous ranges, about
-RANGES_PER_WORKER per CPU in the process's affinity mask, and maps them with
-`fork_map` (inline on one CPU, a forked pool on more). Each range task
-writes its images straight into the staged images.bin, WRITE_CHUNK_IMAGES
-at a time and each at its index's offset, and returns only the rates,
-labels and location indices, so no image crosses a process boundary. The
-caller takes the ranges in index order and hashes each back from the file
-while later ranges are made, so the files are the same bytes on any CPU
-count. The caller holds no more than WRITE_CHUNK_IMAGES images on one CPU,
-and none on more. It writes through `risblock._files.staged_files`, the
-manifest last, so a failed run leaves no dataset. `taskset -c 0` gives a
-serial run. The pool forks warm: `save_dataset` first loads numpy.random
-(not at the top, which every command would pay) and fills the scene caches
-a range task reads. Forked cold, each worker loaded numpy.random itself:
-its first 32-sample, 64-element range took 19-28 ms of CPU, 10-14 warm.
+`save_dataset` maps write chunks of WRITE_CHUNK_IMAGES indices with
+`fork_map` (inline on one CPU, a forked pool on more; it alone decides how
+many workers run). Each chunk task makes its samples in one `_generate`
+call, writes their images straight into the staged images.bin at their
+offset and returns only the rates, labels and location indices, so no image
+crosses a process boundary. The caller takes the chunks in index order and
+hashes each back from the file while later chunks are made, so the files
+are the same bytes on any CPU count. The caller holds no more than
+WRITE_CHUNK_IMAGES images on one CPU, and none on more. The pool forks
+warm: `save_dataset` first loads numpy.random (not at the top, which every
+command would pay) and fills the scene caches a chunk task reads. Forked
+cold, each worker loaded numpy.random itself: its first 32-sample,
+64-element chunk took 19-28 ms of CPU, 10-14 warm.
 
-A range task makes its samples one write chunk at a time (`_generate`).
-Each sample of the chunk is drawn as before, from its own stream and in the
-same order: its scene, walk, location, link status and, for a present
-terminal, its one `rng.random` of path values (`_draw_sample`). Then the
-chunk's present samples go through the channel stage in one call each of
+Each sample of a chunk is drawn from its own stream, in the same order: its
+scene, walk, location, link status and, for a present terminal, its one
+`rng.random` of path values (`_draw_sample`). Then the chunk's present
+samples go through the channel stage in one call each of
 `scene.path_tables` and `channel.link_rates`, which sizes its own blocks.
 Absent samples never reach it: both their rates are 0.0. `generate_sample`
 is this run on one index, and gives the bytes the dataset holds.
@@ -97,16 +94,12 @@ MANIFEST_NAME = "manifest.json"
 IMAGES_NAME = "images.bin"
 FEATURES_NAME = "features.csv"
 
-# index ranges per allowed CPU: enough that a slow range leaves little idle
-# time at the end, few enough that task overhead stays small
-RANGES_PER_WORKER = 8
-
-# images per write of a range task into images.bin: 1.5 MB of 64 x 64 x 3
-# images. Written one at a time, 2000 such samples took about 15% more CPU
-# in two pool workers, with 180k minor page faults against 27k: glibc
-# raises its mmap threshold to the size of a freed mapped block, and no
-# block freed in a worker was then larger than the per-sample temporaries,
-# so those were mapped and faulted in afresh for every sample.
+# images per pool item, written into images.bin in one call: 1.5 MB of
+# 64 x 64 x 3 images. Written one at a time, 2000 such samples took about
+# 15% more CPU in two pool workers, with 180k minor page faults against 27k:
+# glibc raises its mmap threshold to the size of a freed mapped block, and
+# no block freed in a worker was then larger than the per-sample
+# temporaries, so those were mapped and faulted in afresh for every sample.
 WRITE_CHUNK_IMAGES = 32
 
 # images per read of images.bin: 393 KB of 64 x 64 x 3 images, small beside
@@ -269,7 +262,7 @@ def _generate(cfg, seed, indices):
                      label=draw.status, location_index=draw.location_index)
 
 
-# what a range task returns of a sample once its image is written
+# what a chunk task returns of a sample once its image is written
 _Record = namedtuple("_Record", "direct_rate ris_rate label location_index")
 
 _FEATURES_HEADER = ("index", "direct_rate", "ris_rate", "label")
@@ -323,18 +316,17 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
     """Generate samples 0 .. n_samples - 1 (default cfg.n_samples) of cfg
     at seed and write them as a dataset; returns its manifest.
 
-    The indices are cut into ranges, made on every allowed CPU (see the
-    module docstring). Each range task writes its images into images.bin
-    itself and returns only their records. The ranges are hashed back from
-    the file in index order, and progress(k), if given, is called once the
-    first k samples are written and hashed. The three files are staged (see
-    risblock._files): all of them appear, or none.
+    The write chunks are made on every allowed CPU and hashed back from
+    images.bin in index order (see the module docstring); progress(k), if
+    given, is called once the first k samples are written and hashed. The
+    three files are staged (see risblock._files): all of them appear, or
+    none.
     """
     n = cfg.n_samples if n_samples is None else int(n_samples)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
-    size = -(-n // (RANGES_PER_WORKER * len(os.sched_getaffinity(0))))
-    bounds = [(start, min(start + size, n)) for start in range(0, n, size)]
+    bounds = [(start, min(start + WRITE_CHUNK_IMAGES, n))
+              for start in range(0, n, WRITE_CHUNK_IMAGES)]
     image_bytes = 4 * math.prod(cfg.image_dims)
     import numpy.random  # noqa: F401 (the pool forks warm: module docstring)
     _draw_bounds(cfg.n_paths_direct + cfg.n_paths_hop + cfg.n_paths_surface - 3,
@@ -347,15 +339,14 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
         # opened before the pool forks, so every worker holds the descriptor
         with (open(stage.path(IMAGES_NAME), "w+b") as images,
               closing(fork_map(partial(_write_range, cfg, seed,
-                                       images.fileno()), bounds)) as ranges):
-            for part in ranges:
-                start = len(records)
+                                       images.fileno()), bounds)) as chunks):
+            for (start, stop), part in zip(bounds, chunks):
                 records += part
                 _hash_file(images.fileno(), start * image_bytes,
-                           len(records) * image_bytes,
-                           LOAD_CHUNK_IMAGES * image_bytes, digest)
+                           stop * image_bytes, LOAD_CHUNK_IMAGES * image_bytes,
+                           digest)
                 if progress is not None:
-                    progress(len(records))
+                    progress(stop)
         features_text = _features_csv(records)
         manifest = build_manifest(cfg, seed, records,
                                   _content_hash(digest, features_text))
@@ -366,23 +357,19 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
 
 
 def _write_range(cfg, seed, fd, bounds):
-    """Make the samples of range(*bounds), WRITE_CHUNK_IMAGES at a time
-    (_generate), write their images at their places in the open images.bin
-    `fd`, and return their _Records."""
+    """Make the samples of range(*bounds) in one _generate call, write their
+    images at their places in the open images.bin `fd` in one write, and
+    return their _Records."""
     start, stop = bounds
-    chunk = np.empty((min(WRITE_CHUNK_IMAGES, stop - start), *cfg.image_dims),
-                     dtype="<f4")  # as images.bin stores them
+    images = np.empty((stop - start, *cfg.image_dims),
+                      dtype="<f4")  # as images.bin stores them
     records = []
-    for first in range(start, stop, len(chunk)):
-        last = min(first + len(chunk), stop)
-        for k, s in enumerate(_generate(cfg, seed, range(first, last))):
-            chunk[k] = s.image
-            records.append(_Record(s.direct_rate, s.ris_rate, s.label,
-                                   s.location_index))
-        images = chunk[:last - first]
-        written = os.pwrite(fd, images, first * chunk[0].nbytes)
-        if written != images.nbytes:
-            raise OSError(errno.ENOSPC, f"short write to {IMAGES_NAME}")
+    for k, s in enumerate(_generate(cfg, seed, range(start, stop))):
+        images[k] = s.image
+        records.append(_Record(s.direct_rate, s.ris_rate, s.label,
+                               s.location_index))
+    if os.pwrite(fd, images, start * images[0].nbytes) != images.nbytes:
+        raise OSError(errno.ENOSPC, f"short write to {IMAGES_NAME}")
     return records
 
 

@@ -24,6 +24,7 @@ from conftest import allow_cpus, assert_no_child_processes
 from risblock import dataset, pipeline
 from risblock.cli import _SECTIONS, Config, load_config, main, resolve_seed
 from risblock.dataset import GeneratorConfig, load_dataset, pool_image
+from risblock.learn import MlpParams, Standardization, load_model, save_model
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
                                run_experiment, split_rows)
 
@@ -144,11 +145,9 @@ def test_generate_reports_each_written_range(tmp_path, monkeypatch, capsys,
     assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
                  "--config", str(_small_surface(tmp_path))]) == 0
     captured = capsys.readouterr()
-    # 8 ranges a CPU: ranges of 5 samples on one CPU, of 3 on two
-    size = 5 if cpus == 1 else 3
-    counts = list(range(size, 37, size)) + [37]
-    assert captured.err.splitlines() == [f"{k}/37 samples written"
-                                         for k in counts]
+    # one line per write chunk of 32, on any CPU count
+    assert captured.err.splitlines() == ["32/37 samples written",
+                                         "37/37 samples written"]
     files = {name: (out / name).read_bytes() for name in
              ("manifest.json", "images.bin", "features.csv")}
     # progress goes to stderr only: stdout and the files are those of a
@@ -175,8 +174,8 @@ def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
     serial = dataset._draw_sample
 
     def failing(cfg, seed, index):
-        if index == 23:
-            raise ValueError("sample 23 could not be generated")
+        if index == 33:
+            raise ValueError("sample 33 could not be generated")
         return serial(cfg, seed, index)
 
     monkeypatch.setattr(dataset, "_draw_sample", failing)
@@ -184,8 +183,8 @@ def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
     assert main(["generate", "--n", "37", "--seed", "4", "--out", str(out),
                  "--config", str(_small_surface(tmp_path))]) == 1
     captured = capsys.readouterr()
-    assert "sample 23 could not be generated" in captured.err
-    assert "samples written" in captured.err  # ranges before 23 were written
+    assert "sample 33 could not be generated" in captured.err
+    assert "samples written" in captured.err  # the chunk before 33 was written
     assert not out.exists()
     assert_no_child_processes()
 
@@ -195,7 +194,7 @@ def test_a_failing_sample_fails_generate_and_experiment(tmp_path, monkeypatch,
                  "--config", str(_small_surface(tmp_path))]) == 1
     assert list(out.iterdir()) == []
 
-    with pytest.raises(ValueError, match="sample 23 could not be generated"):
+    with pytest.raises(ValueError, match="sample 33 could not be generated"):
         run_experiment(GeneratorConfig(n_samples=37, n_ris_elements=16),
                        EXPERIMENT_TRAIN_CONFIG, 4, tmp_path / "experiment")
     assert not (tmp_path / "experiment").exists()
@@ -732,8 +731,12 @@ def test_eval_requires_every_history(workspace, tmp_path, capsys):
     ("iteration,epoch,lr,loss,accuracy\n1,1,0.1,0.5,0.4\n2,1,0.1,0.5\n",
      "line 3 does not hold iteration, epoch, lr, loss, accuracy"),
     ("iteration,epoch,lr,loss,accuracy\n1.5,1,0.1,0.5,0.4\n",
-     "line 2 does not hold iteration, epoch, lr, loss, accuracy")],
-    ids=["a,b", "x,y", "no-accuracy", "short-row", "float-iteration"])
+     "line 2 does not hold iteration, epoch, lr, loss, accuracy"),
+    *((f"iteration,epoch,lr,loss,accuracy\n1,1,0.1,0.5,{accuracy}\n",
+       "line 2 does not hold iteration, epoch, lr, loss, accuracy")
+      for accuracy in ("nan", "inf", "1.5"))],
+    ids=["a,b", "x,y", "no-accuracy", "short-row", "float-iteration",
+         "nan-accuracy", "inf-accuracy", "accuracy-above-one"])
 def test_eval_names_the_history_file_it_cannot_read(workspace, tmp_path,
                                                     capsys, text, message):
     models = tmp_path / "models"
@@ -785,6 +788,28 @@ def test_eval_writes_no_report_when_a_model_file_is_corrupt(workspace,
     assert code == 1
     assert "model payload is" in capsys.readouterr().err
     assert list(out.glob("report_*.json")) == []
+
+
+def test_eval_names_a_model_file_of_another_width(workspace, tmp_path,
+                                                  capsys):
+    # camera and ris models that read the first 10 pooled features, where
+    # the dataset gives 768: camera, loaded first, is named
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    for name in ("camera", "ris"):
+        params, stats = load_model(models / f"model_{name}.bin")
+        kept = list(range(10)) + [-1]  # and the rate feature's statistics
+        save_model(models / f"model_{name}.bin",
+                   MlpParams(params.w1[:10], params.b1, params.w2, params.b2),
+                   Standardization(stats.mean[kept], stats.std[kept]))
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 1
+    assert (f"error: {models / 'model_camera.bin'} reads 10 image features; "
+            f"the dataset gives 768\n" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_eval_refuses_train_metadata_that_is_not_an_object(workspace,
@@ -1137,6 +1162,24 @@ def test_curves_names_the_curve_file_it_cannot_read(workspace, tmp_path,
     out = tmp_path / "curves"
     assert main(["curves", "--results", str(results), "--out", str(out)]) == 1
     assert f"error: {curve}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("accuracy", ["nan", "inf", "1.5"])
+def test_curves_refuses_an_accuracy_outside_0_1(workspace, tmp_path, capsys,
+                                                accuracy):
+    # the last point's accuracy, so the grids still agree: drawn, it was a
+    # y="nan" or far-off coordinate
+    results = tmp_path / "results"
+    shutil.copytree(workspace / "reports", results)
+    curve = results / "curve_ris.csv"
+    lines = curve.read_text(encoding="ascii").splitlines()
+    lines[-1] = lines[-1].split(",")[0] + f",{accuracy}"
+    curve.write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = tmp_path / "curves"
+    assert main(["curves", "--results", str(results), "--out", str(out)]) == 1
+    assert (f"error: {curve}: line {len(lines)} does not hold iteration, "
+            f"accuracy\n" in capsys.readouterr().err)
     assert not out.exists()
 
 

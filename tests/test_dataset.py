@@ -28,7 +28,7 @@ from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
                               sample_rng, save_dataset)
 from risblock.scene import LinkStatus
 
-# 37 samples split into ranges of 3 on two CPUs, so the last range is ragged
+# 37 samples: one full write chunk of 32 and a ragged one of 5
 RANGED_GEN = GeneratorConfig(n_samples=37, n_ris_elements=16)
 
 
@@ -402,7 +402,7 @@ def test_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
         progress = []
         manifest = save_dataset(tmp_path / str(cpus), RANGED_GEN, 9,
                                 progress=progress.append)
-        assert len(progress) > 1 and progress[-1] == 37  # several ranges
+        assert len(progress) > 1 and progress[-1] == 37  # several chunks
         written[cpus] = {name: (tmp_path / str(cpus) / name).read_bytes()
                          for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME)}
         assert written[cpus][IMAGES_NAME] == reference_images_bytes(samples)
@@ -416,32 +416,32 @@ def test_a_failing_sample_fails_the_dataset(tmp_path, monkeypatch, cpus):
     serial = dataset._draw_sample
 
     def failing(cfg, seed, index):
-        if index == 23:
-            raise ValueError("sample 23 could not be generated")
+        if index == 33:
+            raise ValueError("sample 33 could not be generated")
         return serial(cfg, seed, index)
 
     monkeypatch.setattr(dataset, "_draw_sample", failing)
     progress = []
-    with pytest.raises(ValueError, match="sample 23 could not be generated"):
+    with pytest.raises(ValueError, match="sample 33 could not be generated"):
         save_dataset(tmp_path / "d", RANGED_GEN, 9, progress=progress.append)
-    # the ranges before sample 23 were written, but no file is left
-    assert progress and progress[-1] <= 23
+    # the chunk before sample 33 was written, but no file is left
+    assert progress and progress[-1] <= 33
     assert not (tmp_path / "d").exists()
     assert_no_child_processes()
 
 
 def test_a_range_task_writes_its_images_and_returns_only_records(tmp_path):
     image_bytes = 4 * 64 * 64 * 3
-    # more images than one write takes, so the last write is a short one
-    assert 37 - 3 > dataset.WRITE_CHUNK_IMAGES
+    # one write chunk, at an offset
+    assert 35 - 3 == dataset.WRITE_CHUNK_IMAGES
     with open(tmp_path / IMAGES_NAME, "w+b") as images:
-        records = dataset._write_range(RANGED_GEN, 9, images.fileno(), (3, 37))
+        records = dataset._write_range(RANGED_GEN, 9, images.fileno(), (3, 35))
     # what crosses the pool's pipe: the rates, label and location index
     assert len(pickle.dumps(records)) < 1024 * len(records)
-    samples = generated(RANGED_GEN, 9)[3:]
+    samples = generated(RANGED_GEN, 9)[3:35]
     assert records == [(s.direct_rate, s.ris_rate, s.label, s.location_index)
                        for s in samples]
-    # each image at its index's place, and nothing before the range written
+    # each image at its index's place, and nothing before the chunk written
     blob = (tmp_path / IMAGES_NAME).read_bytes()
     assert blob == bytes(3 * image_bytes) + reference_images_bytes(samples)
 
@@ -674,7 +674,7 @@ def test_rows_must_be_distinct_ints_in_range(small_dir, rows, message):
 #
 # Neither generating nor loading may hold a dataset's images: tracemalloc,
 # which numpy reports its buffers to, must see a peak under a quarter of
-# images.bin. Saving in a pool may not hold even one range of them.
+# images.bin. Saving in a pool may not hold even half a write chunk of them.
 
 MEMORY_GEN = GeneratorConfig(n_samples=400, n_ris_elements=64)
 
@@ -698,18 +698,18 @@ def memory_dataset(tmp_path_factory):
 
 def test_saving_in_a_pool_holds_no_range_of_images(memory_dataset, tmp_path,
                                                   monkeypatch):
-    # the range tasks write their images themselves; the caller hashes them
+    # the chunk tasks write their images themselves; the caller hashes them
     # back LOAD_CHUNK_IMAGES at a time
     allow_cpus(monkeypatch, 2)
-    range_images = -(-400 // (dataset.RANGES_PER_WORKER * 2))
-    assert range_images > 2 * dataset.LOAD_CHUNK_IMAGES
+    half_chunk = dataset.WRITE_CHUNK_IMAGES // 2
+    assert half_chunk > dataset.LOAD_CHUNK_IMAGES
     # a first pool imports the modules the pool needs, which tracemalloc
     # would count
     save_dataset(tmp_path / "first", RANGED_GEN, 9)
     _, peak = _traced_peak(save_dataset, tmp_path / "d", MEMORY_GEN, 1)
-    range_bytes = range_images * 64 * 64 * 3 * 4
-    assert peak < range_bytes, f"save traced {peak} bytes, a range is " \
-        f"{range_bytes}"
+    half_chunk_bytes = half_chunk * 64 * 64 * 3 * 4
+    assert peak < half_chunk_bytes, f"save traced {peak} bytes, half a " \
+        f"chunk is {half_chunk_bytes}"
     for name in (MANIFEST_NAME, IMAGES_NAME, FEATURES_NAME):
         assert (tmp_path / "d" / name).read_bytes() == \
             (memory_dataset / name).read_bytes()
