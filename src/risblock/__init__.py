@@ -6,12 +6,12 @@ a small ternary blockage classifier, and evaluates the two-stage cascade
 predictor under four side-information scenarios.
 """
 
-from risblock.channel import (ArrayGeometry, MultipathComponent,
-                              PropagationConfig, RisConfig, SPEED_OF_LIGHT_MPS,
-                              channel_bs_ris, channel_bs_ue, channel_ris_ue,
-                              co_phase_ris, data_rate, doppler_spread,
-                              effective_gain, phase_term, ris_matrix,
-                              sinc_pulse, steering_vector)
+from risblock.channel import (ArrayGeometry, PropagationConfig, RisConfig,
+                              SPEED_OF_LIGHT_MPS, channel_bs_ris,
+                              channel_bs_ue, channel_ris_ue, co_phase_ris,
+                              data_rate, doppler_spread, effective_gain,
+                              phase_term, ris_matrix, sinc_pulse,
+                              steering_vector)
 from risblock.dataset import (FeatureTable, GeneratorConfig, Sample,
                               generate_sample, load_dataset, save_dataset)
 from risblock.learn import (MlpParams, Standardization, TrainConfig,

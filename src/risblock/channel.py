@@ -36,8 +36,8 @@ are (rate + 0.0) * m, which keeps each zero's sign as np.exp(1j * rate * m)
 has it: +0.0 for a rate of -0.0, and -0.0 at m = 0 for a negative rate.
 
 The dataset generator computes the channels of a block of samples at once
-(`link_rates`), with each link's paths as a PathTable of (samples, paths)
-arrays, and gives every sample the bytes it would get alone:
+(`link_rates`), with each link's paths as a PathTable, one (samples,
+paths) array per field, and gives every sample the bytes it would get alone:
 
 - the three links' path coefficients come from one set of float64 ufunc
   passes that repeat CPython's complex products term by term
@@ -59,7 +59,8 @@ arrays of a few entries cost as much as the Python they replace, so the
 gain comes from many samples a block; the one-sample functions
 (channel_bs_ue, channel_bs_ris, channel_ris_ue, accumulate_steering_outer,
 co_phase_ris, effective_gain, data_rate) are the block code run on a block
-of one.
+of one. The three channel builders take a one-sample PathTable, as
+scene.synthesize_mpcs returns it.
 """
 
 import math
@@ -128,34 +129,18 @@ class ArrayGeometry:
             raise ValueError("element_spacing_wavelengths must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class MultipathComponent:
-    """One propagation path.
+class PathTable(NamedTuple):
+    """The paths of one link for a block of samples: one (samples, paths)
+    array per field, every sample with the same number of paths.
 
-    amplitude        complex path gain (Friis magnitude for line of sight)
+    amplitude        complex128 path gain (Friis magnitude for line of sight);
+                     a float a is held as complex(a, 0.0), as CPython promotes it
     delay_s          propagation delay tau >= 0
     sampling_time_s  sampling interval t > 0 used by the pulse argument d*t - tau
     cyclic_prefix_count  number of pulse taps D >= 1
     azimuth_rad      arrival azimuth in [0, 2*pi)
     elevation_rad    arrival elevation in [-pi/2, pi/2]
     """
-
-    amplitude: complex
-    delay_s: float
-    sampling_time_s: float
-    cyclic_prefix_count: int
-    azimuth_rad: float
-    elevation_rad: float
-
-    def __post_init__(self):
-        _check_paths(self)
-
-
-class PathTable(NamedTuple):
-    """The paths of one link for a block of samples: each MultipathComponent
-    field as a (samples, paths) array, every sample with the same number of
-    paths. The amplitude is complex128; a float amplitude a is held as
-    complex(a, 0.0), the complex CPython promotes it to in a product."""
 
     amplitude: np.ndarray
     delay_s: np.ndarray
@@ -164,36 +149,33 @@ class PathTable(NamedTuple):
     azimuth_rad: np.ndarray
     elevation_rad: np.ndarray
 
-    @classmethod
-    def of(cls, samples):
-        """The table of per-sample lists of MultipathComponents."""
-        return cls(*(np.array([[getattr(p, name) for p in paths]
-                               for paths in samples],
-                              dtype=np.complex128 if name == "amplitude"
-                              else None)
-                     for name in cls._fields))
 
-
-def _check_paths(paths):
-    """Raise ValueError, naming the field, unless every path of `paths` (a
-    MultipathComponent, or a PathTable of them) is valid."""
-    if not np.isfinite(paths.amplitude).all():
+def _check_paths(*tables):
+    """The PathTables side by side, their columns joined along the paths
+    axis, once each table's six columns share one 2-D shape and every path
+    is valid; otherwise raise ValueError, naming the field."""
+    for table in tables:
+        shape = np.shape(table.amplitude)
+        for name, column in zip(PathTable._fields, table):
+            if len(shape) != 2 or np.shape(column) != shape:
+                raise ValueError(f"{name} must be a (samples, paths) array "
+                                 f"of amplitude's shape, not {np.shape(column)}")
+    paths = PathTable(*(np.concatenate(columns, axis=1)
+                        for columns in zip(*tables)))
+    amplitude, delay, sampling, count, azimuth, elevation = paths
+    if not np.isfinite(amplitude).all():
         raise ValueError("amplitude must be finite")
-    delay = np.asarray(paths.delay_s)
     if not (np.isfinite(delay) & (delay >= 0)).all():
         raise ValueError("delay_s must be finite and >= 0")
-    sampling = np.asarray(paths.sampling_time_s)
     if not (np.isfinite(sampling) & (sampling > 0)).all():
         raise ValueError("sampling_time_s must be finite and > 0")
-    count = np.asarray(paths.cyclic_prefix_count)
     if not ((count >= 1) & (count % 1 == 0)).all():
         raise ValueError("cyclic_prefix_count must be an integer >= 1")
-    azimuth = np.asarray(paths.azimuth_rad)
     if not ((0.0 <= azimuth) & (azimuth < TWO_PI)).all():
         raise ValueError("azimuth_rad must lie in [0, 2*pi)")
-    elevation = np.asarray(paths.elevation_rad)
     if not ((-math.pi / 2 <= elevation) & (elevation <= math.pi / 2)).all():
         raise ValueError("elevation_rad must lie in [-pi/2, pi/2]")
+    return paths
 
 
 @dataclass(frozen=True)
@@ -303,9 +285,7 @@ def _path_coefficients(links, carrier_hz):
     * (cos(y), sin(y)). numpy's float64 cos and sin give libm's bytes;
     tests/test_channel.py checks the whole against that loop.
     """
-    paths = PathTable(*(np.concatenate(columns, axis=1)
-                        for columns in zip(*(table for table, _ in links))))
-    _check_paths(paths)
+    paths = _check_paths(*(table for table, _ in links))
     sizes = [table.delay_s.shape[1] for table, _ in links]
     doppler_hz = np.array([doppler for (_, doppler), size in zip(links, sizes)
                            for _ in range(size)])
@@ -395,40 +375,42 @@ def _hop_channels(paths, coeffs, departures, geom):
                        geom.n_bs_antennas)
 
 
-def _terminal_channel(paths, cfg, geom, n_elements):
-    """_terminal_channels of one sample's list of MultipathComponents."""
-    table = PathTable.of([paths])
-    coeffs, = _path_coefficients([(table, doppler_spread(cfg))],
+def _sample_coefficients(paths, doppler_hz, cfg):
+    """The (1, K) path coefficients of a one-sample PathTable."""
+    coeffs, = _path_coefficients([(paths, doppler_hz)],
                                  cfg.carrier_frequency_hz)
-    return _terminal_channels(table, coeffs, geom, n_elements)[0]
+    if len(coeffs) != 1:
+        raise ValueError(f"paths must hold one sample, not {len(coeffs)}")
+    return coeffs
 
 
 def channel_bs_ue(paths, cfg, geom):
-    """Direct BS -> UE gain vector, shape (M,). Empty path list -> zeros."""
-    return _terminal_channel(paths, cfg, geom, geom.n_bs_antennas)
+    """Direct BS -> UE gain vector, shape (M,), of a one-sample PathTable.
+    No paths -> zeros."""
+    coeffs = _sample_coefficients(paths, doppler_spread(cfg), cfg)
+    return _terminal_channels(paths, coeffs, geom, geom.n_bs_antennas)[0]
 
 
 def channel_bs_ris(paths, cfg, geom, departures):
-    """BS -> RIS gain matrix, shape (R, M).
+    """BS -> RIS gain matrix, shape (R, M), of a one-sample PathTable.
 
     The static hop carries no Doppler (f_s = 0). Rows steer across the RIS
     elements with the paths' arrival angles; columns steer across the BS
-    antennas with ``departures``, one (azimuth, elevation) pair per path.
+    antennas with ``departures``, a (1, K, 2) array of one (azimuth,
+    elevation) pair per path. No paths -> zeros.
     """
-    if not paths:
-        return np.zeros((geom.n_ris_elements, geom.n_bs_antennas),
-                        dtype=np.complex128)
-    if len(departures) != len(paths):
+    coeffs = _sample_coefficients(paths, 0.0, cfg)
+    departures = np.asarray(departures, dtype=np.float64)
+    if departures.shape != (1, coeffs.shape[1], 2):
         raise ValueError("departures must supply one (azimuth, elevation) per path")
-    table = PathTable.of([paths])
-    coeffs, = _path_coefficients([(table, 0.0)], cfg.carrier_frequency_hz)
-    angles = np.array(departures, dtype=np.float64).reshape(1, len(paths), 2)
-    return _hop_channels(table, coeffs, angles, geom)[0]
+    return _hop_channels(paths, coeffs, departures, geom)[0]
 
 
 def channel_ris_ue(paths, cfg, geom):
-    """RIS -> UE gain vector, shape (R,). Empty path list -> zeros."""
-    return _terminal_channel(paths, cfg, geom, geom.n_ris_elements)
+    """RIS -> UE gain vector, shape (R,), of a one-sample PathTable. No
+    paths -> zeros."""
+    coeffs = _sample_coefficients(paths, doppler_spread(cfg), cfg)
+    return _terminal_channels(paths, coeffs, geom, geom.n_ris_elements)[0]
 
 
 def ris_matrix(ris):
@@ -567,9 +549,9 @@ def link_rates(direct, hop, departures, surface, cfg, geom):
     and RIS -> UE links, departures the hop's (samples, K, 2) departure
     angles. Each sample's rates are those of channel_bs_ue, channel_bs_ris,
     channel_ris_ue, co_phase_ris, effective_gain and data_rate run on its
-    paths alone, byte for byte. Each table is checked once, and each
-    block's surface configurations, with the messages of
-    MultipathComponent and RisConfig.
+    paths alone, byte for byte. Each table is checked once, as the
+    one-sample functions check theirs, and each block's surface
+    configurations as RisConfig checks its own.
     """
     doppler = doppler_spread(cfg)
     c_b, c_r, c_u = _path_coefficients(

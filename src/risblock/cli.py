@@ -221,6 +221,16 @@ def _read_csv(path, columns):
                              ) from None
 
 
+def _check_grids(kind, files):
+    """Raise ValueError naming the first file of `files` (path -> rows, each
+    row's iteration first) whose iteration grid is not the first file's."""
+    (first, rows), *rest = files.items()
+    for path, other in rest:
+        if [row[0] for row in other] != [row[0] for row in rows]:
+            raise ValueError(f"{kind} files disagree on iteration grids: "
+                             f"{path} has {len(other)} rows, {first} {len(rows)}")
+
+
 def cmd_generate(args):
     config = load_config(args.config)
     seed = resolve_seed(args, config)
@@ -337,6 +347,8 @@ def cmd_eval(args):
     models = {scenario: _load_scenario_model(
         models_dir, scenario, manifest["content_hash"], seed,
         test_table.pooled.shape[1]) for scenario in Scenario}
+    _check_grids("history", {models_dir / f"history_{s.value}.csv": m.history
+                             for s, m in models.items()})
     with staged_files(Path(args.out)) as stage:
         reports = evaluate_scenarios(stage, test_table, models)
     for scenario, report in reports.items():
@@ -380,13 +392,11 @@ def cmd_curves(args):
         series[scenario.value] = _read_csv(
             path, (("iteration", int), ("accuracy", _accuracy)))
 
-    iterations = [tuple(it for it, _ in pts) for pts in series.values()]
-    if len(set(iterations)) != 1:
-        raise ValueError("curve files disagree on iteration grids; "
-                         "regenerate them from one evaluation run")
+    _check_grids("curve", {results_dir / f"curve_{name}.csv": points
+                           for name, points in series.items()})
     merged = csv_text(("iteration", *series), (
-        (it, *(points[i][1] for points in series.values()))
-        for i, it in enumerate(iterations[0])))
+        (points[0][0], *(accuracy for _, accuracy in points))
+        for points in zip(*series.values())))
     svg = render_line_chart(series, title="Training accuracy by scenario",
                             x_label="iteration", y_label="train accuracy")
     with staged_files(out_dir) as stage:

@@ -42,13 +42,12 @@ Synthesis has a per-sample half and a block half, so that the dataset
 generator can do the array work once for many samples. `draw_paths` takes
 what is the sample's own: the geometry of its line-of-sight paths and its
 one draw of path values. `path_tables` turns a block of such draws into a
-channel.PathTable per link, (samples, paths) arrays in place of
-MultipathComponent objects, in a few array passes: a bounce's amplitude is
-CPython's float-times-complex product written out term by term
-(channel.complex_product), numpy's cos and sin give libm's bytes, and
-numpy's mod is Python's %, so the tables hold the values the per-path
-Python gave. `synthesize_mpcs` is the two run on one sample, turned back
-into MultipathComponents.
+channel.PathTable per link, (samples, paths) arrays, in a few array
+passes: a bounce's amplitude is CPython's float-times-complex product
+written out term by term (channel.complex_product), numpy's cos and sin
+give libm's bytes, and numpy's mod is Python's %, so the tables hold the
+values the per-path Python gave. `synthesize_mpcs` is the two run on one
+sample: its tables hold one sample each.
 
 Rendering produces an H x W x 3 float image in [0, 1]: channel 0 holds the
 blocker occupancy, channel 1 the station and surface markers, and channel 2
@@ -69,8 +68,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from risblock.channel import (SPEED_OF_LIGHT_MPS, TWO_PI, MultipathComponent,
-                              PathTable, complex_product)
+from risblock.channel import (SPEED_OF_LIGHT_MPS, TWO_PI, PathTable,
+                              complex_product)
 
 
 class LinkStatus(IntEnum):
@@ -276,16 +275,6 @@ NLOS_AMPLITUDE_SCALE = (0.05, 0.3)
 NLOS_ELEVATION_SPAN = math.pi / 6
 
 
-@dataclass(frozen=True)
-class SynthesizedPaths:
-    """Multipath components for the three channel blocks of one sample."""
-
-    bs_ue: tuple
-    bs_ris: tuple
-    ris_ue: tuple
-    bs_ris_departures: tuple
-
-
 class PathDraw(NamedTuple):
     """What path synthesis takes of one sample before its block: the
     (amplitude, delay, azimuth) of each link's line-of-sight path (station
@@ -423,7 +412,7 @@ def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
     *terminal, hop = [PathTable(*(column[:, start:stop] for column in paths))
                       for start, stop in zip(first, stops)]
     if not terminal:
-        terminal = [PathTable.of([[]] * n_samples)] * 2
+        terminal = [PathTable(*(column[:, :0] for column in paths))] * 2
 
     departures = np.empty((n_samples, n_bs_ris, 2))
     departures[:, 0, 0] = [draw.departure for draw in draws]
@@ -434,34 +423,20 @@ def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
                       bs_ris_departures=departures)
 
 
-def _components(table):
-    """The MultipathComponents of the one sample of a PathTable, its line of
-    sight with the float amplitude _los_path gives it."""
-    columns = [column[0].tolist() for column in table]
-    if columns[0]:
-        columns[0][0] = columns[0][0].real
-    return tuple(MultipathComponent(*row) for row in zip(*columns))
-
-
 def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
                     n_ris_ue, rng):
-    """Draw the per-sample multipath components for all three links.
+    """The PathTables of one sample's paths on all three links, each
+    column (1, paths).
 
     Path counts are per link, line of sight included. An absent terminal
-    yields empty station->terminal and surface->terminal lists; the
-    station->surface link is always synthesized. Departure angles for the
-    station->surface block are drawn here (geometric for the first path,
-    random for bounces). This is draw_paths and path_tables run on one
-    sample.
+    yields (1, 0) station->terminal and surface->terminal tables; the
+    station->surface link is always synthesized, with its (1, paths, 2)
+    departure angles (geometric for the first path, random for bounces).
+    This is draw_paths and path_tables run on one sample.
     """
     counts = (n_bs_ue, n_bs_ris, n_ris_ue)
-    tables = path_tables([draw_paths(scene, ue_position, status, prop_cfg,
-                                     *counts, rng)], *counts)
-    return SynthesizedPaths(
-        bs_ue=_components(tables.bs_ue), bs_ris=_components(tables.bs_ris),
-        ris_ue=_components(tables.ris_ue),
-        bs_ris_departures=tuple(map(tuple,
-                                    tables.bs_ris_departures[0].tolist())))
+    return path_tables([draw_paths(scene, ue_position, status, prop_cfg,
+                                   *counts, rng)], *counts)
 
 
 def _to_pixel(position, bounds, width, height):

@@ -30,6 +30,10 @@ serialize every image at once through one stacked array, where the package
 hashes and writes one sample at a time. They share only the features.csv
 writer with the package.
 
+The per-path references hold a path in their own ``PathRecord``, its six
+fields as Python scalars; ``path_table`` turns lists of them into the
+package's ``channel.PathTable`` for the tests.
+
 ``reference_path_coefficients`` is the channel module's per-path loop as it
 was before the channels were computed a block of samples at a time: one
 CPython complex product and one ``cmath.exp`` per path, whose bytes the
@@ -45,30 +49,56 @@ per-sample overhead was cut: one ``np.exp`` ramp per path and side, one
 ``rng.uniform`` call per drawn value, a walk on 2-element arrays that tests
 each point with ``Blocker.contains``, and a render that stamps the station
 and surface markers on every call. The package must match them byte for
-byte and leave its generator in the same state; they share the scene, path
-and trajectory records, the line-of-sight geometry (``_los_path``) and the
-draw ranges with it. The walk's ``_random_free_point`` is the oracle's own,
-which returns its last rejected point where the package's raises, so the
-tests compare the two only on walks that find free points.
+byte and leave its generator in the same state; they share the scene and
+trajectory records, the path tables ``reference_synthesize_mpcs`` returns,
+the line-of-sight geometry (``_los_path``) and the draw ranges with it. The
+walk's ``_random_free_point`` is the oracle's own, which returns its last
+rejected point where the package's raises, so the tests compare the two
+only on walks that find free points.
 """
 
 import cmath
 import hashlib
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from risblock.channel import MultipathComponent
+from risblock.channel import PathTable
 from risblock.dataset import _features_csv
 from risblock.learn import (MlpParams, cross_entropy, init_params,
                             lr_schedule, sgd_step)
 from risblock.scene import (NLOS_AMPLITUDE_SCALE, NLOS_DELAY_STRETCH,
                             NLOS_ELEVATION_SPAN, PATH_SAMPLING_TIME_S,
-                            Blocker, LinkStatus, Scene, SynthesizedPaths,
-                            _bearing, _los_path)
+                            Blocker, LinkStatus, PathTables, Scene, _bearing,
+                            _los_path)
 
 TWO_PI = 2.0 * math.pi
+
+
+class PathRecord(NamedTuple):
+    """One propagation path, the fields of a channel.PathTable as scalars:
+    the form the per-path references compute on."""
+
+    amplitude: complex
+    delay_s: float
+    sampling_time_s: float
+    cyclic_prefix_count: int
+    azimuth_rad: float
+    elevation_rad: float
+
+
+# the dtype of each PathTable column that is not float64
+_COLUMN_DTYPES = {"amplitude": np.complex128, "cyclic_prefix_count": np.int64}
+
+
+def path_table(*samples):
+    """The channel.PathTable of one list of PathRecords per sample."""
+    return PathTable(*(np.array([[getattr(path, name) for path in paths]
+                                 for paths in samples],
+                                dtype=_COLUMN_DTYPES.get(name, np.float64))
+                       for name in PathTable._fields))
 
 
 def naive_sinc(x):
@@ -311,7 +341,7 @@ def reference_accumulate_steering_outer(coeffs, row_rates, col_rates, n_rows,
 
 def _los_component(src, dst, wavelength_m, azimuth, amplitude_scale=1.0):
     amplitude, delay = _los_path(src, dst, wavelength_m, amplitude_scale)
-    return MultipathComponent(
+    return PathRecord(
         amplitude=amplitude,
         delay_s=delay,
         sampling_time_s=PATH_SAMPLING_TIME_S,
@@ -329,7 +359,7 @@ def _reference_bounces(los, count, rng):
         phase = rng.uniform(0.0, TWO_PI)
         azimuth = rng.uniform(0.0, TWO_PI)
         elevation = rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)
-        paths.append(MultipathComponent(
+        paths.append(PathRecord(
             amplitude=magnitude * complex(math.cos(phase), math.sin(phase)),
             delay_s=delay,
             sampling_time_s=PATH_SAMPLING_TIME_S,
@@ -342,7 +372,8 @@ def _reference_bounces(los, count, rng):
 
 def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
                               n_bs_ris, n_ris_ue, rng):
-    """Path synthesis with one rng.uniform call per drawn value."""
+    """Path synthesis with one rng.uniform call per drawn value, its
+    records turned into one-sample tables."""
     wavelength = prop_cfg.wavelength_m
     bs, ris = scene.bs_position, scene.ris_position
     if status == LinkStatus.ABSENT or ue_position is None:
@@ -366,9 +397,9 @@ def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
     for _ in range(n_bs_ris - 1):
         departures.append((rng.uniform(0.0, TWO_PI),
                            rng.uniform(-NLOS_ELEVATION_SPAN, NLOS_ELEVATION_SPAN)))
-    return SynthesizedPaths(bs_ue=tuple(bs_ue), bs_ris=tuple(bs_ris),
-                            ris_ue=tuple(ris_ue),
-                            bs_ris_departures=tuple(departures))
+    return PathTables(bs_ue=path_table(bs_ue), bs_ris=path_table(bs_ris),
+                      ris_ue=path_table(ris_ue),
+                      bs_ris_departures=np.array([departures]))
 
 
 def reference_path_values(n_bounces, n_departures, rng):

@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from risblock.channel import (ArrayGeometry, MultipathComponent,
-                              PropagationConfig, RisConfig, channel_bs_ue,
-                              co_phase_ris, data_rate, doppler_spread,
-                              effective_gain)
+from risblock.channel import (ArrayGeometry, PathTable, PropagationConfig,
+                              RisConfig, channel_bs_ue, co_phase_ris,
+                              data_rate, doppler_spread, effective_gain)
 from risblock.cli import main
 from conftest import generated, table_of
 from risblock.dataset import GeneratorConfig
@@ -52,12 +51,12 @@ def test_channel_reductions():
     # a static terminal: zero speed must make the channel time-invariant
     cfg = PropagationConfig(carrier_frequency_hz=28e9, speed_mps=0.0)
     def paths_at(t):
-        return [MultipathComponent(amplitude=amp, delay_s=tau,
-                                   sampling_time_s=t, cyclic_prefix_count=1,
-                                   azimuth_rad=az, elevation_rad=el)
-                for amp, tau, az, el in [(1.0, 3e-8, 0.3, 0.1),
-                                         (0.2 + 0.1j, 9e-8, 2.0, -0.2),
-                                         (0.05j, 2e-7, 4.4, 0.4)]]
+        return PathTable(amplitude=np.array([[1.0, 0.2 + 0.1j, 0.05j]]),
+                         delay_s=np.array([[3e-8, 9e-8, 2e-7]]),
+                         sampling_time_s=np.full((1, 3), t),
+                         cyclic_prefix_count=np.ones((1, 3), dtype=np.int64),
+                         azimuth_rad=np.array([[0.3, 2.0, 4.4]]),
+                         elevation_rad=np.array([[0.1, -0.2, 0.4]]))
     geometry = ArrayGeometry(n_bs_antennas=1, n_ris_elements=4)
     channels = [channel_bs_ue(paths_at(t), cfg, geometry)
                 for t in (1e-6, 1e-3, 1.0)]

@@ -11,21 +11,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from oracles import path_table
 from risblock.channel import (_accumulate, _path_coefficients, _phasors,
-                              _ramps, ArrayGeometry, MultipathComponent,
-                              PathTable, PropagationConfig, RisConfig,
-                              SPEED_OF_LIGHT_MPS, accumulate_steering_outer,
-                              channel_bs_ris, channel_bs_ue, channel_ris_ue,
-                              co_phase_ris, data_rate, doppler_spread,
-                              effective_gain, link_rates, phase_term,
-                              ris_matrix, sinc_pulse, steering_vector)
+                              _ramps, ArrayGeometry, PropagationConfig,
+                              RisConfig, SPEED_OF_LIGHT_MPS,
+                              accumulate_steering_outer, channel_bs_ris,
+                              channel_bs_ue, channel_ris_ue, co_phase_ris,
+                              data_rate, doppler_spread, effective_gain,
+                              link_rates, phase_term, ris_matrix, sinc_pulse,
+                              steering_vector)
 
 TWO_PI = 2.0 * math.pi
 
 
 def _path(amplitude=1.0, delay_s=0.0, sampling_time_s=1e-3,
           cyclic_prefix_count=1, azimuth_rad=0.0, elevation_rad=0.0):
-    return MultipathComponent(amplitude=amplitude, delay_s=delay_s,
+    return oracles.PathRecord(amplitude=amplitude, delay_s=delay_s,
                               sampling_time_s=sampling_time_s,
                               cyclic_prefix_count=cyclic_prefix_count,
                               azimuth_rad=azimuth_rad,
@@ -77,16 +78,18 @@ def test_array_geometry_validates():
 
 
 def test_multipath_component_validates():
+    cfg = PropagationConfig(carrier_frequency_hz=1e9)
+    geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     with pytest.raises(ValueError):
-        _path(delay_s=-1e-9)
+        channel_bs_ue(path_table([_path(delay_s=-1e-9)]), cfg, geom)
     with pytest.raises(ValueError):
-        _path(sampling_time_s=0.0)
+        channel_bs_ue(path_table([_path(sampling_time_s=0.0)]), cfg, geom)
     with pytest.raises(ValueError):
-        _path(cyclic_prefix_count=0)
+        channel_bs_ue(path_table([_path(cyclic_prefix_count=0)]), cfg, geom)
     with pytest.raises(ValueError):
-        _path(azimuth_rad=TWO_PI)
+        channel_bs_ue(path_table([_path(azimuth_rad=TWO_PI)]), cfg, geom)
     with pytest.raises(ValueError):
-        _path(elevation_rad=2.0)
+        channel_bs_ue(path_table([_path(elevation_rad=2.0)]), cfg, geom)
 
 
 def test_ris_config_validates():
@@ -329,7 +332,7 @@ def _paths_of_a_link(draw, n_samples):
 def test_block_coefficients_equal_the_cmath_oracle_bit_for_bit(
         data, n_samples, n_links, carrier):
     links = [data.draw(_paths_of_a_link(n_samples)) for _ in range(n_links)]
-    got = _path_coefficients([(PathTable.of(samples), doppler)
+    got = _path_coefficients([(path_table(*samples), doppler)
                               for samples, doppler in links], carrier)
     for coeffs, (samples, doppler) in zip(got, links):
         for row, paths in zip(coeffs, samples):
@@ -347,19 +350,23 @@ def test_block_coefficients_equal_the_cmath_oracle_bit_for_bit(
 ])
 def test_a_block_refuses_a_bad_path_as_a_component_would(field, value,
                                                           message):
-    with pytest.raises(ValueError, match=message):
-        _path(**{field: value})
     cfg = PropagationConfig(carrier_frequency_hz=28e9, speed_mps=20.0)
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=4)
-    good = PathTable.of([[_path(amplitude=0.5, delay_s=1e-8)] * 2] * 3)
-    for link in range(3):
-        tables = [good] * 3
-        bad = getattr(good, field).copy()
-        bad[1, 1] = value
-        tables[link] = good._replace(**{field: bad})
-        with pytest.raises(ValueError, match=message):
-            link_rates(tables[0], tables[1], np.zeros((3, 2, 2)), tables[2],
-                       cfg, geom)
+    with pytest.raises(ValueError, match=message):
+        channel_bs_ue(path_table([_path(**{field: value})]), cfg, geom)
+    good = path_table(*[[_path(amplitude=0.5, delay_s=1e-8)] * 2] * 3)
+    bad = getattr(good, field).copy()
+    bad[1, 1] = value
+    # a bad value, and a 1-D column where amplitude's is (samples, paths)
+    # or, for amplitude itself, not 2-D
+    for column, error in ((bad, message),
+                          (bad[0], rf"{field} must be a \(samples, paths\)")):
+        for link in range(3):
+            tables = [good] * 3
+            tables[link] = good._replace(**{field: column})
+            with pytest.raises(ValueError, match=error):
+                link_rates(tables[0], tables[1], np.zeros((3, 2, 2)),
+                           tables[2], cfg, geom)
 
 
 # ---------------------------------------------------------------- channels
@@ -368,10 +375,24 @@ def test_a_block_refuses_a_bad_path_as_a_component_would(field, value,
 def test_empty_paths_give_zero_channels():
     cfg = PropagationConfig(carrier_frequency_hz=1e9)
     geom = ArrayGeometry(n_bs_antennas=3, n_ris_elements=4)
-    np.testing.assert_array_equal(channel_bs_ue([], cfg, geom), np.zeros(3))
-    np.testing.assert_array_equal(channel_bs_ris([], cfg, geom, []),
-                                  np.zeros((4, 3)))
-    np.testing.assert_array_equal(channel_ris_ue([], cfg, geom), np.zeros(4))
+    empty = path_table([])
+    np.testing.assert_array_equal(channel_bs_ue(empty, cfg, geom), np.zeros(3))
+    np.testing.assert_array_equal(
+        channel_bs_ris(empty, cfg, geom, np.zeros((1, 0, 2))),
+        np.zeros((4, 3)))
+    np.testing.assert_array_equal(channel_ris_ue(empty, cfg, geom), np.zeros(4))
+    # a table of two samples, and departures of another shape than (1, 0, 2)
+    two = path_table([], [])
+    for build in (channel_bs_ue, channel_ris_ue):
+        with pytest.raises(ValueError, match="paths must hold one sample, "
+                                             "not 2"):
+            build(two, cfg, geom)
+    with pytest.raises(ValueError, match="paths must hold one sample, not 2"):
+        channel_bs_ris(two, cfg, geom, np.zeros((2, 0, 2)))
+    for departures in ([], np.zeros((1, 1, 2)), np.zeros((1, 0, 3)),
+                       np.zeros((0, 2)), np.zeros((2, 0, 2))):
+        with pytest.raises(ValueError, match="departures must supply one "):
+            channel_bs_ris(empty, cfg, geom, departures)
 
 
 def test_single_path_hand_value():
@@ -381,7 +402,7 @@ def test_single_path_hand_value():
     cfg = PropagationConfig(carrier_frequency_hz=1.0, speed_mps=0.0)
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     path = _path(delay_s=0.0, azimuth_rad=0.0, elevation_rad=math.pi / 2)
-    h = channel_bs_ue([path], cfg, geom)
+    h = channel_bs_ue(path_table([path]), cfg, geom)
     np.testing.assert_allclose(h, [cmath.exp(0.5j * math.pi)], atol=1e-15)
 
 
@@ -393,8 +414,8 @@ def test_identical_paths_cancel_through_spectral_weighting():
     cfg = PropagationConfig(carrier_frequency_hz=2.0, speed_mps=0.0)
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     path = _path(delay_s=0.5)
-    assert abs(channel_bs_ue([path], cfg, geom)[0]) > 0.5
-    h = channel_bs_ue([path, path], cfg, geom)
+    assert abs(channel_bs_ue(path_table([path]), cfg, geom)[0]) > 0.5
+    h = channel_bs_ue(path_table([path, path]), cfg, geom)
     assert abs(h[0]) < 1e-12
 
 
@@ -403,7 +424,7 @@ def test_hop_channel_reduces_to_scalar_formula():
     geom = ArrayGeometry(n_bs_antennas=1, n_ris_elements=1)
     path = _path(amplitude=0.5 + 0.25j, delay_s=3e-8, azimuth_rad=1.0,
                  elevation_rad=0.2)
-    got = channel_bs_ris([path], cfg, geom, [(1.0, 0.2)])
+    got = channel_bs_ris(path_table([path]), cfg, geom, [[(1.0, 0.2)]])
     # no Doppler on the static hop, regardless of cfg.speed_mps
     want = oracles.naive_bs_ris([path], [(1.0, 0.2)], 2e9, 1, 1, 0.5)
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -417,7 +438,8 @@ def test_hop_channel_ignores_sampling_time():
     for t in (1e-6, 1e-3, 1.0):
         path = _path(delay_s=4e-8, sampling_time_s=t, azimuth_rad=0.7,
                      elevation_rad=-0.1)
-        outs.append(channel_bs_ris([path], cfg, geom, [(0.7, -0.1)]))
+        outs.append(channel_bs_ris(path_table([path]), cfg, geom,
+                                   [[(0.7, -0.1)]]))
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[0], outs[2])
 
@@ -426,11 +448,13 @@ def test_departure_angles_steer_the_antenna_axis():
     cfg = PropagationConfig(carrier_frequency_hz=2e9)
     geom = ArrayGeometry(n_bs_antennas=4, n_ris_elements=2)
     path = _path(delay_s=1e-8, azimuth_rad=0.3)
-    with_dep = channel_bs_ris([path], cfg, geom, departures=[(1.1, 0.0)])
+    with_dep = channel_bs_ris(path_table([path]), cfg, geom,
+                              departures=[[(1.1, 0.0)]])
     want = oracles.naive_bs_ris([path], [(1.1, 0.0)], 2e9, 2, 4, 0.5)
     np.testing.assert_allclose(with_dep, want, rtol=1e-13)
     with pytest.raises(ValueError):
-        channel_bs_ris([path], cfg, geom, departures=[(1.1, 0.0), (0.0, 0.0)])
+        channel_bs_ris(path_table([path]), cfg, geom,
+                       departures=[[(1.1, 0.0), (0.0, 0.0)]])
 
 
 def test_zero_speed_outputs_are_sampling_time_independent():
@@ -446,8 +470,8 @@ def test_zero_speed_outputs_are_sampling_time_independent():
                        sampling_time_s=t, cyclic_prefix_count=1,
                        azimuth_rad=p.azimuth_rad, elevation_rad=p.elevation_rad)
                  for p in base]
-        outs.append((channel_bs_ue(paths, cfg, geom),
-                     channel_ris_ue(paths, cfg, geom)))
+        outs.append((channel_bs_ue(path_table(paths), cfg, geom),
+                     channel_ris_ue(path_table(paths), cfg, geom)))
     for direct, surface in outs[1:]:
         np.testing.assert_allclose(direct, outs[0][0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(surface, outs[0][1], rtol=1e-12, atol=0)
@@ -464,6 +488,7 @@ def test_channels_are_linear_in_amplitudes():
                     cyclic_prefix_count=p.cyclic_prefix_count,
                     azimuth_rad=p.azimuth_rad, elevation_rad=p.elevation_rad)
               for p in paths]
+    scaled, paths = path_table(scaled), path_table(paths)
     np.testing.assert_allclose(channel_bs_ue(scaled, cfg, geom),
                                scale * channel_bs_ue(paths, cfg, geom),
                                rtol=1e-12)
@@ -485,17 +510,18 @@ def test_channels_match_scalar_loop_oracle():
         f_s = doppler_spread(cfg)
         which = i % 3
         if which == 0:
-            got = channel_bs_ue(paths, cfg, geom)
+            got = channel_bs_ue(path_table(paths), cfg, geom)
             want = oracles.naive_bs_ue(paths, cfg.carrier_frequency_hz, f_s,
                                        m, 0.5)
         elif which == 1:
             departures = [(float(rng.uniform(0.0, TWO_PI)),
                            float(rng.uniform(-0.5, 0.5))) for _ in paths]
-            got = channel_bs_ris(paths, cfg, geom, departures=departures)
+            got = channel_bs_ris(path_table(paths), cfg, geom,
+                                 departures=[departures])
             want = oracles.naive_bs_ris(paths, departures,
                                         cfg.carrier_frequency_hz, r, m, 0.5)
         else:
-            got = channel_ris_ue(paths, cfg, geom)
+            got = channel_ris_ue(path_table(paths), cfg, geom)
             want = oracles.naive_ris_ue(paths, cfg.carrier_frequency_hz, f_s,
                                         r, 0.5)
         want = np.asarray(want)

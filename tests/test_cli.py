@@ -752,6 +752,26 @@ def test_eval_names_the_history_file_it_cannot_read(workspace, tmp_path,
     assert not out.exists()
 
 
+def test_eval_names_the_history_file_on_another_iteration_grid(
+        workspace, tmp_path, capsys):
+    # ris comes after none: its history, one row short, is named
+    models = tmp_path / "models"
+    shutil.copytree(workspace / "models", models)
+    history = models / "history_ris.csv"
+    lines = history.read_text(encoding="ascii").splitlines()
+    history.write_text("\n".join(lines[:-1]) + "\n", encoding="ascii")
+    out = tmp_path / "r"
+    code = main(["eval", "--config", str(workspace / "config.ini"),
+                 "--dataset", str(workspace / "dataset"),
+                 "--models", str(models), "--out", str(out)])
+    assert code == 1
+    rows = len(lines) - 1  # the header is not a row
+    assert (f"error: history files disagree on iteration grids: {history} "
+            f"has {rows - 1} rows, {models / 'history_none.csv'} {rows}\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("rate_threshold", float("nan")), ("rate_threshold", None),
     ("rate_threshold", "0.5"), ("rate_threshold", True),
@@ -1147,6 +1167,23 @@ def test_curves_grid_mismatch_fails(workspace, tmp_path, capsys):
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="ascii")
     assert main(["curves", "--results", str(clipped)]) == 1
     assert "disagree on iteration grids" in capsys.readouterr().err
+
+
+def test_curves_names_the_curve_file_on_another_iteration_grid(
+        workspace, tmp_path, capsys):
+    # camera comes after none: its curve, one point short, is named
+    clipped = tmp_path / "clipped"
+    shutil.copytree(workspace / "reports", clipped)
+    curve = clipped / "curve_camera.csv"
+    lines = curve.read_text(encoding="ascii").splitlines()
+    curve.write_text("\n".join(lines[:-1]) + "\n", encoding="ascii")
+    out = tmp_path / "curves"
+    assert main(["curves", "--results", str(clipped), "--out", str(out)]) == 1
+    rows = len(lines) - 1  # the header is not a row
+    assert (f"error: curve files disagree on iteration grids: {curve} has "
+            f"{rows - 1} rows, {clipped / 'curve_none.csv'} {rows}\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -20,13 +20,16 @@ from conftest import (SMALL_GEN, SMALL_SEED, allow_cpus,
                       assert_no_child_processes, generated, table_of)
 from oracles import reference_content_hash, reference_images_bytes
 from risblock import channel, dataset
+from risblock.channel import (channel_bs_ris, channel_bs_ue, channel_ris_ue,
+                              co_phase_ris, data_rate, effective_gain)
 from risblock.cli import main
 from risblock.dataset import (FEATURES_NAME, IMAGES_NAME, MANIFEST_NAME,
                               GeneratorConfig, build_manifest,
                               detect_visible_ue, generate_sample,
                               load_dataset, pool_image,
                               sample_rng, save_dataset)
-from risblock.scene import LinkStatus
+from risblock.scene import (LinkStatus, generate_trajectory, link_status,
+                            random_scene, synthesize_mpcs)
 
 # 37 samples: one full write chunk of 32 and a ragged one of 5
 RANGED_GEN = GeneratorConfig(n_samples=37, n_ris_elements=16)
@@ -466,6 +469,39 @@ def test_a_chunk_is_its_samples_made_one_at_a_time_bit_for_bit(
         for s in alone]
     assert (tmp_path / IMAGES_NAME).read_bytes() == \
         reference_images_bytes(alone)
+
+
+def test_the_one_sample_chain_gives_generate_sample_rates_bit_for_bit():
+    # link_rates gives each sample the rates of the one-sample functions run
+    # on its paths alone: redraw each sample's stream as generate_sample
+    # draws it and run the chain on the tables synthesize_mpcs returns
+    for n_ris_elements in (16, 64, 8000):
+        cfg = GeneratorConfig(n_samples=12, n_ris_elements=n_ris_elements)
+        prop, geom = cfg.propagation, cfg.geometry
+        labels = set()
+        for index in range(12):
+            rng = sample_rng(5, index)
+            scene = random_scene(cfg.layout, rng)
+            walk = generate_trajectory(scene, cfg.trajectory_steps,
+                                       cfg.speed_mps, cfg.step_time_s,
+                                       cfg.absent_probability, rng)
+            ue = walk[int(rng.integers(0, len(walk)))]
+            status = link_status(scene, ue)
+            paths = synthesize_mpcs(scene, ue, status, prop,
+                                    cfg.n_paths_direct, cfg.n_paths_hop,
+                                    cfg.n_paths_surface, rng)
+            h_b = channel_bs_ue(paths.bs_ue, prop, geom)
+            h_r = channel_bs_ris(paths.bs_ris, prop, geom,
+                                 paths.bs_ris_departures)
+            h_u = channel_ris_ue(paths.ris_ue, prop, geom)
+            gain = effective_gain(h_b, h_u, co_phase_ris(h_b, h_r, h_u), h_r)
+            sample = generate_sample(cfg, 5, index)
+            assert repr((data_rate(h_b, prop.snr_linear),
+                         data_rate(gain, prop.snr_linear))) == \
+                repr((sample.direct_rate, sample.ris_rate))
+            labels.add(int(status))
+        # absent, clear and blocked samples
+        assert labels == {-1, 0, 1}
 
 
 def test_a_chunk_computes_its_path_coefficients_once(tmp_path, monkeypatch):

@@ -177,9 +177,10 @@ def test_absent_terminal_yields_empty_receive_paths():
     rng = np.random.default_rng(7)
     paths = synthesize_mpcs(_open_scene(), None, LinkStatus.ABSENT, PROP,
                             5, 5, 5, rng)
-    assert paths.bs_ue == () and paths.ris_ue == ()
-    assert len(paths.bs_ris) == 5
-    assert len(paths.bs_ris_departures) == 5
+    assert all(column.shape == (1, 0)
+               for column in (*paths.bs_ue, *paths.ris_ue))
+    assert all(column.shape == (1, 5) for column in paths.bs_ris)
+    assert paths.bs_ris_departures.shape == (1, 5, 2)
 
 
 def test_los_delay_is_distance_over_c():
@@ -187,7 +188,7 @@ def test_los_delay_is_distance_over_c():
     paths = synthesize_mpcs(_open_scene(), (3.0, 4.0), LinkStatus.UNBLOCKED,
                             PROP, 5, 5, 5, rng)
     # station at the origin, terminal at (3, 4): distance 5 by Pythagoras
-    assert math.isclose(paths.bs_ue[0].delay_s, 5.0 / SPEED_OF_LIGHT_MPS,
+    assert math.isclose(paths.bs_ue.delay_s[0, 0], 5.0 / SPEED_OF_LIGHT_MPS,
                         rel_tol=1e-15)
 
 
@@ -196,9 +197,9 @@ def test_los_amplitude_is_free_space():
     paths = synthesize_mpcs(_open_scene(), (3.0, 4.0), LinkStatus.UNBLOCKED,
                             PROP, 5, 5, 5, rng)
     lam = PROP.wavelength_m
-    assert math.isclose(abs(paths.bs_ue[0].amplitude),
+    assert math.isclose(abs(paths.bs_ue.amplitude[0, 0]),
                         lam / (4.0 * math.pi * 5.0), rel_tol=1e-12)
-    assert paths.bs_ue[0].elevation_rad == 0.0
+    assert paths.bs_ue.elevation_rad[0, 0] == 0.0
 
 
 def test_geometric_sanity_across_random_scenes():
@@ -213,16 +214,16 @@ def test_geometric_sanity_across_random_scenes():
         ue = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
         status = link_status(scene, ue)
         paths = synthesize_mpcs(scene, ue, status, PROP, 4, 4, 4, rng)
-        pairs = [(paths.bs_ris[0], scene.ris_position, scene.bs_position),
-                 (paths.ris_ue[0], scene.ris_position, ue)]
+        pairs = [(paths.bs_ris, scene.ris_position, scene.bs_position),
+                 (paths.ris_ue, scene.ris_position, ue)]
         if status is LinkStatus.UNBLOCKED:
-            pairs.append((paths.bs_ue[0], scene.bs_position, ue))
-        for los, src, dst in pairs:
+            pairs.append((paths.bs_ue, scene.bs_position, ue))
+        for table, src, dst in pairs:
             d = math.hypot(dst[0] - src[0], dst[1] - src[1])
-            assert math.isclose(los.delay_s, d / SPEED_OF_LIGHT_MPS,
+            assert math.isclose(table.delay_s[0, 0], d / SPEED_OF_LIGHT_MPS,
                                 rel_tol=1e-15)
-            assert math.isclose(abs(los.amplitude), lam / (4.0 * math.pi * d),
-                                rel_tol=1e-12)
+            assert math.isclose(abs(table.amplitude[0, 0]),
+                                lam / (4.0 * math.pi * d), rel_tol=1e-12)
 
 
 def test_blocked_los_is_attenuated_by_penetration_loss():
@@ -231,11 +232,11 @@ def test_blocked_los_is_attenuated_by_penetration_loss():
                             5, 5, 5, np.random.default_rng(11))
     hit = synthesize_mpcs(_open_scene(), ue, LinkStatus.BLOCKED, PROP,
                           5, 5, 5, np.random.default_rng(11))
-    ratio = abs(hit.bs_ue[0].amplitude) / abs(clear.bs_ue[0].amplitude)
+    ratio = abs(hit.bs_ue.amplitude[0, 0]) / abs(clear.bs_ue.amplitude[0, 0])
     assert math.isclose(ratio, 10.0 ** -1.5, rel_tol=1e-12)
     # surface-side links are never attenuated
-    assert hit.ris_ue[0].amplitude == clear.ris_ue[0].amplitude
-    assert hit.bs_ris[0].amplitude == clear.bs_ris[0].amplitude
+    assert hit.ris_ue.amplitude[0, 0] == clear.ris_ue.amplitude[0, 0]
+    assert hit.bs_ris.amplitude[0, 0] == clear.bs_ris.amplitude[0, 0]
 
 
 def test_blocked_bounces_derive_from_the_attenuated_amplitude():
@@ -244,8 +245,9 @@ def test_blocked_bounces_derive_from_the_attenuated_amplitude():
                             5, 5, 5, np.random.default_rng(12))
     hit = synthesize_mpcs(_open_scene(), ue, LinkStatus.BLOCKED, PROP,
                           5, 5, 5, np.random.default_rng(12))
-    for blocked, unblocked in zip(hit.bs_ue[1:], clear.bs_ue[1:]):
-        ratio = abs(blocked.amplitude) / abs(unblocked.amplitude)
+    for blocked, unblocked in zip(hit.bs_ue.amplitude[0, 1:],
+                                  clear.bs_ue.amplitude[0, 1:]):
+        ratio = abs(blocked) / abs(unblocked)
         assert math.isclose(ratio, 10.0 ** -1.5, rel_tol=1e-9)
 
 
@@ -254,20 +256,22 @@ def test_bounce_paths_are_longer_and_weaker():
     paths = synthesize_mpcs(_open_scene(), (6.0, 2.0), LinkStatus.UNBLOCKED,
                             PROP, 6, 6, 6, rng)
     for group in (paths.bs_ue, paths.bs_ris, paths.ris_ue):
-        los = group[0]
-        assert len(group) == 6
-        for bounce in group[1:]:
-            assert 1.1 * los.delay_s <= bounce.delay_s <= 3.0 * los.delay_s
-            assert abs(bounce.amplitude) <= 0.3 * abs(los.amplitude)
-            assert abs(bounce.amplitude) >= 0.05 * abs(los.amplitude)
-            assert abs(bounce.elevation_rad) <= math.pi / 6
+        assert group.delay_s.shape == (1, 6)
+        los_delay, los_amplitude = group.delay_s[0, 0], group.amplitude[0, 0]
+        for delay, amplitude, elevation in zip(group.delay_s[0, 1:],
+                                               group.amplitude[0, 1:],
+                                               group.elevation_rad[0, 1:]):
+            assert 1.1 * los_delay <= delay <= 3.0 * los_delay
+            assert abs(amplitude) <= 0.3 * abs(los_amplitude)
+            assert abs(amplitude) >= 0.05 * abs(los_amplitude)
+            assert abs(elevation) <= math.pi / 6
 
 
 def test_hop_departures_start_with_the_geometric_bearing():
     rng = np.random.default_rng(14)
     paths = synthesize_mpcs(_open_scene(), (6.0, 2.0), LinkStatus.UNBLOCKED,
                             PROP, 5, 5, 5, rng)
-    az, el = paths.bs_ris_departures[0]
+    az, el = paths.bs_ris_departures[0, 0]
     # station (0,0) -> surface (0,9) points straight up the y axis
     assert math.isclose(az, math.pi / 2, rel_tol=1e-12)
     assert el == 0.0
@@ -285,7 +289,7 @@ def test_synthesis_validates_path_counts():
        counts=st.tuples(*[st.integers(1, 6)] * 3),
        ue=st.tuples(st.floats(12.0, 34.0), st.floats(4.0, 36.0)))
 def test_synthesis_draws_as_one_value_at_a_time(seed, status, counts, ue):
-    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    # each column's dtype, shape and bytes: the bytes tell -0.0 from 0.0
     scene = random_scene(SceneLayout(), np.random.default_rng(seed))
     if status is LinkStatus.ABSENT:
         ue = None
@@ -293,7 +297,13 @@ def test_synthesis_draws_as_one_value_at_a_time(seed, status, counts, ue):
     got = synthesize_mpcs(scene, ue, status, PROP, *counts, rng)
     want = oracles.reference_synthesize_mpcs(scene, ue, status, PROP, *counts,
                                              reference_rng)
-    assert repr(got) == repr(want)
+
+    def columns(paths):
+        return [(column.dtype, column.shape, column.tobytes())
+                for column in (*paths.bs_ue, *paths.bs_ris, *paths.ris_ue,
+                               paths.bs_ris_departures)]
+
+    assert columns(got) == columns(want)
     assert rng.random() == reference_rng.random()
 
 
