@@ -26,8 +26,9 @@ from pathlib import Path
 
 def json_text(value):
     """The canonical JSON text: sorted keys, 2-space indent, ascii, one
-    trailing newline."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    trailing newline. NaN and infinities, which JSON has no form for, raise
+    ValueError."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(header, rows):

@@ -24,9 +24,9 @@ hashes each back from the file while later chunks are made, so the files
 are the same bytes on any CPU count. The caller holds no more than
 WRITE_CHUNK_IMAGES images on one CPU, and none on more. The pool forks
 warm: `save_dataset` first loads numpy.random (not at the top, which every
-command would pay) and fills the scene caches a chunk task reads. Forked
-cold, each worker loaded numpy.random itself: its first 32-sample,
-64-element chunk took 19-28 ms of CPU, 10-14 warm.
+command would pay). Forked cold, each worker loaded numpy.random itself:
+its first 32-sample, 64-element chunk took 19-28 ms of CPU, 10-14 warm.
+Each worker fills the scene caches on its first sample.
 
 Each sample of a chunk is drawn from its own stream, in the same order: its
 scene, walk, location, link status and, for a present terminal, its one
@@ -82,9 +82,9 @@ from risblock._files import (MANIFEST_TABLE, checked_json, csv_text, json_text,
                              staged_files)
 from risblock._pool import fork_map
 from risblock.channel import ArrayGeometry, PropagationConfig, link_rates
-from risblock.scene import (LinkStatus, SceneLayout, _draw_bounds, _markers,
-                            draw_paths, generate_trajectory, link_status,
-                            path_tables, random_scene, render_image)
+from risblock.scene import (LinkStatus, SceneLayout, draw_paths,
+                            generate_trajectory, link_status, path_tables,
+                            random_scene, render_image)
 
 # tag mixed into every per-sample SeedSequence, decoupling sample streams
 # from any other consumer of the same root seed
@@ -142,8 +142,8 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.absent_probability <= 1:
             raise ValueError("absent_probability must lie in [0, 1]")
-        if not self.step_time_s > 0:
-            raise ValueError("step_time_s must be > 0")
+        if not 0 < self.step_time_s < math.inf:
+            raise ValueError("step_time_s must be finite and > 0")
         object.__setattr__(self, "image_dims", tuple(self.image_dims))
         check_dataset_image_dims(self.image_dims)
         self.propagation  # bad physical parameters fail here, not mid-run
@@ -329,10 +329,6 @@ def save_dataset(out_dir, cfg, seed, n_samples=None, progress=None):
               for start in range(0, n, WRITE_CHUNK_IMAGES)]
     image_bytes = 4 * math.prod(cfg.image_dims)
     import numpy.random  # noqa: F401 (the pool forks warm: module docstring)
-    _draw_bounds(cfg.n_paths_direct + cfg.n_paths_hop + cfg.n_paths_surface - 3,
-                 cfg.n_paths_hop - 1)
-    _markers(tuple(cfg.layout.bounds), tuple(cfg.layout.bs_position),
-             tuple(cfg.layout.ris_position), *cfg.image_dims[:2])
     with staged_files(out_dir) as stage:
         digest = hashlib.sha256()
         records = []

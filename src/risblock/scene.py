@@ -8,10 +8,11 @@ three statuses: the terminal is absent, present with clear line of sight, or
 present but blocked. A terminal's walk is the tuple of its positions, None
 at each step where it is absent.
 
-Path synthesis turns the geometry into multipath components for the three
-channel blocks. The first path of each list is the geometric line-of-sight
-path (delay = distance/c, amplitude = wavelength/(4*pi*distance), elevation
-0); the remaining paths are scatterer bounces with delays stretched by
+Path synthesis turns the geometry of a present terminal into multipath
+components for the three channel blocks; an absent terminal has no paths.
+The first path of each list is the geometric line-of-sight path (delay =
+distance/c, amplitude = wavelength/(4*pi*distance), elevation 0); the
+remaining paths are scatterer bounces with delays stretched by
 Uniform(1.1, 3), amplitudes scaled by Uniform(0.05, 0.3) with a random phase,
 azimuths uniform on [0, 2*pi) and elevations uniform on (-pi/6, pi/6).
 A blocked direct link attenuates the line-of-sight amplitude by
@@ -278,9 +279,9 @@ NLOS_ELEVATION_SPAN = math.pi / 6
 class PathDraw(NamedTuple):
     """What path synthesis takes of one sample before its block: the
     (amplitude, delay, azimuth) of each link's line-of-sight path (station
-    ->terminal and surface->terminal when the terminal is present, then
-    station->surface), the bearing of the station->surface departure, and
-    the sample's one draw of bounce and departure values."""
+    ->terminal, surface->terminal, then station->surface), the bearing of
+    the station->surface departure, and the sample's one draw of bounce and
+    departure values."""
 
     los: tuple
     departure: float
@@ -302,7 +303,7 @@ def _bearing(src, dst):
     return math.atan2(dst[1] - src[1], dst[0] - src[0]) % TWO_PI
 
 
-def _los_path(src, dst, wavelength_m, amplitude_scale=1.0):
+def _los_path(src, dst, wavelength_m, amplitude_scale):
     """(amplitude, delay) of the line-of-sight path from src to dst."""
     dist = math.hypot(dst[0] - src[0], dst[1] - src[1])
     if dist <= 0:
@@ -337,39 +338,30 @@ def draw_paths(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
     """The per-sample half of synthesize_mpcs: a PathDraw of the line-of-
     sight paths and of the sample's one rng.random call, which takes the
     values in the order the module docstring gives. path_tables turns a
-    block of them into the sample's paths."""
+    block of them into the sample's paths. The terminal must be present: an
+    absent one has no paths, and raises ValueError."""
+    if status == LinkStatus.ABSENT or ue_position is None:
+        raise ValueError("an absent terminal has no paths")
     for name, n in (("n_bs_ue", n_bs_ue), ("n_bs_ris", n_bs_ris),
                     ("n_ris_ue", n_ris_ue)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1")
     wavelength = prop_cfg.wavelength_m
     bs, ris = scene.bs_position, scene.ris_position
-    present = not (status == LinkStatus.ABSENT or ue_position is None)
-
-    n_bounces = n_bs_ris - 1
-    if present:
-        n_bounces += (n_bs_ue - 1) + (n_ris_ue - 1)
-    low, span = _draw_bounds(n_bounces, n_bs_ris - 1)
+    low, span = _draw_bounds(n_bs_ue + n_bs_ris + n_ris_ue - 3, n_bs_ris - 1)
     values = low + span * rng.random(low.size)
 
-    los = []
-    if present:
-        penetration = 1.0
-        if status == LinkStatus.BLOCKED:
-            penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
-        los.append((*_los_path(bs, ue_position, wavelength,
-                               amplitude_scale=penetration),
-                    _bearing(bs, ue_position)))
-        los.append((*_los_path(ris, ue_position, wavelength),
-                    _bearing(ris, ue_position)))
-    los.append((*_los_path(ris, bs, wavelength), _bearing(ris, bs)))
-    return PathDraw(los=tuple(los), departure=_bearing(bs, ris), values=values)
+    penetration = 1.0
+    if status == LinkStatus.BLOCKED:
+        penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
+    los = tuple((*_los_path(src, dst, wavelength, scale), _bearing(src, dst))
+                for src, dst, scale in ((bs, ue_position, penetration),
+                                        (ris, ue_position, 1.0), (ris, bs, 1.0)))
+    return PathDraw(los=los, departure=_bearing(bs, ris), values=values)
 
 
 def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
-    """The PathTables of a block of PathDraws made with these path counts,
-    all with the terminal present or all with it absent. An absent
-    terminal's links have no paths.
+    """The PathTables of a block of PathDraws made with these path counts.
 
     The links' paths are built side by side, in draw order, as one table
     whose column slices are the links' tables. A bounce's amplitude is
@@ -379,9 +371,9 @@ def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
     n_samples = len(draws)
     los = np.array([draw.los for draw in draws])     # (samples, links, 3)
     values = np.stack([draw.values for draw in draws])
-    # path counts in draw order: station->terminal, surface->terminal (when
-    # present), station->surface
-    counts = [n_bs_ue, n_ris_ue, n_bs_ris][-los.shape[1]:]
+    # path counts in draw order: station->terminal, surface->terminal,
+    # station->surface
+    counts = [n_bs_ue, n_ris_ue, n_bs_ris]
     stops = list(accumulate(counts))
     first = [stop - count for count, stop in zip(counts, stops)]
     # the link of each bounce, and each bounce's column
@@ -409,30 +401,28 @@ def path_tables(draws, n_bs_ue, n_bs_ris, n_ris_ue):
     paths.azimuth_rad[:, first] = los_azimuth
     paths.azimuth_rad[:, bounce] = np.mod(azimuth, TWO_PI)
     paths.elevation_rad[:, bounce] = elevation
-    *terminal, hop = [PathTable(*(column[:, start:stop] for column in paths))
-                      for start, stop in zip(first, stops)]
-    if not terminal:
-        terminal = [PathTable(*(column[:, :0] for column in paths))] * 2
+    bs_ue, ris_ue, bs_ris = [PathTable(*(col[:, start:stop] for col in paths))
+                             for start, stop in zip(first, stops)]
 
     departures = np.empty((n_samples, n_bs_ris, 2))
     departures[:, 0, 0] = [draw.departure for draw in draws]
     departures[:, 0, 1] = 0.0
     departures[:, 1:] = values[:, len(_BOUNCE_DRAWS) * len(link):].reshape(
         n_samples, n_bs_ris - 1, 2)
-    return PathTables(bs_ue=terminal[0], bs_ris=hop, ris_ue=terminal[1],
+    return PathTables(bs_ue=bs_ue, bs_ris=bs_ris, ris_ue=ris_ue,
                       bs_ris_departures=departures)
 
 
 def synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue, n_bs_ris,
                     n_ris_ue, rng):
     """The PathTables of one sample's paths on all three links, each
-    column (1, paths).
+    column (1, paths), with the (1, paths, 2) station->surface departure
+    angles (geometric for the first path, random for bounces).
 
-    Path counts are per link, line of sight included. An absent terminal
-    yields (1, 0) station->terminal and surface->terminal tables; the
-    station->surface link is always synthesized, with its (1, paths, 2)
-    departure angles (geometric for the first path, random for bounces).
-    This is draw_paths and path_tables run on one sample.
+    Path counts are per link, line of sight included. The terminal must be
+    present: an absent one has no paths, and raises ValueError (its rates
+    are the generator's 0.0). This is draw_paths and path_tables run on one
+    sample.
     """
     counts = (n_bs_ue, n_bs_ris, n_ris_ue)
     return path_tables([draw_paths(scene, ue_position, status, prop_cfg,

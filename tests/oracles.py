@@ -372,25 +372,20 @@ def _reference_bounces(los, count, rng):
 
 def reference_synthesize_mpcs(scene, ue_position, status, prop_cfg, n_bs_ue,
                               n_bs_ris, n_ris_ue, rng):
-    """Path synthesis with one rng.uniform call per drawn value, its
-    records turned into one-sample tables."""
+    """Path synthesis of a present terminal with one rng.uniform call per
+    drawn value, its records turned into one-sample tables."""
     wavelength = prop_cfg.wavelength_m
     bs, ris = scene.bs_position, scene.ris_position
-    if status == LinkStatus.ABSENT or ue_position is None:
-        bs_ue = []
-        ris_ue = []
-    else:
-        penetration = 1.0
-        if status == LinkStatus.BLOCKED:
-            penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
-        los_direct = _los_component(bs, ue_position, wavelength,
-                                    _bearing(bs, ue_position),
-                                    amplitude_scale=penetration)
-        bs_ue = [los_direct] + _reference_bounces(los_direct, n_bs_ue - 1, rng)
-        los_surface = _los_component(ris, ue_position, wavelength,
-                                     _bearing(ris, ue_position))
-        ris_ue = [los_surface] + _reference_bounces(los_surface, n_ris_ue - 1,
-                                                    rng)
+    penetration = 1.0
+    if status == LinkStatus.BLOCKED:
+        penetration = 10.0 ** (-scene.penetration_loss_db / 20.0)
+    los_direct = _los_component(bs, ue_position, wavelength,
+                                _bearing(bs, ue_position),
+                                amplitude_scale=penetration)
+    bs_ue = [los_direct] + _reference_bounces(los_direct, n_bs_ue - 1, rng)
+    los_surface = _los_component(ris, ue_position, wavelength,
+                                 _bearing(ris, ue_position))
+    ris_ue = [los_surface] + _reference_bounces(los_surface, n_ris_ue - 1, rng)
     los_hop = _los_component(ris, bs, wavelength, _bearing(ris, bs))
     bs_ris = [los_hop] + _reference_bounces(los_hop, n_bs_ris - 1, rng)
     departures = [(_bearing(bs, ris), 0.0)]

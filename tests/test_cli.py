@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 import risblock
 from conftest import allow_cpus, assert_no_child_processes
 from risblock import dataset, pipeline
-from risblock.cli import _SECTIONS, Config, load_config, main, resolve_seed
+from risblock.cli import (_SECTIONS, Config, ConfigError, load_config, main,
+                          resolve_seed)
 from risblock.dataset import GeneratorConfig, load_dataset, pool_image
 from risblock.learn import MlpParams, Standardization, load_model, save_model
 from risblock.pipeline import (EXPERIMENT_TRAIN_CONFIG, Scenario,
@@ -354,6 +355,20 @@ def test_readme_config_block_is_the_schema(tmp_path):
 def test_no_config_file_gives_the_defaults():
     assert load_config(None) == Config(GeneratorConfig(),
                                        EXPERIMENT_TRAIN_CONFIG, 0)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _SECTIONS.items()
+    for key, kind in keys.items() if kind is float])
+def test_every_float_config_key_refuses_non_finite_values(tmp_path, section,
+                                                          key, value):
+    # float() parses all three; a config that took one would run on it or
+    # write it where JSON has no form for it
+    config = tmp_path / "config.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n", encoding="ascii")
+    with pytest.raises(ConfigError):
+        load_config(config)
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):

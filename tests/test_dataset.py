@@ -472,12 +472,15 @@ def test_a_chunk_is_its_samples_made_one_at_a_time_bit_for_bit(
 
 
 def test_the_one_sample_chain_gives_generate_sample_rates_bit_for_bit():
-    # link_rates gives each sample the rates of the one-sample functions run
-    # on its paths alone: redraw each sample's stream as generate_sample
-    # draws it and run the chain on the tables synthesize_mpcs returns
+    # link_rates gives each present sample the rates of the one-sample
+    # functions run on its paths alone: redraw each sample's stream as
+    # generate_sample draws it and run the chain on the tables
+    # synthesize_mpcs returns. An absent sample has no paths to synthesize,
+    # and its rates are 0.0
     for n_ris_elements in (16, 64, 8000):
         cfg = GeneratorConfig(n_samples=12, n_ris_elements=n_ris_elements)
         prop, geom = cfg.propagation, cfg.geometry
+        counts = (cfg.n_paths_direct, cfg.n_paths_hop, cfg.n_paths_surface)
         labels = set()
         for index in range(12):
             rng = sample_rng(5, index)
@@ -487,19 +490,23 @@ def test_the_one_sample_chain_gives_generate_sample_rates_bit_for_bit():
                                        cfg.absent_probability, rng)
             ue = walk[int(rng.integers(0, len(walk)))]
             status = link_status(scene, ue)
-            paths = synthesize_mpcs(scene, ue, status, prop,
-                                    cfg.n_paths_direct, cfg.n_paths_hop,
-                                    cfg.n_paths_surface, rng)
+            sample = generate_sample(cfg, 5, index)
+            labels.add(int(status))
+            if status is LinkStatus.ABSENT:
+                with pytest.raises(ValueError, match="absent terminal"):
+                    synthesize_mpcs(scene, ue, status, prop, *counts, rng)
+                assert repr((sample.direct_rate, sample.ris_rate)) == \
+                    repr((0.0, 0.0))
+                continue
+            paths = synthesize_mpcs(scene, ue, status, prop, *counts, rng)
             h_b = channel_bs_ue(paths.bs_ue, prop, geom)
             h_r = channel_bs_ris(paths.bs_ris, prop, geom,
                                  paths.bs_ris_departures)
             h_u = channel_ris_ue(paths.ris_ue, prop, geom)
             gain = effective_gain(h_b, h_u, co_phase_ris(h_b, h_r, h_u), h_r)
-            sample = generate_sample(cfg, 5, index)
             assert repr((data_rate(h_b, prop.snr_linear),
                          data_rate(gain, prop.snr_linear))) == \
                 repr((sample.direct_rate, sample.ris_rate))
-            labels.add(int(status))
         # absent, clear and blocked samples
         assert labels == {-1, 0, 1}
 

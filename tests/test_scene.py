@@ -173,14 +173,19 @@ def test_trajectory_validates_arguments():
 # ---------------------------------------------------------------- synthesis
 
 
-def test_absent_terminal_yields_empty_receive_paths():
-    rng = np.random.default_rng(7)
-    paths = synthesize_mpcs(_open_scene(), None, LinkStatus.ABSENT, PROP,
-                            5, 5, 5, rng)
-    assert all(column.shape == (1, 0)
-               for column in (*paths.bs_ue, *paths.ris_ue))
-    assert all(column.shape == (1, 5) for column in paths.bs_ris)
-    assert paths.bs_ris_departures.shape == (1, 5, 2)
+def test_synthesis_refuses_an_absent_terminal():
+    # an absent terminal has no paths: the generator gives it rates of 0.0
+    # without synthesis. An ABSENT status or a None position is refused
+    # before anything is drawn
+    for ue, status in ((None, LinkStatus.ABSENT),
+                       ((3.0, 4.0), LinkStatus.ABSENT),
+                       (None, LinkStatus.UNBLOCKED),
+                       (None, LinkStatus.BLOCKED)):
+        for synthesize in (draw_paths, synthesize_mpcs):
+            rng = np.random.default_rng(7)
+            with pytest.raises(ValueError, match="absent terminal"):
+                synthesize(_open_scene(), ue, status, PROP, 5, 5, 5, rng)
+            assert rng.random() == np.random.default_rng(7).random()
 
 
 def test_los_delay_is_distance_over_c():
@@ -284,15 +289,16 @@ def test_synthesis_validates_path_counts():
                         0, 5, 5, rng)
 
 
+PRESENT_STATUS = st.sampled_from([LinkStatus.UNBLOCKED, LinkStatus.BLOCKED])
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), status=st.sampled_from(LinkStatus),
+@given(seed=st.integers(0, 2 ** 32 - 1), status=PRESENT_STATUS,
        counts=st.tuples(*[st.integers(1, 6)] * 3),
        ue=st.tuples(st.floats(12.0, 34.0), st.floats(4.0, 36.0)))
 def test_synthesis_draws_as_one_value_at_a_time(seed, status, counts, ue):
     # each column's dtype, shape and bytes: the bytes tell -0.0 from 0.0
     scene = random_scene(SceneLayout(), np.random.default_rng(seed))
-    if status is LinkStatus.ABSENT:
-        ue = None
     rng, reference_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
     got = synthesize_mpcs(scene, ue, status, PROP, *counts, rng)
     want = oracles.reference_synthesize_mpcs(scene, ue, status, PROP, *counts,
@@ -357,19 +363,14 @@ def test_random_scene_equals_its_oracle_bit_for_bit(seed, layout):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), status=st.sampled_from(LinkStatus),
+@given(seed=st.integers(0, 2 ** 32 - 1), status=PRESENT_STATUS,
        counts=st.tuples(*[st.integers(1, 6)] * 3))
 def test_path_values_equal_one_uniform_per_value_bit_for_bit(seed, status,
                                                              counts):
     scene = random_scene(SceneLayout(), np.random.default_rng(seed))
-    ue = None if status is LinkStatus.ABSENT else (20.0, 20.0)
-    n_bs_ue, n_bs_ris, n_ris_ue = counts
-    n_bounces = n_bs_ris - 1
-    if ue is not None:
-        n_bounces += n_bs_ue - 1 + n_ris_ue - 1
     rng, reference_rng = (np.random.default_rng([seed, 4]) for _ in range(2))
-    got = draw_paths(scene, ue, status, PROP, *counts, rng).values
-    want = oracles.reference_path_values(n_bounces, n_bs_ris - 1,
+    got = draw_paths(scene, (20.0, 20.0), status, PROP, *counts, rng).values
+    want = oracles.reference_path_values(sum(counts) - 3, counts[1] - 1,
                                          reference_rng)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -3,6 +3,7 @@ writes through it failing while it writes or when a directory sits at one
 of its file names."""
 
 import errno
+import math
 import os
 from pathlib import Path
 
@@ -85,6 +86,9 @@ def test_canonical_text_forms():
     assert csv_text(("i", "x"), [(1, 0.1), (2, 1e-20)]) == \
         "i,x\n1,0.1\n2,1e-20\n"
     assert csv_text(("i", "x"), []) == "i,x\n"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"x": [1.0, value]})
 
 
 # ---------------------------------------------------------------- commands
